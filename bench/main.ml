@@ -12,6 +12,7 @@
 
 module E = Phoenix_experiments
 module Clock = Phoenix_util.Clock
+module Json = Phoenix_util.Json
 module Cache = Phoenix_cache.Cache
 
 let fmt = Format.std_formatter
@@ -459,18 +460,6 @@ let print_scaling sc =
     sc.sr_sublinear;
   Format.fprintf fmt "@]@."
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let bench_json_path = "BENCH_phoenix.json"
 
 (* The single source of truth for the emitted schema.  [write_bench_json]
@@ -493,22 +482,22 @@ let write_bench_json ~quick micro e2e cache vqe certify scaling =
   p "  \"micro_ms_per_run\": {";
   List.iteri
     (fun i (name, ms) ->
-      p "%s\n    \"%s\": %s"
+      p "%s\n    %s: %s"
         (if i = 0 then "" else ",")
-        (json_escape name)
+        (Json.escape name)
         (match ms with Some v -> Printf.sprintf "%.6f" v | None -> "null"))
     micro;
   p "\n  },\n";
   p "  \"end_to_end\": {";
   List.iteri
     (fun i (name, wall_s, two_q, pass_times) ->
-      p "%s\n    \"%s\": { \"wall_s\": %.6f, \"two_q_count\": %d,"
+      p "%s\n    %s: { \"wall_s\": %.6f, \"two_q_count\": %d,"
         (if i = 0 then "" else ",")
-        (json_escape name) wall_s two_q;
+        (Json.escape name) wall_s two_q;
       p "\n      \"pass_s\": {";
       List.iteri
         (fun j (pass, s) ->
-          p "%s \"%s\": %.6f" (if j = 0 then "" else ",") (json_escape pass) s)
+          p "%s %s: %.6f" (if j = 0 then "" else ",") (Json.escape pass) s)
         pass_times;
       p " } }")
     e2e;
@@ -517,9 +506,9 @@ let write_bench_json ~quick micro e2e cache vqe certify scaling =
   List.iteri
     (fun i (name, cold_s, warm_s, cold_stats, warm_stats) ->
       let speedup = if warm_s > 0.0 then cold_s /. warm_s else 0.0 in
-      p "%s\n    \"%s\": { \"cold_wall_s\": %.6f, \"warm_wall_s\": %.6f,"
+      p "%s\n    %s: { \"cold_wall_s\": %.6f, \"warm_wall_s\": %.6f,"
         (if i = 0 then "" else ",")
-        (json_escape name) cold_s warm_s;
+        (Json.escape name) cold_s warm_s;
       p "\n      \"speedup\": %.3f," speedup;
       p "\n      \"cold\": %s," (Cache.stats_to_json cold_stats);
       p "\n      \"warm\": %s }" (Cache.stats_to_json warm_stats))
@@ -528,14 +517,14 @@ let write_bench_json ~quick micro e2e cache vqe certify scaling =
   p "  \"certify\": {";
   List.iteri
     (fun i c ->
-      p "%s\n    \"%s\": { \"plain_wall_s\": %.6f, \"certify_wall_s\": %.6f,"
+      p "%s\n    %s: { \"plain_wall_s\": %.6f, \"certify_wall_s\": %.6f,"
         (if i = 0 then "" else ",")
-        (json_escape c.cf_name) c.cf_plain_wall_s c.cf_certify_wall_s;
+        (Json.escape c.cf_name) c.cf_plain_wall_s c.cf_certify_wall_s;
       p "\n      \"check_s\": %.6f, \"verify_wall_s\": %.6f," c.cf_check_s
         c.cf_verify_wall_s;
       p "\n      \"overhead_vs_verify\": %.4f, \"boundaries\": %d, \
-         \"overall\": \"%s\" }"
-        c.cf_overhead_vs_verify c.cf_boundaries (json_escape c.cf_overall))
+         \"overall\": %s }"
+        c.cf_overhead_vs_verify c.cf_boundaries (Json.escape c.cf_overall))
     certify;
   p "\n  },\n";
   p "  \"scaling\": {\n";
@@ -543,17 +532,17 @@ let write_bench_json ~quick micro e2e cache vqe certify scaling =
   List.iteri
     (fun i c ->
       p
-        "%s\n      { \"family\": \"%s\", \"label\": \"%s\", \"qubits\": %d, \
+        "%s\n      { \"family\": %s, \"label\": %s, \"qubits\": %d, \
          \"gadgets\": %d,\n\
         \        \"wall_s\": %.6f, \"two_q_count\": %d, \"live_heap_words\": \
          %d }"
         (if i = 0 then "" else ",")
-        (json_escape c.sc_family) (json_escape c.sc_label) c.sc_qubits
+        (Json.escape c.sc_family) (Json.escape c.sc_label) c.sc_qubits
         c.sc_gadgets c.sc_wall_s c.sc_two_q c.sc_heap_words)
     scaling.sr_cases;
   p "\n    ],\n";
   p "    \"steps_sweep\": {\n";
-  p "      \"workload\": \"%s\",\n" (json_escape scaling.sr_sweep_workload);
+  p "      \"workload\": %s,\n" (Json.escape scaling.sr_sweep_workload);
   p "      \"rows\": [";
   List.iteri
     (fun i r ->
@@ -580,7 +569,7 @@ let write_bench_json ~quick micro e2e cache vqe certify scaling =
   p "    \"bind_trace_passes\": [%s],\n"
     (String.concat ","
        (List.map
-          (fun s -> Printf.sprintf " \"%s\"" (json_escape s))
+          (fun s -> " " ^ Json.escape s)
           vqe.vl_bind_trace_passes)
     ^ " ");
   p "    \"bind_equals_compile\": %b\n" vqe.vl_bind_equals_compile;

@@ -30,16 +30,17 @@ module Topology = Phoenix_topology.Topology
 module Diag = Phoenix_verify.Diag
 module Structural = Phoenix_verify.Structural
 module Finding = Phoenix_analysis.Finding
-module Circuit_lint = Phoenix_analysis.Circuit_lint
 module Registry = Phoenix_analysis.Registry
 module Determinism = Phoenix_analysis.Determinism
 module Pass = Phoenix.Pass
 module Pipelines = Phoenix_pipeline.Registry
+module Job = Phoenix_pipeline.Job
 module Hooks = Phoenix_pipeline.Hooks
 module Cache = Phoenix_cache.Cache
 module Cache_audit = Phoenix_analysis.Cache_audit
 module Budget = Phoenix_util.Budget
 module Chaos = Phoenix_util.Chaos
+module Json = Phoenix_util.Json
 module Resilience = Phoenix.Resilience
 module Resilience_lint = Phoenix_analysis.Resilience_lint
 module Template = Phoenix.Template
@@ -56,6 +57,12 @@ let read_hamiltonian path =
   in
   Hamiltonian.of_lines (go [])
 
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
+
+let or_usage_error = function Ok x -> x | Error msg -> usage_error msg
+
 (* Builtin workload specifiers now live in Phoenix_serve.Workload so the
    CLI and the serve daemon accept exactly the same grammar. *)
 let load source =
@@ -69,33 +76,37 @@ let load source =
       exit 2
   end
 
-let topology_of_string n = function
-  | "all-to-all" -> None
-  | "heavy-hex" -> Some (Topology.ibm_manhattan ())
-  | "line" -> Some (Topology.line (max n 2))
-  | "ring" -> Some (Topology.ring (max n 3))
-  | "grid" ->
-    let side = int_of_float (ceil (sqrt (float_of_int n))) in
-    Some (Topology.grid ~rows:side ~cols:side)
-  | s ->
-    Printf.eprintf
-      "unknown topology %S (all-to-all, heavy-hex, line, ring, grid)\n" s;
-    exit 2
-
 (* --- shared compilation pipeline ----------------------------------------
 
-   Every compiler goes through the pipeline registry: one dispatch, one
-   report type, declared metrics for certification, pass times and a
-   metric trace for all of them. *)
+   Every compile-shaped subcommand loads its source and resolves the
+   request through [Job.resolve] — the validation the serve daemon
+   applies too — so a bad topology, pipeline or pipeline/workload pair
+   is one usage error (exit 2) everywhere.  Every compiler then goes
+   through the pipeline registry: one dispatch, one report type,
+   declared metrics for certification, pass times and a metric trace
+   for all of them. *)
+
+let resolve ?isa ?exact ?verify ?cache ?budget ~compiler ~topology source =
+  or_usage_error
+    (Job.resolve ?isa ?exact ?verify ?cache ?budget ~pipeline:compiler
+       ~topology (load source))
+
+(* The pass-boundary hooks a compile runs under: per-pass lint with
+   --lint, translation validation with --verify, the symbolic certifier
+   with --certify.  [collect] reads back the first two hooks' output in
+   run order. *)
+let boundary_hooks ~lint ~verify cert_acc =
+  let findings = ref [] and diags = ref [] in
+  let hooks =
+    (if lint then [ Hooks.lint findings ] else [])
+    @ (if verify then [ Hooks.translation_validate diags ] else [])
+    @ match cert_acc with Some acc -> [ Hooks.certify acc ] | None -> []
+  in
+  (hooks, fun () -> (List.rev !findings, List.rev !diags))
 
 type compiled = {
+  job : Job.t;
   report : Compiler.report;
-  topo : Topology.t option;
-  lint_isa : Structural.isa;
-  exact : bool;
-  program : int * (Phoenix_pauli.Pauli_string.t * float) list;
-      (** the gadget program the pipeline consumed (register size and
-          tau-scaled angles), for end-to-end translation validation *)
   hook_findings : (string * Finding.t) list;
       (** per-pass lint-hook findings (with --lint) *)
   hook_diags : Diag.t list;
@@ -103,86 +114,24 @@ type compiled = {
           --verify) *)
 }
 
-let find_pipeline name =
-  match Pipelines.find name with
-  | Some e -> e
-  | None ->
-    Printf.eprintf "unknown compiler %S\n" name;
-    exit 2
-
-(* The gadget program a registry compile consumes — mirrors the block /
-   Trotter dispatch in [Pipelines.compile] so the translation-validation
-   analysis checks the circuit against exactly what was compiled. *)
-let program_of_entry (entry : Pipelines.entry) (options : Compiler.options) h =
-  let tau = options.Compiler.tau in
-  let gadgets =
-    match (if entry.Pipelines.uses_blocks then Hamiltonian.term_blocks h else None)
-    with
-    | Some blocks ->
-      List.concat_map
-        (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-             ( t.Phoenix_pauli.Pauli_term.pauli,
-               2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. tau )))
-        blocks
-    | None -> Hamiltonian.trotter_gadgets ~tau h
-  in
-  (Hamiltonian.num_qubits h, gadgets)
-
-let compile_source ?(cache = Cache.Mem) ?(budget = Budget.none) ?cert_acc
-    ~source ~isa ~topology ~compiler ~exact ~verify ~lint () =
-  let h = load source in
-  let n = Hamiltonian.num_qubits h in
-  let topo = topology_of_string n topology in
-  let entry = find_pipeline compiler in
-  if entry.Pipelines.requires_topology && topo = None then begin
-    Printf.eprintf "the %s compiler needs a --topology\n" entry.Pipelines.name;
-    exit 2
-  end;
-  if
-    entry.Pipelines.two_local_only
-    && List.exists
-         (fun (p, _) -> Phoenix_pauli.Pauli_string.weight p > 2)
-         (Hamiltonian.trotter_gadgets h)
-  then begin
-    Printf.eprintf "the %s compiler only handles 2-local workloads\n"
-      entry.Pipelines.name;
-    exit 2
-  end;
-  let options =
-    {
-      Compiler.default_options with
-      isa;
-      exact;
-      verify;
-      cache;
-      budget;
-      target =
-        (match topo with
-        | None -> Compiler.Logical
-        | Some t -> Compiler.Hardware t);
-    }
-  in
-  let hook_findings = ref [] and hook_diags = ref [] in
-  let hooks =
-    (if lint then [ Hooks.lint hook_findings ] else [])
-    @ (if verify then [ Hooks.translation_validate hook_diags ] else [])
-    @ match cert_acc with Some acc -> [ Hooks.certify acc ] | None -> []
+let compile_job ?(lint = false) ?cert_acc (job : Job.t) =
+  let hooks, collect =
+    boundary_hooks ~lint ~verify:job.Job.options.Compiler.verify cert_acc
   in
   (* fail closed: any exception escaping a pass re-raises as Pass.Failed
      with the pass named, mapped to a structured exit at top level *)
-  let report = Pipelines.compile ~options ~protect:true ~hooks entry h in
-  {
-    report;
-    topo;
-    lint_isa =
-      (match isa with
-      | Compiler.Cnot_isa -> Structural.Cnot_basis
-      | Compiler.Su4_isa -> Structural.Su4_basis);
-    exact;
-    program = program_of_entry entry options h;
-    hook_findings = List.rev !hook_findings;
-    hook_diags = List.rev !hook_diags;
-  }
+  let report =
+    Pipelines.compile ~options:job.Job.options ~protect:true ~hooks
+      job.Job.entry job.Job.hamiltonian
+  in
+  let hook_findings, hook_diags = collect () in
+  { job; report; hook_findings; hook_diags }
+
+let compile_template ?cert_acc (job : Job.t) =
+  or_usage_error
+    (Pipelines.compile_template ~options:job.Job.options ~protect:true
+       ~hooks:(Option.to_list (Option.map Hooks.certify cert_acc))
+       ~certified:(cert_acc <> None) job.Job.entry job.Job.hamiltonian)
 
 (* --- fault injection (testing hook) -------------------------------------
 
@@ -218,31 +167,19 @@ let fault_enum =
     "dangling", Dangling;
   ]
 
-(* Re-validate a (possibly corrupted) final circuit.  This is the whole
-   --verify story for baselines; for phoenix it re-checks the mutated
-   circuit on top of the report's diagnostics. *)
-let structural_diags ~lint_isa ~topo circuit =
-  match Structural.validate ~isa:lint_isa ?topology:topo circuit with
-  | [] ->
-    [
-      Diag.make ~pass:"structural" Diag.Info
-        (if topo = None then "ISA alphabet, qubit range verified"
-         else
-           "ISA alphabet, qubit range and coupling-graph compliance verified");
-    ]
-  | violations -> violations
+let structural_violations (job : Job.t) circuit =
+  Structural.validate
+    ~isa:(Pass.structural_isa job.Job.options.Compiler.isa)
+    ?topology:(Job.topology job) circuit
 
-let declared_of_report (r : Compiler.report) =
-  {
-    Circuit_lint.two_q = r.Compiler.two_q_count;
-    depth_2q = r.Compiler.depth_2q;
-    one_q = r.Compiler.one_q_count;
-  }
-
-let lint_target (c : compiled) circuit =
-  Circuit_lint.target ~isa:c.lint_isa ?topology:c.topo
-    ~declared:(declared_of_report c.report) ~program:c.program ~exact:c.exact
-    ?layout:c.report.Compiler.layout circuit
+(* --verify diagnostics of a compiled run: the report's own plus the
+   boundary hook's; an injected fault re-validates the mutated circuit
+   on top. *)
+let verify_diagnostics fault (c : compiled) circuit =
+  if not c.job.Job.options.Compiler.verify then []
+  else
+    c.report.Compiler.diagnostics @ c.hook_diags
+    @ if fault = No_fault then [] else structural_violations c.job circuit
 
 let print_diagnostics diags =
   Printf.printf "verify:    %s\n" (Diag.summary diags);
@@ -273,18 +210,21 @@ let print_certification boundaries =
     (fun b -> Printf.printf "  %s\n" (Certify.boundary_to_string b))
     boundaries
 
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc;
+  Printf.printf "wrote %s\n" path
+
+(* A JSON artifact goes to FILE, or to stdout for "-". *)
+let write_output path text =
+  if path = "-" then print_string text else write_file path text
+
 let write_cert ~pipeline ~workload ~template out boundaries =
-  match out with
-  | None -> ()
-  | Some path ->
-    let json = Certify.to_json ~pipeline ~workload ~template boundaries in
-    if path = "-" then print_string json
-    else begin
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    end
+  Option.iter
+    (fun path ->
+      write_output path (Certify.to_json ~pipeline ~workload ~template boundaries))
+    out
 
 (* One line per executed pass: wall seconds plus the GC counters the
    trace now carries — words allocated inside the pass and the process
@@ -303,6 +243,111 @@ let print_cache_stats tier (s : Cache.stats) =
      evictions=%d entries=%d bytes=%d\n"
     (Cache.tier_to_string tier) s.Cache.hits s.Cache.misses s.Cache.disk_hits
     s.Cache.disk_errors s.Cache.evictions s.Cache.entries s.Cache.bytes
+
+let print_gates c =
+  List.iter (fun g -> print_endline (Gate.to_string g)) (Circuit.gates c)
+
+(* --- the compile report ---------------------------------------------------
+
+   The plain, template and stream modes of `compile` differ in what they
+   compile and in their summary block; everything after that block is
+   one tail, in one order. *)
+
+type flags = {
+  source : string;
+  lint : bool;
+  certify : bool;
+  cert_out : string option;
+  timings : bool;
+  dump : bool;
+  draw : bool;
+  qasm_out : string option;
+  trace_out : string option;
+  cache_stats : bool;
+  fault : fault;
+}
+
+let write_trace f (job : Job.t) (report : Compiler.report) trace =
+  Option.iter
+    (fun path ->
+      write_output path
+        (Pass.trace_to_json ~compiler:job.Job.entry.Pipelines.name
+           ~workload:f.source ~cache:report.Compiler.cache_stats
+           ~degradations:report.Compiler.degradations trace
+        ^ "\n"))
+    f.trace_out
+
+let report_certificate f (job : Job.t) ~template boundaries =
+  if f.certify then begin
+    print_certification boundaries;
+    write_cert ~pipeline:job.Job.entry.Pipelines.name ~workload:f.source
+      ~template f.cert_out boundaries
+  end
+
+let print_circuit_summary (report : Compiler.report) circuit =
+  Printf.printf "qubits:    %d\n" (Circuit.num_qubits circuit);
+  Printf.printf "gates:     %d\n" (Circuit.length circuit);
+  Printf.printf "1q gates:  %d\n" (Circuit.count_1q circuit);
+  Printf.printf "2q gates:  %d\n" (Circuit.count_2q circuit);
+  Printf.printf "cnot cost: %d\n" (Circuit.count_cnot circuit);
+  Printf.printf "depth:     %d\n" (Circuit.depth circuit);
+  Printf.printf "depth-2q:  %d\n" (Circuit.depth_2q circuit);
+  Printf.printf "swaps:     %d\n" report.Compiler.num_swaps
+
+(* Print the report tail, write the --qasm/--trace files, then exit 3 on
+   verification errors or 4 on lint errors or an unproved certificate.
+   [extra_trace] extends the compile's trace (a bind step). *)
+let finish f (job : Job.t) ~template ~(report : Compiler.report)
+    ?(extra_trace = []) ~diagnostics ~findings ~hook_findings ~certificate
+    circuit =
+  let verify = job.Job.options.Compiler.verify in
+  let trace = report.Compiler.trace @ extra_trace in
+  if report.Compiler.degradations <> [] then
+    Printf.printf "degraded:  %s\n"
+      (Resilience.aggregate_to_string report.Compiler.degradations);
+  if f.cache_stats then
+    print_cache_stats job.Job.options.Compiler.cache report.Compiler.cache_stats;
+  if verify then print_diagnostics diagnostics;
+  if f.lint then begin
+    print_findings findings;
+    print_hook_findings hook_findings
+  end;
+  report_certificate f job ~template certificate;
+  if f.timings then print_timing_entries trace;
+  if f.dump then print_gates circuit;
+  if f.draw then print_string (Phoenix_circuit.Draw.to_string circuit);
+  Option.iter
+    (fun path -> write_file path (Phoenix_circuit.Qasm.to_string circuit))
+    f.qasm_out;
+  write_trace f job report trace;
+  if verify && Diag.has_errors diagnostics then exit 3;
+  if
+    f.lint
+    && (Finding.has_errors findings
+       || Finding.has_errors (List.map snd hook_findings))
+  then exit 4;
+  if f.certify && not (Certify.all_proved certificate) then exit 4
+
+let run_plain_mode f job =
+  let cert_acc = ref [] in
+  let c =
+    compile_job ~lint:f.lint
+      ?cert_acc:(if f.certify then Some cert_acc else None)
+      job
+  in
+  let circuit = inject_fault f.fault c.report.Compiler.circuit in
+  let diagnostics = verify_diagnostics f.fault c circuit in
+  let findings =
+    if f.lint then
+      Job.lint ~program:(Job.program job).Compiler.chunk_gadgets job c.report
+        circuit
+    else []
+  in
+  print_circuit_summary c.report circuit;
+  finish f job ~template:false ~report:c.report ~diagnostics ~findings
+    ~hook_findings:c.hook_findings
+    ~certificate:(Certify.boundaries cert_acc)
+    circuit
 
 (* --- parametric templates (--template / --bind) --------------------------
 
@@ -368,145 +413,54 @@ let parse_bindings ~(params : string array) spec =
     set;
   values
 
-let run_template_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
-    ~verify ~lint ~certify ~cert_out ~timings ~dump ~draw ~qasm_out ~trace_out
-    ~cache_stats ~bind_spec () =
-  let h = load source in
-  let n = Hamiltonian.num_qubits h in
-  let topo = topology_of_string n topology in
-  let entry = find_pipeline compiler in
-  let options =
-    {
-      Compiler.default_options with
-      isa;
-      exact;
-      verify;
-      cache = tier;
-      budget;
-      target =
-        (match topo with
-        | None -> Compiler.Logical
-        | Some t -> Compiler.Hardware t);
-    }
-  in
+let run_template_mode f job ~bind_spec =
   let cert_acc = ref [] in
-  let hooks = if certify then [ Hooks.certify cert_acc ] else [] in
   let tmpl =
-    match
-      Pipelines.compile_template ~options ~protect:true ~hooks
-        ~certified:certify entry h
-    with
-    | Ok t -> t
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  (* Print (and persist) the certificate before any lint/verify exit so
-     a refuted boundary is always visible alongside the finding that
-     tripped the exit code. *)
-  let finish_certification () =
-    if certify then begin
-      let bs = Certify.boundaries cert_acc in
-      print_certification bs;
-      write_cert ~pipeline:compiler ~workload:source ~template:true cert_out bs
-    end
+    compile_template ?cert_acc:(if f.certify then Some cert_acc else None) job
   in
   let report = Template.report tmpl in
-  let lint_isa =
-    match isa with
-    | Compiler.Cnot_isa -> Structural.Cnot_basis
-    | Compiler.Su4_isa -> Structural.Su4_basis
-  in
-  let print_timings extra =
-    if timings then print_timing_entries (report.Compiler.trace @ extra)
-  in
-  let write_trace bind_trace =
-    match trace_out with
-    | Some path ->
-      let json =
-        Pass.trace_to_json ~compiler ~workload:source
-          ~cache:report.Compiler.cache_stats
-          ~degradations:report.Compiler.degradations
-          (report.Compiler.trace @ bind_trace)
-      in
-      if path = "-" then print_endline json
-      else begin
-        let oc = open_out path in
-        output_string oc json;
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      end
-    | None -> ()
-  in
+  let certificate = Certify.boundaries cert_acc in
   match bind_spec with
   | None ->
     (* Unbound dump: the parameter table, slot expressions and slotted
        prototype.  Linting the prototype demonstrates the unbound-slot
        finding class (and exits 4): templates are certified by linting
-       their *bound* circuits. *)
+       their *bound* circuits.  The certificate prints before any exit
+       so a refuted boundary is visible next to the finding. *)
     print_string (Template.dump tmpl);
-    print_timings [];
-    write_trace [];
-    finish_certification ();
-    if lint then begin
-      let findings =
-        Registry.run
-          (Circuit_lint.target ~isa:lint_isa ?topology:topo
-             ~declared:(declared_of_report report) (Template.circuit tmpl))
-        @ Resilience_lint.conformance report
-      in
+    if f.timings then print_timing_entries report.Compiler.trace;
+    write_trace f job report report.Compiler.trace;
+    report_certificate f job ~template:true certificate;
+    if f.lint then begin
+      let findings = Job.lint job report (Template.circuit tmpl) in
       print_findings findings;
       if Finding.has_errors findings then exit 4
     end;
-    if certify && not (Certify.all_proved (Certify.boundaries cert_acc)) then
-      exit 4
+    if f.certify && not (Certify.all_proved certificate) then exit 4
   | Some spec ->
     let theta = parse_bindings ~params:(Template.params tmpl) spec in
     let circuit, bind_trace = Template.bind_with_trace tmpl theta in
     let diagnostics =
-      if not verify then []
+      if not job.Job.options.Compiler.verify then []
       else
-        report.Compiler.diagnostics @ structural_diags ~lint_isa ~topo circuit
+        report.Compiler.diagnostics
+        @
+        match structural_violations job circuit with
+        | [] ->
+          [
+            Diag.make ~pass:"structural" Diag.Info
+              (if Job.topology job = None then
+                 "ISA alphabet, qubit range verified"
+               else
+                 "ISA alphabet, qubit range and coupling-graph compliance \
+                  verified");
+          ]
+        | violations -> violations
     in
-    let findings =
-      if lint then
-        Registry.run
-          (Circuit_lint.target ~isa:lint_isa ?topology:topo
-             ~declared:(declared_of_report report) circuit)
-        @ Resilience_lint.conformance report
-      else []
-    in
-    Printf.printf "qubits:    %d\n" (Circuit.num_qubits circuit);
-    Printf.printf "gates:     %d\n" (Circuit.length circuit);
-    Printf.printf "1q gates:  %d\n" (Circuit.count_1q circuit);
-    Printf.printf "2q gates:  %d\n" (Circuit.count_2q circuit);
-    Printf.printf "cnot cost: %d\n" (Circuit.count_cnot circuit);
-    Printf.printf "depth:     %d\n" (Circuit.depth circuit);
-    Printf.printf "depth-2q:  %d\n" (Circuit.depth_2q circuit);
-    Printf.printf "swaps:     %d\n" report.Compiler.num_swaps;
-    if cache_stats then print_cache_stats tier report.Compiler.cache_stats;
-    if verify then print_diagnostics diagnostics;
-    if lint then print_findings findings;
-    finish_certification ();
-    print_timings bind_trace;
-    if dump then
-      List.iter
-        (fun g -> print_endline (Gate.to_string g))
-        (Circuit.gates circuit);
-    if draw then print_string (Phoenix_circuit.Draw.to_string circuit);
-    (match qasm_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Phoenix_circuit.Qasm.to_string circuit);
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    | None -> ());
-    write_trace bind_trace;
-    if verify && Diag.has_errors diagnostics then exit 3;
-    if lint && Finding.has_errors findings then exit 4;
-    if certify && not (Certify.all_proved (Certify.boundaries cert_acc)) then
-      exit 4
+    let findings = if f.lint then Job.lint job report circuit else [] in
+    print_circuit_summary report circuit;
+    finish f job ~template:true ~report ~extra_trace:bind_trace ~diagnostics
+      ~findings ~hook_findings:[] ~certificate circuit
 
 (* --- streaming compilation (--stream) ------------------------------------
 
@@ -520,101 +474,39 @@ let run_template_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
    independently, so concatenating per-chunk placements would be
    unsound. *)
 
-let run_stream_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
-    ~verify ~lint ~certify ~cert_out ~timings ~dump ~draw ~qasm_out ~trace_out
-    ~cache_stats ~fault ~steps () =
-  if steps < 1 then begin
-    Printf.eprintf "--stream needs a positive number of Trotter steps\n";
-    exit 2
-  end;
-  let h = load source in
-  let n = Hamiltonian.num_qubits h in
-  if topology_of_string n topology <> None then begin
-    Printf.eprintf
+let run_stream_mode f (job : Job.t) ~steps =
+  if Job.topology job <> None then
+    usage_error
       "--stream is a logical-target mode (chunks route independently); drop \
-       --topology and route the concatenated circuit separately\n";
-    exit 2
-  end;
-  let entry = find_pipeline compiler in
-  if
-    entry.Pipelines.two_local_only
-    && List.exists
-         (fun (p, _) -> Phoenix_pauli.Pauli_string.weight p > 2)
-         (Hamiltonian.trotter_gadgets h)
-  then begin
-    Printf.eprintf "the %s compiler only handles 2-local workloads\n"
-      entry.Pipelines.name;
-    exit 2
-  end;
-  if entry.Pipelines.requires_topology then begin
-    Printf.eprintf "the %s compiler needs a --topology, which --stream \
-                    does not support\n"
-      entry.Pipelines.name;
-    exit 2
-  end;
-  let options =
-    {
-      Compiler.default_options with
-      isa;
-      exact;
-      verify;
-      cache = tier;
-      budget;
-      target = Compiler.Logical;
-    }
-  in
+       --topology and route the concatenated circuit separately";
+  let verify = job.Job.options.Compiler.verify in
   let cert_acc = ref [] in
-  let hook_findings = ref [] and hook_diags = ref [] in
-  let hooks =
-    (if lint then [ Hooks.lint hook_findings ] else [])
-    @ (if verify then [ Hooks.translation_validate hook_diags ] else [])
-    @ if certify then [ Hooks.certify cert_acc ] else []
+  let hooks, collect =
+    boundary_hooks ~lint:f.lint ~verify
+      (if f.certify then Some cert_acc else None)
   in
   (* Keep the concatenated circuit only when something downstream needs
      it; otherwise every chunk's circuit is dropped after emission and
      the run's footprint stays bounded by the chunk size. *)
   let keep_circuit =
-    qasm_out <> None || draw || lint || verify || fault <> No_fault
-  in
-  let emit =
-    if dump then
-      Some
-        (fun c ->
-          List.iter (fun g -> print_endline (Gate.to_string g)) (Circuit.gates c))
-    else None
+    f.qasm_out <> None || f.draw || f.lint || verify || f.fault <> No_fault
   in
   let sr =
-    Pipelines.compile_stream ~options ~protect:true ~hooks ~keep_circuit ?emit
-      ~steps entry h
+    Pipelines.compile_stream ~options:job.Job.options ~protect:true ~hooks
+      ~keep_circuit
+      ?emit:(if f.dump then Some print_gates else None)
+      ~steps job.Job.entry job.Job.hamiltonian
   in
   let report = sr.Compiler.s_report in
-  let circuit = inject_fault fault report.Compiler.circuit in
-  let lint_isa =
-    match isa with
-    | Compiler.Cnot_isa -> Structural.Cnot_basis
-    | Compiler.Su4_isa -> Structural.Su4_basis
-  in
-  let diagnostics =
-    if not verify then []
-    else begin
-      let from_report =
-        report.Compiler.diagnostics @ List.rev !hook_diags
-      in
-      if fault = No_fault then from_report
-      else
-        from_report @ Structural.validate ~isa:lint_isa circuit
-    end
-  in
+  let hook_findings, hook_diags = collect () in
+  let c = { job; report; hook_findings; hook_diags } in
+  let circuit = inject_fault f.fault report.Compiler.circuit in
+  let diagnostics = verify_diagnostics f.fault c circuit in
   let findings =
-    if lint then
-      let step_program = snd (program_of_entry entry options h) in
-      let program =
-        (n, List.concat (List.init steps (fun _ -> step_program)))
-      in
-      Registry.run
-        (Circuit_lint.target ~isa:lint_isa
-           ~declared:(declared_of_report report) ~program ~exact circuit)
-      @ Resilience_lint.conformance report
+    if f.lint then
+      let step = (Job.program job).Compiler.chunk_gadgets in
+      Job.lint ~program:(List.concat (List.init steps (fun _ -> step))) job
+        report circuit
     else []
   in
   (* metrics from the aggregated trace's final snapshot: gate counts are
@@ -625,7 +517,7 @@ let run_stream_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
     | e :: _ -> e.Pass.after
     | [] -> Pass.metrics_zero
   in
-  Printf.printf "qubits:    %d\n" n;
+  Printf.printf "qubits:    %d\n" (Hamiltonian.num_qubits job.Job.hamiltonian);
   Printf.printf "chunks:    %d\n" sr.Compiler.s_chunks;
   Printf.printf "gadgets:   %d\n" sr.Compiler.s_gadgets;
   Printf.printf "gates:     %d\n" final.Pass.gates;
@@ -633,52 +525,10 @@ let run_stream_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
   Printf.printf "2q gates:  %d\n" final.Pass.two_q;
   Printf.printf "depth-2q:  %d\n" report.Compiler.depth_2q;
   Printf.printf "peak heap: %dw\n" sr.Compiler.s_peak_heap_words;
-  if report.Compiler.degradations <> [] then
-    Printf.printf "degraded:  %s\n"
-      (Resilience.aggregate_to_string report.Compiler.degradations);
-  if cache_stats then print_cache_stats tier report.Compiler.cache_stats;
-  if verify then print_diagnostics diagnostics;
-  if lint then begin
-    print_findings findings;
-    print_hook_findings (List.rev !hook_findings)
-  end;
-  if certify then begin
-    print_certification (Certify.boundaries cert_acc);
-    write_cert ~pipeline:compiler ~workload:source ~template:false cert_out
-      (Certify.boundaries cert_acc)
-  end;
-  if timings then print_timing_entries report.Compiler.trace;
-  if draw then print_string (Phoenix_circuit.Draw.to_string circuit);
-  (match qasm_out with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Phoenix_circuit.Qasm.to_string circuit);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  | None -> ());
-  (match trace_out with
-  | Some path ->
-    let json =
-      Pass.trace_to_json ~compiler ~workload:source
-        ~cache:report.Compiler.cache_stats
-        ~degradations:report.Compiler.degradations report.Compiler.trace
-    in
-    if path = "-" then print_endline json
-    else begin
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    end
-  | None -> ());
-  if verify && Diag.has_errors diagnostics then exit 3;
-  if lint
-     && (Finding.has_errors findings
-        || Finding.has_errors (List.map snd (List.rev !hook_findings)))
-  then exit 4;
-  if certify && not (Certify.all_proved (Certify.boundaries cert_acc)) then
-    exit 4
+  (* the gates already streamed out through [emit] *)
+  finish { f with dump = false } job ~template:false ~report ~diagnostics
+    ~findings ~hook_findings ~certificate:(Certify.boundaries cert_acc)
+    circuit
 
 open Cmdliner
 
@@ -856,119 +706,40 @@ let compile_cmd =
       cert_out timings qasm_out draw fault trace_out cache cache_stats timeout
       template bind_spec stream =
     let compiler = Option.value pipeline ~default:compiler in
-    let tier = cache_tier_of_string cache in
+    let cache = cache_tier_of_string cache in
     let budget = budget_of_timeout timeout in
     let certify = certify || cert_out <> None in
-    if stream <> None && (template || bind_spec <> None) then begin
-      Printf.eprintf
+    if stream <> None && (template || bind_spec <> None) then
+      usage_error
         "--stream cannot be combined with --template/--bind (bind the \
-         template, then stream the bound program)\n";
-      exit 2
-    end;
+         template, then stream the bound program)";
+    (match stream with
+    | Some steps when steps < 1 ->
+      usage_error "--stream needs a positive number of Trotter steps"
+    | _ -> ());
+    let job =
+      resolve ~isa ~exact ~verify ~cache ~budget ~compiler ~topology source
+    in
+    let f =
+      {
+        source;
+        lint;
+        certify;
+        cert_out;
+        timings;
+        dump;
+        draw;
+        qasm_out;
+        trace_out;
+        cache_stats;
+        fault;
+      }
+    in
     match stream with
-    | Some steps ->
-      run_stream_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
-        ~verify ~lint ~certify ~cert_out ~timings ~dump ~draw ~qasm_out
-        ~trace_out ~cache_stats ~fault ~steps ()
+    | Some steps -> run_stream_mode f job ~steps
     | None ->
-    if template || bind_spec <> None then
-      run_template_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
-        ~verify ~lint ~certify ~cert_out ~timings ~dump ~draw ~qasm_out
-        ~trace_out ~cache_stats ~bind_spec ()
-    else begin
-    let cert_acc = ref [] in
-    let compiled =
-      compile_source ~cache:tier ~budget
-        ?cert_acc:(if certify then Some cert_acc else None)
-        ~source ~isa ~topology ~compiler ~exact ~verify ~lint ()
-    in
-    let circuit = inject_fault fault compiled.report.Compiler.circuit in
-    let diagnostics =
-      if not verify then []
-      else begin
-        let from_report =
-          compiled.report.Compiler.diagnostics @ compiled.hook_diags
-        in
-        if fault = No_fault then from_report
-        else
-          (* re-check only the mutated circuit; keep the report's own info *)
-          from_report
-          @
-          if compiled.report.Compiler.diagnostics <> [] then
-            Structural.validate ~isa:compiled.lint_isa ?topology:compiled.topo
-              circuit
-          else
-            structural_diags ~lint_isa:compiled.lint_isa ~topo:compiled.topo
-              circuit
-      end
-    in
-    let findings =
-      if lint then
-        Registry.run (lint_target compiled circuit)
-        @ Resilience_lint.conformance compiled.report
-      else []
-    in
-    Printf.printf "qubits:    %d\n" (Circuit.num_qubits circuit);
-    Printf.printf "gates:     %d\n" (Circuit.length circuit);
-    Printf.printf "1q gates:  %d\n" (Circuit.count_1q circuit);
-    Printf.printf "2q gates:  %d\n" (Circuit.count_2q circuit);
-    Printf.printf "cnot cost: %d\n" (Circuit.count_cnot circuit);
-    Printf.printf "depth:     %d\n" (Circuit.depth circuit);
-    Printf.printf "depth-2q:  %d\n" (Circuit.depth_2q circuit);
-    Printf.printf "swaps:     %d\n" compiled.report.Compiler.num_swaps;
-    if compiled.report.Compiler.degradations <> [] then
-      Printf.printf "degraded:  %s\n"
-        (Resilience.aggregate_to_string compiled.report.Compiler.degradations);
-    if cache_stats then
-      print_cache_stats tier compiled.report.Compiler.cache_stats;
-    if verify then print_diagnostics diagnostics;
-    if lint then begin
-      print_findings findings;
-      print_hook_findings compiled.hook_findings
-    end;
-    if certify then begin
-      print_certification (Certify.boundaries cert_acc);
-      write_cert ~pipeline:compiler ~workload:source ~template:false cert_out
-        (Certify.boundaries cert_acc)
-    end;
-    if timings then print_timing_entries compiled.report.Compiler.trace;
-    if dump then
-      List.iter
-        (fun g -> print_endline (Gate.to_string g))
-        (Circuit.gates circuit);
-    if draw then print_string (Phoenix_circuit.Draw.to_string circuit);
-    (match qasm_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Phoenix_circuit.Qasm.to_string circuit);
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    | None -> ());
-    (match trace_out with
-    | Some path ->
-      let json =
-        Pass.trace_to_json ~compiler ~workload:source
-          ~cache:compiled.report.Compiler.cache_stats
-          ~degradations:compiled.report.Compiler.degradations
-          compiled.report.Compiler.trace
-      in
-      if path = "-" then print_endline json
-      else begin
-        let oc = open_out path in
-        output_string oc json;
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      end
-    | None -> ());
-    if verify && Diag.has_errors diagnostics then exit 3;
-    if lint
-       && (Finding.has_errors findings
-          || Finding.has_errors (List.map snd compiled.hook_findings))
-    then exit 4;
-    if certify && not (Certify.all_proved (Certify.boundaries cert_acc)) then
-      exit 4
-    end
+      if template || bind_spec <> None then run_template_mode f job ~bind_spec
+      else run_plain_mode f job
   in
   let doc = "Compile a Hamiltonian-simulation program." in
   Cmd.v (Cmd.info "compile" ~doc)
@@ -1075,14 +846,8 @@ let print_ir_stats h =
   Printf.printf "Pauli-weight histogram (raw IR):\n";
   Array.iteri (fun w c -> if c > 0 then Printf.printf "  weight %2d: %d\n" w c) hist;
   let groups =
-    match Hamiltonian.term_blocks h with
-    | Some blocks ->
-      Phoenix.Group.of_blocks n
-        (List.map
-           (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-                t.Phoenix_pauli.Pauli_term.pauli,
-                2.0 *. t.Phoenix_pauli.Pauli_term.coeff))
-           blocks)
+    match Hamiltonian.gadget_blocks h with
+    | Some blocks -> Phoenix.Group.of_blocks n blocks
     | None -> Phoenix.Group.group_gadgets n gadgets
   in
   let cliff_hist = Hashtbl.create 8 in
@@ -1184,46 +949,28 @@ let analyze_cmd =
         (String.concat ", " missing)
         (String.concat ", " (Registry.names ()));
       exit 2);
-    let compiled =
-      compile_source ~source ~isa ~topology ~compiler ~exact ~verify:false
-        ~lint:false ()
+    let job = resolve ~isa ~exact ~compiler ~topology source in
+    let c = compile_job job in
+    let circuit = inject_fault fault c.report.Compiler.circuit in
+    let program = Job.program job in
+    let findings =
+      Registry.run ?only ?skip
+        (Job.lint_target ~program:program.Compiler.chunk_gadgets job c.report
+           circuit)
     in
-    let circuit = inject_fault fault compiled.report.Compiler.circuit in
-    let findings = Registry.run ?only ?skip (lint_target compiled circuit) in
     let findings =
       if determinism then begin
-        if compiler <> "phoenix" then begin
-          Printf.eprintf
-            "analyze: --determinism only applies to the phoenix compiler\n";
-          exit 2
-        end;
-        let h = load source in
-        let n = Hamiltonian.num_qubits h in
-        let options =
-          {
-            Compiler.default_options with
-            isa;
-            exact;
-            target =
-              (match compiled.topo with
-              | None -> Compiler.Logical
-              | Some t -> Compiler.Hardware t);
-          }
-        in
+        if compiler <> "phoenix" then
+          usage_error
+            "analyze: --determinism only applies to the phoenix compiler";
+        let n = Hamiltonian.num_qubits job.Job.hamiltonian in
         let groups =
-          match Hamiltonian.term_blocks h with
-          | Some blocks ->
-            Phoenix.Group.of_blocks n
-              (List.map
-                 (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-                      t.Phoenix_pauli.Pauli_term.pauli,
-                      2.0 *. t.Phoenix_pauli.Pauli_term.coeff))
-                 blocks)
+          match program.Compiler.chunk_blocks with
+          | Some blocks -> Phoenix.Group.of_blocks n blocks
           | None ->
-            Phoenix.Group.group_gadgets ~exact n
-              (Hamiltonian.trotter_gadgets h)
+            Phoenix.Group.group_gadgets ~exact n program.Compiler.chunk_gadgets
         in
-        findings @ Determinism.audit_groups ~options n groups
+        findings @ Determinism.audit_groups ~options:job.Job.options n groups
       end
       else findings
     in
@@ -1241,7 +988,7 @@ let analyze_cmd =
       in
       Printf.printf "analyses:  %s\n" (String.concat ", " selected);
       print_findings findings;
-      if stats then print_ir_stats (load source)
+      if stats then print_ir_stats job.Job.hamiltonian
     end;
     if Finding.has_errors findings then exit 4
   in
@@ -1276,35 +1023,9 @@ let certify_cmd =
   let run source isa topology compiler pipeline exact template json_out =
     let compiler = Option.value pipeline ~default:compiler in
     let cert_acc = ref [] in
-    if template then begin
-      let h = load source in
-      let n = Hamiltonian.num_qubits h in
-      let topo = topology_of_string n topology in
-      let entry = find_pipeline compiler in
-      let options =
-        {
-          Compiler.default_options with
-          isa;
-          exact;
-          target =
-            (match topo with
-            | None -> Compiler.Logical
-            | Some t -> Compiler.Hardware t);
-        }
-      in
-      match
-        Pipelines.compile_template ~options ~protect:true
-          ~hooks:[ Hooks.certify cert_acc ] ~certified:true entry h
-      with
-      | Ok _ -> ()
-      | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-    end
-    else
-      ignore
-        (compile_source ~cert_acc ~source ~isa ~topology ~compiler ~exact
-           ~verify:false ~lint:false ());
+    let job = resolve ~isa ~exact ~compiler ~topology source in
+    if template then ignore (compile_template ~cert_acc job)
+    else ignore (compile_job ~cert_acc job);
     let bs = Certify.boundaries cert_acc in
     print_certification bs;
     write_cert ~pipeline:compiler ~workload:source ~template json_out bs;
@@ -1332,7 +1053,7 @@ let passes_cmd =
     ignore list_only;
     match pipeline with
     | Some name ->
-      let entry = find_pipeline name in
+      let entry = or_usage_error (Job.find_pipeline name) in
       Printf.printf "%s — %s\n" entry.Pipelines.name
         entry.Pipelines.description;
       Printf.printf "passes (hardware target, verification on):\n";
@@ -1384,10 +1105,9 @@ let cache_cmd =
       let bytes = Cache.Persist.disk_bytes ~dir () in
       if json then
         Printf.printf
-          "{ \"schema\": \"phoenix-cache-stats-v1\", \"dir\": \"%s\", \
+          "{ \"schema\": \"phoenix-cache-stats-v1\", \"dir\": %s, \
            \"entries\": %d, \"bytes\": %d, \"memory_budget_bytes\": %d }\n"
-          (String.concat "\\\\" (String.split_on_char '\\' dir))
-          entries bytes (Cache.budget ())
+          (Json.escape dir) entries bytes (Cache.budget ())
       else begin
         Printf.printf "dir:       %s\n" dir;
         Printf.printf "entries:   %d\n" entries;
@@ -1409,15 +1129,15 @@ let cache_cmd =
   let warm_sub =
     let run source isa topology compiler pipeline exact =
       let compiler = Option.value pipeline ~default:compiler in
-      let compiled =
-        compile_source ~cache:Cache.Disk ~source ~isa ~topology ~compiler
-          ~exact ~verify:false ~lint:false ()
+      let c =
+        compile_job
+          (resolve ~isa ~exact ~cache:Cache.Disk ~compiler ~topology source)
       in
-      let s = compiled.report.Compiler.cache_stats in
+      let s = c.report.Compiler.cache_stats in
       Printf.printf
         "warmed %s (%s): %d groups, %d new entries persisted, %d hits / %d \
          misses\n"
-        source compiler compiled.report.Compiler.num_groups s.Cache.insertions
+        source compiler c.report.Compiler.num_groups s.Cache.insertions
         s.Cache.hits s.Cache.misses;
       Printf.printf "cache dir: %s (%d entries, %d bytes)\n" (Cache.dir ())
         (List.length (Cache.Persist.list_files ~dir:(Cache.dir ()) ()))
@@ -1527,16 +1247,13 @@ let chaos_cmd =
     end;
     let entries =
       if pipelines = "all" then Pipelines.all
-      else List.map find_pipeline (String.split_on_char ',' pipelines)
+      else
+        List.map
+          (fun name -> or_usage_error (Job.find_pipeline name))
+          (String.split_on_char ',' pipelines)
     in
     let h = load workload in
     let n = Hamiltonian.num_qubits h in
-    let two_local =
-      not
-        (List.exists
-           (fun (p, _) -> Phoenix_pauli.Pauli_string.weight p > 2)
-           (Hamiltonian.trotter_gadgets h))
-    in
     (* Isolated persistent-cache directory: the soak corrupts staged cache
        entries on purpose and must never touch a user's cache.  Entries
        survive between runs so later runs exercise the corrupt-read path. *)
@@ -1548,36 +1265,32 @@ let chaos_cmd =
     (try Unix.mkdir cache_dir 0o700
      with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     Unix.putenv "PHOENIX_CACHE_DIR" cache_dir;
-    let options_for entry budget =
-      {
-        Compiler.default_options with
-        verify = true;
-        cache = Cache.Disk;
-        budget;
-        target =
-          (if entry.Pipelines.requires_topology then
-             Compiler.Hardware (Topology.line (max n 2))
-           else Compiler.Logical);
-      }
-    in
-    let compile_once entry budget =
+    let compile_once (job : Job.t) budget =
       Cache.reset_health ();
       Cache.clear_memory ();
-      Pipelines.compile ~options:(options_for entry budget) ~protect:true entry
-        h
+      Pipelines.compile
+        ~options:{ job.Job.options with Compiler.budget }
+        ~protect:true job.Job.entry job.Job.hamiltonian
     in
     let results = ref [] in
     Fun.protect
       ~finally:(fun () -> Chaos.set_plan None)
       (fun () ->
         List.iter
-          (fun entry ->
-            if entry.Pipelines.two_local_only && not two_local then
-              Printf.printf "%-12s skipped (workload is not 2-local)\n"
-                entry.Pipelines.name
-            else begin
+          (fun (entry : Pipelines.entry) ->
+            match
+              Job.resolve ~verify:true ~cache:Cache.Disk
+                ~pipeline:entry.Pipelines.name
+                ~topology:
+                  (if entry.Pipelines.requires_topology then "line"
+                   else "all-to-all")
+                h
+            with
+            | Error msg ->
+              Printf.printf "%-12s skipped (%s)\n" entry.Pipelines.name msg
+            | Ok job ->
               Chaos.set_plan None;
-              let baseline = compile_once entry Budget.none in
+              let baseline = compile_once job Budget.none in
               if Diag.has_errors baseline.Compiler.diagnostics then begin
                 Printf.eprintf
                   "chaos: the clean %s baseline fails verification; fix that \
@@ -1590,7 +1303,7 @@ let chaos_cmd =
                 let run_seed = seed + r in
                 Chaos.set_plan (Some { plan with Chaos.seed = run_seed });
                 let cls, detail =
-                  match compile_once entry (Budget.of_timeout_s timeout) with
+                  match compile_once job (Budget.of_timeout_s timeout) with
                   | report ->
                     if Diag.has_errors report.Compiler.diagnostics then
                       ( Violation,
@@ -1623,8 +1336,7 @@ let chaos_cmd =
                 Chaos.set_plan None;
                 results := (entry.Pipelines.name, run_seed, cls, detail)
                            :: !results
-              done
-            end)
+              done)
           entries);
     let results = List.rev !results in
     let count c = List.length (List.filter (fun (_, _, k, _) -> k = c) results) in
@@ -1651,31 +1363,26 @@ let chaos_cmd =
       let buf = Buffer.create 4096 in
       Buffer.add_string buf
         (Printf.sprintf
-           "{ \"schema\": \"phoenix-chaos-v1\", \"workload\": %S, \"plan\": \
-            %S, \"base_seed\": %d, \"runs_per_pipeline\": %d, \"results\": ["
-           workload plan_str seed runs);
+           "{ \"schema\": \"phoenix-chaos-v1\", \"workload\": %s, \"plan\": \
+            %s, \"base_seed\": %d, \"runs_per_pipeline\": %d, \"results\": ["
+           (Json.escape workload) (Json.escape plan_str) seed runs);
       List.iteri
         (fun i (pipe, s, cls, detail) ->
           if i > 0 then Buffer.add_string buf ", ";
           Buffer.add_string buf
             (Printf.sprintf
-               "{ \"pipeline\": %S, \"seed\": %d, \"class\": %S, \"detail\": \
-                %S }"
-               pipe s (chaos_class_name cls) detail))
+               "{ \"pipeline\": %s, \"seed\": %d, \"class\": %s, \"detail\": \
+                %s }"
+               (Json.escape pipe) s
+               (Json.escape (chaos_class_name cls))
+               (Json.escape detail)))
         results;
       Buffer.add_string buf
         (Printf.sprintf
            " ], \"identical\": %d, \"degraded\": %d, \"failed_closed\": %d, \
-            \"violations\": %d }"
+            \"violations\": %d }\n"
            identical degraded failed violations);
-      if path = "-" then print_endline (Buffer.contents buf)
-      else begin
-        let oc = open_out path in
-        output_string oc (Buffer.contents buf);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      end);
+      write_output path (Buffer.contents buf));
     if violations > 0 then exit 1
   in
   let doc =
@@ -1693,7 +1400,6 @@ let chaos_cmd =
 
 let serve_cmd =
   let module Serve = Phoenix_serve.Serve in
-  let module Json = Phoenix_serve.Json in
   let run socket port host workers max_queue timeout max_request_kb self_test
       connect =
     if workers < 1 then begin

@@ -26,12 +26,8 @@ let compare_compilers h =
   in
   report "original" (B.Naive.compile n gadgets);
   report "TKET-like" (B.Tket_like.compile n gadgets);
-  (match Hamiltonian.term_blocks h with
-  | Some blocks ->
-    let to_g (t : Phoenix_pauli.Pauli_term.t) =
-      t.Phoenix_pauli.Pauli_term.pauli, 2.0 *. t.Phoenix_pauli.Pauli_term.coeff
-    in
-    let gblocks = List.map (List.map to_g) blocks in
+  (match Hamiltonian.gadget_blocks h with
+  | Some gblocks ->
     report "Paulihedral-like" (B.Paulihedral_like.compile_blocks n gblocks);
     report "Tetris-like" (B.Tetris_like.compile_blocks n gblocks)
   | None -> ());

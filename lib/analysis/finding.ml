@@ -1,4 +1,5 @@
 module Diag = Phoenix_verify.Diag
+module Json = Phoenix_util.Json
 
 type severity = Diag.severity = Info | Warning | Error
 
@@ -55,23 +56,6 @@ let to_diag f =
   in
   Diag.make ?group ~pass:f.analysis f.severity message
 
-(* Minimal JSON string escaping: quotes, backslashes, control chars. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let location_to_json = function
   | Global -> {|{"kind":"global"}|}
   | Gate i -> Printf.sprintf {|{"kind":"gate","index":%d}|} i
@@ -82,11 +66,11 @@ let location_to_json = function
 
 let to_json f =
   Printf.sprintf
-    {|{"analysis":"%s","severity":"%s","location":%s,"message":"%s"}|}
-    (json_escape f.analysis)
+    {|{"analysis":%s,"severity":"%s","location":%s,"message":%s}|}
+    (Json.escape f.analysis)
     (Diag.severity_to_string f.severity)
     (location_to_json f.location)
-    (json_escape f.message)
+    (Json.escape f.message)
 
 let list_to_json fs =
   "[" ^ String.concat "," (List.map to_json fs) ^ "]"

@@ -386,11 +386,7 @@ let verify_pass =
     (fun ctx ->
       let options = ctx.Pass.options in
       let n = ctx.Pass.n in
-      let isa_basis =
-        match options.isa with
-        | Cnot_isa -> Structural.Cnot_basis
-        | Su4_isa -> Structural.Su4_basis
-      in
+      let isa_basis = Pass.structural_isa options.isa in
       let topology =
         match options.target with Hardware t -> Some t | Logical -> None
       in
@@ -462,8 +458,14 @@ let passes ?synthesize ?(with_grouping = true) (options : options) =
       (if options.verify then [ verify_pass ] else []);
     ]
 
-let report_of_ctx ?(cache_stats = Cache.stats_zero) ~wall_time (ctx : Pass.ctx)
-    trace =
+(* The one run-and-fold every compile entry point shares: run a pass
+   list over [ctx] and fold the finished context into a report carrying
+   the run's synthesis-cache counter delta and wall time. *)
+let run_passes ?protect ?hooks pipeline ctx =
+  let t0 = Clock.monotonic_s () in
+  let cache_before = Cache.stats () in
+  let ctx, trace = Pass.run ?protect ?hooks pipeline ctx in
+  let wall_time = Clock.monotonic_s () -. t0 in
   {
     circuit = ctx.Pass.circuit;
     two_q_count = Circuit.count_2q ctx.Pass.circuit;
@@ -477,34 +479,25 @@ let report_of_ctx ?(cache_stats = Cache.stats_zero) ~wall_time (ctx : Pass.ctx)
       List.map (fun (e : Pass.trace_entry) -> (e.Pass.pass, e.Pass.seconds)) trace;
     diagnostics = List.rev ctx.Pass.diagnostics;
     trace;
-    cache_stats;
+    cache_stats = Cache.diff (Cache.stats ()) cache_before;
     degradations = List.rev ctx.Pass.degradations;
     layout = ctx.Pass.layout;
   }
 
-let run_pipeline ?protect ?hooks ?synthesize ~with_grouping options ctx =
-  let t0 = Clock.monotonic_s () in
-  let before = Cache.stats () in
-  let ctx, trace =
-    Pass.run ?protect ?hooks (passes ?synthesize ~with_grouping options) ctx
-  in
-  report_of_ctx
-    ~cache_stats:(Cache.diff (Cache.stats ()) before)
-    ~wall_time:(Clock.monotonic_s () -. t0) ctx trace
-
 let compile_groups ?(options = default_options) ?protect ?hooks ?synthesize n
     groups =
-  run_pipeline ?protect ?hooks ?synthesize ~with_grouping:false options
+  run_passes ?protect ?hooks
+    (passes ?synthesize ~with_grouping:false options)
     (Pass.init ~groups options n)
 
 let compile_gadgets ?(options = default_options) ?protect ?hooks ?synthesize n
     gadgets =
-  run_pipeline ?protect ?hooks ?synthesize ~with_grouping:true options
+  run_passes ?protect ?hooks (passes ?synthesize options)
     (Pass.init ~gadgets options n)
 
 let compile_blocks ?(options = default_options) ?protect ?hooks ?synthesize n
     blocks =
-  run_pipeline ?protect ?hooks ?synthesize ~with_grouping:true options
+  run_passes ?protect ?hooks (passes ?synthesize options)
     (Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n)
 
 (* --- streaming compilation -------------------------------------------- *)
@@ -576,9 +569,7 @@ let compile_stream ?(options = default_options) ?protect ?hooks
        route independently, and concatenating per-chunk placements is \
        unsound)");
   let pipeline =
-    match pipeline with
-    | Some mk -> mk
-    | None -> fun options -> passes ~with_grouping:true options
+    match pipeline with Some mk -> mk | None -> fun options -> passes options
   in
   let t0 = Clock.monotonic_s () in
   let cache_before = Cache.stats () in
@@ -588,8 +579,8 @@ let compile_stream ?(options = default_options) ?protect ?hooks
   let gadgets_n = ref 0 in
   let peak = ref 0 in
   let two_q_rev = ref [] in
-  let rev_diags = ref [] in
-  let rev_degr = ref [] in
+  let diags_rev = ref [] in
+  let degr_rev = ref [] in
   let groups_n = ref 0 in
   let logical2q = ref 0 in
   let agg = ref Pass.metrics_zero in
@@ -597,24 +588,19 @@ let compile_stream ?(options = default_options) ?protect ?hooks
     (fun chunk ->
       incr chunks_n;
       gadgets_n := !gadgets_n + List.length chunk.chunk_gadgets;
-      let ctx =
-        match chunk.chunk_blocks with
-        | Some blocks ->
-          Pass.init ~gadgets:chunk.chunk_gadgets ~term_blocks:blocks options n
-        | None -> Pass.init ~gadgets:chunk.chunk_gadgets options n
+      let r =
+        run_passes ?protect ?hooks (pipeline options)
+          (Pass.init ~gadgets:chunk.chunk_gadgets
+             ?term_blocks:chunk.chunk_blocks options n)
       in
-      let ctx, trace = Pass.run ?protect ?hooks (pipeline options) ctx in
-      traces := trace :: !traces;
-      let c = ctx.Pass.circuit in
-      two_q_rev := Circuit.count_2q c :: !two_q_rev;
+      let c = r.circuit in
+      traces := r.trace :: !traces;
+      two_q_rev := r.two_q_count :: !two_q_rev;
       agg := Pass.metrics_add !agg (Pass.metrics_of c);
-      (* Both context lists are reverse chronological; stacking each
-         chunk's list on top keeps the whole accumulation reverse
-         chronological, so one final [List.rev] restores run order. *)
-      rev_diags := ctx.Pass.diagnostics @ !rev_diags;
-      rev_degr := ctx.Pass.degradations @ !rev_degr;
-      groups_n := !groups_n + List.length ctx.Pass.groups;
-      logical2q := !logical2q + ctx.Pass.logical_two_q;
+      diags_rev := r.diagnostics :: !diags_rev;
+      degr_rev := r.degradations :: !degr_rev;
+      groups_n := !groups_n + r.num_groups;
+      logical2q := !logical2q + r.logical_two_q;
       (match emit with Some f -> f c | None -> ());
       if keep_circuit then circuits := c :: !circuits;
       (* Peak working set: the major heap size at every chunk boundary.
@@ -645,10 +631,10 @@ let compile_stream ?(options = default_options) ?protect ?hooks
       wall_time = Clock.monotonic_s () -. t0;
       pass_times =
         List.map (fun (e : Pass.trace_entry) -> (e.Pass.pass, e.Pass.seconds)) trace;
-      diagnostics = List.rev !rev_diags;
+      diagnostics = List.concat (List.rev !diags_rev);
       trace;
       cache_stats = Cache.diff (Cache.stats ()) cache_before;
-      degradations = List.rev !rev_degr;
+      degradations = List.concat (List.rev !degr_rev);
       layout = None;
     }
   in
@@ -760,21 +746,10 @@ let compile_template ?(options = default_options) ?protect ?hooks
      binding at once. *)
   let verify_requested = options.verify in
   let options = { options with verify = false } in
-  let t0 = Clock.monotonic_s () in
-  let before = Cache.stats () in
-  let ctx =
-    Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n
-  in
-  let ctx, trace =
-    Pass.run ?protect ?hooks
-      (passes ~with_grouping:true options
-      @ [ parametrize_pass ~params ~verify_requested ~certified ])
-      ctx
-  in
   let report =
-    report_of_ctx
-      ~cache_stats:(Cache.diff (Cache.stats ()) before)
-      ~wall_time:(Clock.monotonic_s () -. t0) ctx trace
+    run_passes ?protect ?hooks
+      (passes options @ [ parametrize_pass ~params ~verify_requested ~certified ])
+      (Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n)
   in
   (* Degraded results are never templated: a template is replayed on
      every future bind, so baking in a budget-driven fallback (naive
@@ -814,32 +789,8 @@ let compile_template ?(options = default_options) ?protect ?hooks
 
 let compile ?(options = default_options) ?protect ?hooks h =
   let n = Hamiltonian.num_qubits h in
-  match Hamiltonian.term_blocks h with
-  | Some blocks ->
-    let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
-      ( t.Phoenix_pauli.Pauli_term.pauli,
-        2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. options.tau )
-    in
-    compile_blocks ~options ?protect ?hooks n
-      (List.map (List.map to_gadget) blocks)
+  match Hamiltonian.gadget_blocks ~tau:options.tau h with
+  | Some blocks -> compile_blocks ~options ?protect ?hooks n blocks
   | None ->
     compile_gadgets ~options ?protect ?hooks n
       (Hamiltonian.trotter_gadgets ~tau:options.tau h)
-
-let chunk_of_hamiltonian options h =
-  match Hamiltonian.term_blocks h with
-  | Some blocks ->
-    let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
-      ( t.Phoenix_pauli.Pauli_term.pauli,
-        2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. options.tau )
-    in
-    chunk_of_blocks (List.map (List.map to_gadget) blocks)
-  | None -> chunk_of_gadgets (Hamiltonian.trotter_gadgets ~tau:options.tau h)
-
-let stream_of_hamiltonian ?(steps = 1) options h =
-  if steps < 1 then
-    invalid_arg "Compiler.stream_of_hamiltonian: steps must be positive";
-  (* Build the per-step chunk once; every Trotter step conjugates the
-     same gadget program, so the stream repeats it lazily. *)
-  let chunk = chunk_of_hamiltonian options h in
-  Seq.init steps (fun _ -> chunk)

@@ -102,17 +102,13 @@ type report = {
           circuits back onto the logical register. *)
 }
 
-val report_of_ctx :
-  ?cache_stats:Phoenix_cache.Cache.stats ->
-  wall_time:float ->
-  Pass.ctx ->
-  Pass.trace ->
-  report
-(** Fold a finished pipeline run into the common report — used by every
-    registered pipeline (see [Phoenix_pipeline.Registry]) so PHOENIX and
-    the baselines report through one type.  [cache_stats] defaults to
-    {!Phoenix_cache.Cache.stats_zero}; pipeline runners pass the
-    per-run counter delta. *)
+val run_passes :
+  ?protect:bool -> ?hooks:Pass.hook list -> Pass.t list -> Pass.ctx -> report
+(** Run a pass list over [ctx] with {!Pass.run} and fold the finished
+    context into the common report, with this run's synthesis-cache
+    counter delta and wall time.  Every compile entry point — PHOENIX's
+    and the registry's (see [Phoenix_pipeline.Registry]) — reports
+    through it. *)
 
 val passes :
   ?synthesize:(Group.t -> Phoenix_circuit.Circuit.t) ->
@@ -234,7 +230,7 @@ val compile_stream :
   chunk Seq.t ->
   stream_report
 (** Compile a lazy chunk stream over [n] qubits.  Each chunk runs the
-    canonical pipeline via {!Pass.run} with the given [hooks], exactly
+    canonical pipeline via {!run_passes} with the given [hooks], exactly
     as [compile_gadgets]/[compile_blocks] would; [pipeline] overrides
     the pass list per chunk (the registry streams baselines with it).  [emit] is called with
     each chunk's finished circuit in stream order; with [keep_circuit =
@@ -248,14 +244,6 @@ val compile_stream :
     independently, and concatenating per-chunk placements is unsound.
     Streaming is a logical-target mode; route the concatenated circuit
     separately if needed. *)
-
-val stream_of_hamiltonian :
-  ?steps:int -> options -> Phoenix_ham.Hamiltonian.t -> chunk Seq.t
-(** [steps] (default 1) first-order Trotter steps of [h]: a lazy stream
-    repeating the Hamiltonian's per-step chunk — term blocks (with the
-    same angle convention as {!compile}) when [h] records them, the
-    flat [trotter_gadgets] program otherwise.  Raises
-    [Invalid_argument] if [steps < 1]. *)
 
 (** {1 Parametric compilation} *)
 

@@ -3,6 +3,7 @@ module Topology = Phoenix_topology.Topology
 module Diag = Phoenix_verify.Diag
 module Clock = Phoenix_util.Clock
 module Budget = Phoenix_util.Budget
+module Json = Phoenix_util.Json
 
 type isa = Cnot_isa | Su4_isa
 
@@ -38,6 +39,10 @@ let default_options =
     cache = Phoenix_cache.Cache.Mem;
     budget = Budget.none;
   }
+
+let structural_isa = function
+  | Cnot_isa -> Phoenix_verify.Structural.Cnot_basis
+  | Su4_isa -> Phoenix_verify.Structural.Su4_basis
 
 (* --- metric snapshots --- *)
 
@@ -222,18 +227,6 @@ let run ?(protect = false) ?(hooks = []) passes ctx =
 
 (* --- machine-readable trace --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let metrics_json m =
   Printf.sprintf
     "{ \"gates\": %d, \"one_q\": %d, \"two_q\": %d, \"depth_2q\": %d }"
@@ -245,8 +238,8 @@ let trace_to_json ?(compiler = "") ?(workload = "") ?cache
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "{\n";
   p "  \"schema\": \"phoenix-trace-v1\",\n";
-  if compiler <> "" then p "  \"compiler\": \"%s\",\n" (json_escape compiler);
-  if workload <> "" then p "  \"workload\": \"%s\",\n" (json_escape workload);
+  if compiler <> "" then p "  \"compiler\": %s,\n" (Json.escape compiler);
+  if workload <> "" then p "  \"workload\": %s,\n" (Json.escape workload);
   (match cache with
   | Some s -> p "  \"cache\": %s,\n" (Phoenix_cache.Cache.stats_to_json s)
   | None -> ());
@@ -256,12 +249,11 @@ let trace_to_json ?(compiler = "") ?(workload = "") ?cache
     p "  \"degradations\": [";
     List.iteri
       (fun i (e, count) ->
-        p "%s\n    { \"subject\": \"%s\", \"from\": \"%s\", \"to\": \"%s\", \
-           \"count\": %d }"
+        p "%s\n    { \"subject\": %s, \"from\": %s, \"to\": %s, \"count\": %d }"
           (if i = 0 then "" else ",")
-          (json_escape e.Resilience.subject)
-          (json_escape e.Resilience.from_rung)
-          (json_escape e.Resilience.to_rung)
+          (Json.escape e.Resilience.subject)
+          (Json.escape e.Resilience.from_rung)
+          (Json.escape e.Resilience.to_rung)
           count)
       agg;
     p "\n  ],\n");
@@ -275,10 +267,10 @@ let trace_to_json ?(compiler = "") ?(workload = "") ?cache
     (fun i e ->
       p
         "%s\n\
-        \    { \"pass\": \"%s\", \"seconds\": %.6f, \"alloc_words\": %.0f, \
+        \    { \"pass\": %s, \"seconds\": %.6f, \"alloc_words\": %.0f, \
          \"top_heap_words\": %d,\n"
         (if i = 0 then "" else ",")
-        (json_escape e.pass) e.seconds e.alloc_words e.top_heap_words;
+        (Json.escape e.pass) e.seconds e.alloc_words e.top_heap_words;
       p "      \"before\": %s,\n" (metrics_json e.before);
       p "      \"after\": %s,\n" (metrics_json e.after);
       p "      \"delta\": %s }" (metrics_json (entry_delta e)))

@@ -51,6 +51,10 @@ val default_options : options
     verification off, automatic domain count, in-memory synthesis
     cache. *)
 
+val structural_isa : isa -> Phoenix_verify.Structural.isa
+(** The gate alphabet a target ISA admits, as the structural validator
+    and the circuit lints name it. *)
+
 (** {1 Metric snapshots} *)
 
 type metrics = { gates : int; one_q : int; two_q : int; depth_2q : int }

@@ -142,11 +142,7 @@ let verify_structural =
     ~description:
       "structural validation: ISA alphabet, qubit range, coupling compliance"
     (fun ctx ->
-      let isa_basis =
-        match ctx.Pass.options.isa with
-        | Pass.Cnot_isa -> Structural.Cnot_basis
-        | Pass.Su4_isa -> Structural.Su4_basis
-      in
+      let isa_basis = Pass.structural_isa ctx.Pass.options.isa in
       let topology =
         match ctx.Pass.options.target with
         | Pass.Hardware t -> Some t

@@ -1,5 +1,4 @@
 module Hamiltonian = Phoenix_ham.Hamiltonian
-module Pauli_term = Phoenix_pauli.Pauli_term
 
 type uccsd_case = {
   label : string;
@@ -8,9 +7,6 @@ type uccsd_case = {
 }
 
 let gadgets c = List.concat c.gadget_blocks
-
-let to_gadget (t : Pauli_term.t) =
-  t.Pauli_term.pauli, 2.0 *. t.Pauli_term.coeff
 
 let uccsd_suite ?labels () =
   let wanted b =
@@ -27,9 +23,9 @@ let uccsd_suite ?labels () =
             b.Phoenix_ham.Molecules.spec
         in
         let blocks =
-          match Hamiltonian.term_blocks h with
-          | Some blocks -> List.map (List.map to_gadget) blocks
-          | None -> [ List.map to_gadget (Hamiltonian.terms h) ]
+          match Hamiltonian.gadget_blocks h with
+          | Some blocks -> blocks
+          | None -> [ Hamiltonian.trotter_gadgets h ]
         in
         Some
           {

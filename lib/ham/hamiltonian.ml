@@ -51,11 +51,13 @@ let max_weight t =
 
 let scale s t = { t with terms = List.map (Pauli_term.scale s) t.terms }
 
-let trotter_gadgets ?(tau = 1.0) t =
-  List.map
-    (fun (term : Pauli_term.t) ->
-      term.Pauli_term.pauli, 2.0 *. term.Pauli_term.coeff *. tau)
-    t.terms
+let gadget_of_term tau (term : Pauli_term.t) =
+  term.Pauli_term.pauli, 2.0 *. term.Pauli_term.coeff *. tau
+
+let trotter_gadgets ?(tau = 1.0) t = List.map (gadget_of_term tau) t.terms
+
+let gadget_blocks ?(tau = 1.0) t =
+  Option.map (List.map (List.map (gadget_of_term tau))) (term_blocks t)
 
 let trotter_gadgets_order2 ?(tau = 1.0) t =
   let half = trotter_gadgets ~tau:(tau /. 2.0) t in

@@ -35,6 +35,13 @@ val trotter_gadgets :
 (** First-order Trotter step: gadget list [(P_j, 2·h_j·τ)] in term order
     ([tau] defaults to 1). *)
 
+val gadget_blocks :
+  ?tau:float -> t -> (Phoenix_pauli.Pauli_string.t * float) list list option
+(** The recorded {!term_blocks} as gadget blocks, each term mapped to
+    [(P_j, 2·h_j·τ)] exactly as {!trotter_gadgets} maps it ([tau]
+    defaults to 1, and [2·h·1 = 2·h] exactly); [None] when the
+    Hamiltonian records no blocks. *)
+
 val trotter_gadgets_order2 :
   ?tau:float -> t -> (Phoenix_pauli.Pauli_string.t * float) list
 (** Second-order (symmetric) Trotter step

@@ -347,14 +347,29 @@ let audit t =
   scalar "n_nl (nonlocal rows)" st.n_nl fresh.n_nl;
   List.rev !issues
 
-let debug_audit_enabled =
-  lazy
-    (match Sys.getenv_opt "PHOENIX_BSF_AUDIT" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
+(* PHOENIX_BSF_AUDIT is read on the first mutation, not at module
+   initialisation, so a test can set it at run time.  The cached read
+   lives in an [Atomic] (0 unread, 1 off, 2 on) rather than a [lazy]:
+   every domain of the first parallel simplify gets here at once, and a
+   racing [Lazy.force] raises [CamlinternalLazy.Undefined].  Racing
+   first reads store the same value. *)
+let debug_audit_state = Atomic.make 0
+
+let debug_audit_enabled () =
+  match Atomic.get debug_audit_state with
+  | 1 -> false
+  | 2 -> true
+  | _ ->
+    let on =
+      match Sys.getenv_opt "PHOENIX_BSF_AUDIT" with
+      | None | Some "" | Some "0" -> false
+      | Some _ -> true
+    in
+    Atomic.set debug_audit_state (if on then 2 else 1);
+    on
 
 let debug_audit t =
-  if Lazy.force debug_audit_enabled then
+  if debug_audit_enabled () then
     match audit t with
     | [] -> ()
     | issues ->

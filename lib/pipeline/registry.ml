@@ -2,7 +2,6 @@ module Compiler = Phoenix.Compiler
 module Pass = Phoenix.Pass
 module Passes = Phoenix.Passes
 module Hamiltonian = Phoenix_ham.Hamiltonian
-module Clock = Phoenix_util.Clock
 
 type entry = {
   name : string;
@@ -112,58 +111,39 @@ let names () = List.map (fun e -> e.name) all
 
 (* --- running a registered pipeline ------------------------------------ *)
 
-let run ?protect ?hooks entry (options : Compiler.options) ctx =
-  let t0 = Clock.monotonic_s () in
-  let before = Phoenix_cache.Cache.stats () in
-  let ctx, trace = Pass.run ?protect ?hooks (entry.passes options) ctx in
-  Compiler.report_of_ctx
-    ~cache_stats:(Phoenix_cache.Cache.diff (Phoenix_cache.Cache.stats ()) before)
-    ~wall_time:(Clock.monotonic_s () -. t0) ctx trace
+let program ?(tau = 1.0) entry h =
+  match (if entry.uses_blocks then Hamiltonian.gadget_blocks ~tau h else None)
+  with
+  | Some blocks -> Compiler.chunk_of_blocks blocks
+  | None -> Compiler.chunk_of_gadgets (Hamiltonian.trotter_gadgets ~tau h)
 
-let compile_gadgets ?(options = Compiler.default_options) ?protect ?hooks entry
-    n gadgets =
-  run ?protect ?hooks entry options (Pass.init ~gadgets options n)
+let compile_program ?(options = Compiler.default_options) ?protect ?hooks
+    entry n (p : Compiler.chunk) =
+  Compiler.run_passes ?protect ?hooks (entry.passes options)
+    (Pass.init ~gadgets:p.Compiler.chunk_gadgets
+       ?term_blocks:p.Compiler.chunk_blocks options n)
 
-let compile_blocks ?(options = Compiler.default_options) ?protect ?hooks entry n
-    blocks =
-  run ?protect ?hooks entry options
-    (Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n)
+let compile_gadgets ?options ?protect ?hooks entry n gadgets =
+  compile_program ?options ?protect ?hooks entry n
+    (Compiler.chunk_of_gadgets gadgets)
+
+let compile_blocks ?options ?protect ?hooks entry n blocks =
+  compile_program ?options ?protect ?hooks entry n
+    (Compiler.chunk_of_blocks blocks)
 
 let compile ?(options = Compiler.default_options) ?protect ?hooks entry h =
-  let n = Hamiltonian.num_qubits h in
-  match (if entry.uses_blocks then Hamiltonian.term_blocks h else None) with
-  | Some blocks ->
-    let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
-      ( t.Phoenix_pauli.Pauli_term.pauli,
-        2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. options.Compiler.tau )
-    in
-    compile_blocks ~options ?protect ?hooks entry n
-      (List.map (List.map to_gadget) blocks)
-  | None ->
-    compile_gadgets ~options ?protect ?hooks entry n
-      (Hamiltonian.trotter_gadgets ~tau:options.Compiler.tau h)
+  compile_program ~options ?protect ?hooks entry (Hamiltonian.num_qubits h)
+    (program ~tau:options.Compiler.tau entry h)
 
 (* --- streaming compilation -------------------------------------------- *)
 
 let compile_stream ?(options = Compiler.default_options) ?protect ?hooks
     ?keep_circuit ?emit ~steps entry h =
-  let n = Hamiltonian.num_qubits h in
-  let chunk =
-    match (if entry.uses_blocks then Hamiltonian.term_blocks h else None) with
-    | Some blocks ->
-      let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
-        ( t.Phoenix_pauli.Pauli_term.pauli,
-          2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. options.Compiler.tau )
-      in
-      Compiler.chunk_of_blocks (List.map (List.map to_gadget) blocks)
-    | None ->
-      Compiler.chunk_of_gadgets
-        (Hamiltonian.trotter_gadgets ~tau:options.Compiler.tau h)
-  in
   if steps < 1 then
     invalid_arg "Registry.compile_stream: steps must be positive";
+  let chunk = program ~tau:options.Compiler.tau entry h in
   Compiler.compile_stream ~options ?protect ?hooks ?keep_circuit ?emit
-    ~pipeline:entry.passes n
+    ~pipeline:entry.passes (Hamiltonian.num_qubits h)
     (Seq.init steps (fun _ -> chunk))
 
 (* --- parametric compilation ------------------------------------------- *)
@@ -187,19 +167,11 @@ let compile_template ?(options = Compiler.default_options) ?protect ?hooks
        when the Hamiltonian records no blocks), scaling the block's
        tau-scaled base angles: binding every parameter to 1.0 replays
        [compile] at the same options bit-identically. *)
+    let tau = options.Compiler.tau in
     let blocks =
-      match Hamiltonian.term_blocks h with
-      | Some blocks ->
-        List.map
-          (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-               ( t.Phoenix_pauli.Pauli_term.pauli,
-                 2.0 *. t.Phoenix_pauli.Pauli_term.coeff
-                 *. options.Compiler.tau )))
-          blocks
-      | None ->
-        List.map
-          (fun g -> [ g ])
-          (Hamiltonian.trotter_gadgets ~tau:options.Compiler.tau h)
+      match Hamiltonian.gadget_blocks ~tau h with
+      | Some blocks -> blocks
+      | None -> List.map (fun g -> [ g ]) (Hamiltonian.trotter_gadgets ~tau h)
     in
     let symbolic =
       List.mapi

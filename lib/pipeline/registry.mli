@@ -3,8 +3,9 @@
     compilation context, all returning the common
     {!Phoenix.Compiler.report}.
 
-    The CLI dispatches [--compiler]/[--pipeline] through {!find}, the
-    experiment drivers compile through {!compile_blocks}, and
+    The CLI and the serve daemon look pipelines up through {!Job.resolve}
+    (which uses {!find}), the experiment drivers compile through
+    {!compile_blocks}, and
     [phoenix passes] prints {!catalog} — so adding a pipeline here
     surfaces it everywhere at once. *)
 
@@ -30,6 +31,17 @@ val find : string -> entry option
 
 val names : unit -> string list
 
+val program :
+  ?tau:float -> entry -> Phoenix_ham.Hamiltonian.t -> Phoenix.Compiler.chunk
+(** The gadget program [entry] compiles for a Hamiltonian (Trotter step
+    [tau], default 1): its τ-scaled term blocks
+    ({!Phoenix_ham.Hamiltonian.gadget_blocks}) when the entry
+    [uses_blocks] and the Hamiltonian records blocks, the flat
+    {!Phoenix_ham.Hamiltonian.trotter_gadgets} program otherwise.
+    {!compile} and {!compile_stream} compile exactly this program, so
+    analyses that check a circuit against "what was compiled" read it
+    here rather than re-deriving it. *)
+
 val compile :
   ?options:Phoenix.Compiler.options ->
   ?protect:bool ->
@@ -37,9 +49,9 @@ val compile :
   entry ->
   Phoenix_ham.Hamiltonian.t ->
   Phoenix.Compiler.report
-(** Compile a Hamiltonian through a registered pipeline.  Respects
-    [options.tau] for Trotterization and [entry.uses_blocks] for block
-    adoption; [hooks] fire at every pass boundary.  [protect] (here and
+(** Compile a Hamiltonian through a registered pipeline: {!program} at
+    [options.tau], run through [entry.passes] with
+    {!Phoenix.Compiler.run_passes}; [hooks] fire at every pass boundary.  [protect] (here and
     below) is {!Phoenix.Pass.run}'s fail-closed mode: unexpected
     exceptions re-raise as {!Phoenix.Pass.Failed} with the pass named. *)
 
@@ -78,7 +90,7 @@ val compile_stream :
 (** Streaming compile: [steps] first-order Trotter steps of the
     Hamiltonian fed to {!Phoenix.Compiler.compile_stream} one chunk per
     step, through this entry's pass list — so baselines stream too.
-    Respects [entry.uses_blocks] exactly like {!compile}; a one-step
+    Each chunk is {!program}, exactly as {!compile} consumes it; a one-step
     stream is bit-identical to {!compile} at the same options (logical
     targets only — streaming raises [Invalid_argument] on hardware
     targets, see {!Phoenix.Compiler.compile_stream}). *)

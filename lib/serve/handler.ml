@@ -2,18 +2,16 @@ module Compiler = Phoenix.Compiler
 module Pass = Phoenix.Pass
 module Template = Phoenix.Template
 module Budget = Phoenix_util.Budget
-module Hamiltonian = Phoenix_ham.Hamiltonian
 module Circuit = Phoenix_circuit.Circuit
 module Qasm = Phoenix_circuit.Qasm
 module Peephole = Phoenix_circuit.Peephole
-module Topology = Phoenix_topology.Topology
 module Diag = Phoenix_verify.Diag
 module Structural = Phoenix_verify.Structural
 module Finding = Phoenix_analysis.Finding
 module Circuit_lint = Phoenix_analysis.Circuit_lint
 module Analyses = Phoenix_analysis.Registry
-module Resilience_lint = Phoenix_analysis.Resilience_lint
 module Pipelines = Phoenix_pipeline.Registry
+module Job = Phoenix_pipeline.Job
 module Hooks = Phoenix_pipeline.Hooks
 open Protocol
 
@@ -31,45 +29,11 @@ let fail ?(trace = []) status msg =
 
 let bad_request msg = fail Sbad_request msg
 
-(* Unlike the CLI front end (which prints and exits 2), the daemon turns
-   every input problem into a structured bad-request response. *)
-let topology_of_spec n = function
-  | "all-to-all" -> Ok None
-  | "heavy-hex" -> Ok (Some (Topology.ibm_manhattan ()))
-  | "line" -> Ok (Some (Topology.line (max n 2)))
-  | "ring" -> Ok (Some (Topology.ring (max n 3)))
-  | "grid" ->
-    let side = int_of_float (ceil (sqrt (float_of_int n))) in
-    Ok (Some (Topology.grid ~rows:side ~cols:side))
-  | s ->
-    Error
-      (Printf.sprintf
-         "unknown topology %S (all-to-all, heavy-hex, line, ring, grid)" s)
-
 let budget_of_spec ~default_timeout_s spec =
   match (spec.budget_checks, spec.timeout_s, default_timeout_s) with
   | Some k, _, _ -> Budget.after_checks k
   | None, Some s, _ | None, None, Some s -> Budget.of_timeout_s s
   | None, None, None -> Budget.none
-
-(* Mirrors the block / Trotter dispatch in [Pipelines.compile] so lint's
-   translation validation checks the circuit against exactly the gadget
-   program that was compiled. *)
-let program_of_entry (entry : Pipelines.entry) (options : Compiler.options) h =
-  let tau = options.Compiler.tau in
-  let gadgets =
-    match
-      if entry.Pipelines.uses_blocks then Hamiltonian.term_blocks h else None
-    with
-    | Some blocks ->
-      List.concat_map
-        (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-             ( t.Phoenix_pauli.Pauli_term.pauli,
-               2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. tau )))
-        blocks
-    | None -> Hamiltonian.trotter_gadgets ~tau h
-  in
-  (Hamiltonian.num_qubits h, gadgets)
 
 let metrics_json c =
   Json.Obj
@@ -119,12 +83,11 @@ let execute_qasm spec text =
 
 (* --- hamiltonian jobs --------------------------------------------------- *)
 
-let lint_isa = function
-  | Compiler.Cnot_isa -> Structural.Cnot_basis
-  | Compiler.Su4_isa -> Structural.Su4_basis
-
-let execute_template spec options entry h =
-  match Pipelines.compile_template ~options ~protect:true entry h with
+let execute_template spec (job : Job.t) =
+  match
+    Pipelines.compile_template ~options:job.Job.options ~protect:true
+      job.Job.entry job.Job.hamiltonian
+  with
   | Error msg -> bad_request msg
   | Ok tmpl -> (
     let report = Template.report tmpl in
@@ -145,34 +108,26 @@ let execute_template spec options entry h =
             Json.Arr (List.map (circuit_json ~dump:spec.dump) bound) );
         ])
 
-let execute_compile spec options entry h topo =
+let execute_compile spec (job : Job.t) =
   let hook_findings = ref [] and hook_diags = ref [] in
   let hooks =
     (if spec.lint then [ Hooks.lint hook_findings ] else [])
     @ if spec.verify then [ Hooks.translation_validate hook_diags ] else []
   in
-  let report = Pipelines.compile ~options ~protect:true ~hooks entry h in
+  let report =
+    Pipelines.compile ~options:job.Job.options ~protect:true ~hooks
+      job.Job.entry job.Job.hamiltonian
+  in
   let circuit = report.Compiler.circuit in
   let diagnostics =
     if spec.verify then report.Compiler.diagnostics @ List.rev !hook_diags
     else []
   in
-  let tagged_findings = List.rev !hook_findings in
   let findings =
     if spec.lint then
-      let declared =
-        {
-          Circuit_lint.two_q = report.Compiler.two_q_count;
-          depth_2q = report.Compiler.depth_2q;
-          one_q = report.Compiler.one_q_count;
-        }
-      in
-      Analyses.run
-        (Circuit_lint.target ~isa:(lint_isa spec.isa) ?topology:topo ~declared
-           ~program:(program_of_entry entry options h)
-           ~exact:spec.exact ?layout:report.Compiler.layout circuit)
-      @ Resilience_lint.conformance report
-      @ List.map snd tagged_findings
+      Job.lint ~program:(Job.program job).Compiler.chunk_gadgets job report
+        circuit
+      @ List.map snd (List.rev !hook_findings)
     else []
   in
   let status =
@@ -185,7 +140,7 @@ let execute_compile spec options entry h topo =
     fields =
       [
         ("kind", Json.Str "compile");
-        ("pipeline", Json.Str entry.Pipelines.name);
+        ("pipeline", Json.Str job.Job.entry.Pipelines.name);
         ("circuit", circuit_json ~dump:spec.dump circuit);
         ("report", report_json report);
         ("diagnostics", Json.Arr (List.map diag_json diagnostics));
@@ -196,48 +151,16 @@ let execute_compile spec options entry h topo =
   }
 
 let execute_hamiltonian ~default_timeout_s spec h =
-  let n = Hamiltonian.num_qubits h in
-  match topology_of_spec n spec.topology with
+  match
+    Job.resolve ~isa:spec.isa ~exact:spec.exact ~verify:spec.verify
+      ~cache:spec.cache ~domains:spec.domains
+      ~budget:(budget_of_spec ~default_timeout_s spec)
+      ~pipeline:spec.pipeline ~topology:spec.topology h
+  with
   | Error msg -> bad_request msg
-  | Ok topo -> (
-    match Pipelines.find spec.pipeline with
-    | None ->
-      bad_request
-        (Printf.sprintf "unknown pipeline %S (%s)" spec.pipeline
-           (String.concat ", " (Pipelines.names ())))
-    | Some entry ->
-      if entry.Pipelines.requires_topology && topo = None then
-        bad_request
-          (Printf.sprintf "the %s pipeline needs a topology"
-             entry.Pipelines.name)
-      else if
-        entry.Pipelines.two_local_only
-        && List.exists
-             (fun (p, _) -> Phoenix_pauli.Pauli_string.weight p > 2)
-             (Hamiltonian.trotter_gadgets h)
-      then
-        bad_request
-          (Printf.sprintf "the %s pipeline only handles 2-local workloads"
-             entry.Pipelines.name)
-      else begin
-        let options =
-          {
-            Compiler.default_options with
-            isa = spec.isa;
-            exact = spec.exact;
-            verify = spec.verify;
-            cache = spec.cache;
-            domains = spec.domains;
-            budget = budget_of_spec ~default_timeout_s spec;
-            target =
-              (match topo with
-              | None -> Compiler.Logical
-              | Some t -> Compiler.Hardware t);
-          }
-        in
-        if spec.template then execute_template spec options entry h
-        else execute_compile spec options entry h topo
-      end)
+  | Ok job ->
+    if spec.template then execute_template spec job
+    else execute_compile spec job
 
 let execute ?default_timeout_s spec =
   let job () =
@@ -252,7 +175,7 @@ let execute ?default_timeout_s spec =
       | Error msg -> bad_request msg
       | Ok h -> execute_hamiltonian ~default_timeout_s spec h)
   in
-  (* Fail closed at the job boundary: a worker must outlive any job,
+(* Fail closed at the job boundary: a worker must outlive any job,
      including chaos-injected faults raised outside a protected pass. *)
   match job () with
   | outcome -> outcome

@@ -1,5 +1,6 @@
 module Pass = Phoenix.Pass
 module Clock = Phoenix_util.Clock
+module Json = Phoenix_util.Json
 
 type boundary = {
   pass : string;
@@ -64,25 +65,13 @@ let boundary_to_string b =
     | None -> ""
     | Some r -> "  " ^ r)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?(pipeline = "") ?(workload = "") ?(template = false) bs =
   let buf = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "{\n";
   p "  \"schema\": \"%s\",\n" schema_version;
-  if pipeline <> "" then p "  \"pipeline\": \"%s\",\n" (json_escape pipeline);
-  if workload <> "" then p "  \"workload\": \"%s\",\n" (json_escape workload);
+  if pipeline <> "" then p "  \"pipeline\": %s,\n" (Json.escape pipeline);
+  if workload <> "" then p "  \"workload\": %s,\n" (Json.escape workload);
   p "  \"template\": %b,\n" template;
   let s = summarize bs in
   p "  \"summary\": { \"overall\": \"%s\", \"proved\": %d, \"plausible\": %d, \
@@ -91,12 +80,12 @@ let to_json ?(pipeline = "") ?(workload = "") ?(template = false) bs =
   p "  \"boundaries\": [";
   List.iteri
     (fun i b ->
-      p "%s\n    { \"pass\": \"%s\", \"claim\": \"%s\", \"verdict\": \"%s\",\n"
+      p "%s\n    { \"pass\": %s, \"claim\": %s, \"verdict\": \"%s\",\n"
         (if i = 0 then "" else ",")
-        (json_escape b.pass) (json_escape b.claim)
+        (Json.escape b.pass) (Json.escape b.claim)
         (Checker.verdict_label b.verdict);
       (match Checker.verdict_reason b.verdict with
-      | Some r -> p "      \"reason\": \"%s\",\n" (json_escape r)
+      | Some r -> p "      \"reason\": %s,\n" (Json.escape r)
       | None -> ());
       p "      \"pass_seconds\": %.6f, \"check_seconds\": %.6f }" b.pass_seconds
         b.check_seconds)

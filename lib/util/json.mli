@@ -1,10 +1,11 @@
-(** Minimal JSON for the serve wire protocol.
+(** Minimal JSON: the serve wire protocol and every JSON artifact the
+    CLI writes.
 
-    The daemon speaks newline-delimited JSON and the container carries
-    no JSON library, so this module implements the subset the protocol
-    needs: the full JSON value grammar, strict parsing with positioned
-    errors, and deterministic one-line printing (objects keep insertion
-    order; floats render round-trippably).
+    The container carries no JSON library, so this module implements
+    the subset the repo needs: the full JSON value grammar, strict
+    parsing with positioned errors, deterministic one-line printing
+    (objects keep insertion order; floats render round-trippably), and
+    the one string escaper ({!escape}) that hand-laid-out artifacts use.
 
     Not a general-purpose library: no streaming, no number preservation
     beyond IEEE doubles, no Unicode validation beyond byte-transparent

@@ -1,5 +1,4 @@
 module Hamiltonian = Phoenix_ham.Hamiltonian
-module Pauli_term = Phoenix_pauli.Pauli_term
 module Compiler = Phoenix.Compiler
 module Statevector = Phoenix_linalg.Statevector
 
@@ -10,13 +9,10 @@ type t = {
 }
 
 let of_hamiltonian h =
-  let to_gadget (t : Pauli_term.t) =
-    t.Pauli_term.pauli, 2.0 *. t.Pauli_term.coeff
-  in
   let blocks =
-    match Hamiltonian.term_blocks h with
-    | Some blocks -> List.map (List.map to_gadget) blocks
-    | None -> List.map (fun t -> [ to_gadget t ]) (Hamiltonian.terms h)
+    match Hamiltonian.gadget_blocks h with
+    | Some blocks -> blocks
+    | None -> List.map (fun g -> [ g ]) (Hamiltonian.trotter_gadgets h)
   in
   { n = Hamiltonian.num_qubits h; blocks }
 

@@ -84,6 +84,12 @@ expect 2 compile "$W" --pipeline no-such-pipeline
 expect 2 passes --pipeline no-such-pipeline
 expect 2 compile "$W" --topology no-such-topology
 expect 2 compile heisenberg:6 --compiler 2qan
+# every front end resolves through the same request validation
+expect 2 compile "$W" --compiler 2qan --topology line
+expect 2 compile heisenberg:6 --stream 1 --compiler 2qan
+expect 2 compile "$W" --template --topology no-such-topology
+expect 2 certify "$W" --template --topology no-such-topology
+expect 2 cache warm "$W" --topology no-such-topology
 
 # verification errors (exit 3), which take precedence over lint errors
 expect 3 compile "$W" --verify --inject-fault out-of-isa

@@ -308,7 +308,59 @@ let test_to_terms_folds_sign () =
     Alcotest.(check (float 1e-12)) "angle negated" (-0.7) theta
   | _ -> Alcotest.fail "one term expected"
 
+(* --- the audit flag's first read under parallel mutation ----------------
+
+   PHOENIX_BSF_AUDIT is read on a process's first tableau mutation, and
+   the first parallel simplify makes that read from several domains at
+   once.  Each child process below releases four domains through a
+   barrier straight into their first mutation; any exception fails the
+   child.  The race only exists once per process, hence the fresh
+   processes. *)
+
+let race_child_var = "PHOENIX_TEST_BSF_RACE_CHILD"
+let race_domains = 4
+let race_processes = 128
+
+let race_child () =
+  let arrived = Atomic.make 0 in
+  let tableaux =
+    Array.init race_domains (fun _ ->
+        Bsf.of_terms 2 [ Pauli_string.of_string "XZ", 0.5 ])
+  in
+  let first_mutation t () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < race_domains do
+      Domain.cpu_relax ()
+    done;
+    Bsf.apply_h t 0
+  in
+  let domains =
+    Array.map (fun t -> Domain.spawn (first_mutation t)) tableaux
+  in
+  let clean =
+    Array.fold_left
+      (fun clean d ->
+        match Domain.join d with () -> clean | exception _ -> false)
+      true domains
+  in
+  exit (if clean then 0 else 1)
+
+let test_first_mutation_race () =
+  let env = Array.append [| race_child_var ^ "=1" |] (Unix.environment ()) in
+  let failed = ref 0 in
+  for _ = 1 to race_processes do
+    let pid =
+      Unix.create_process_env Sys.executable_name [| Sys.executable_name |] env
+        Unix.stdin Unix.stdout Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> incr failed
+  done;
+  Alcotest.(check int) "children whose first mutations raised" 0 !failed
+
 let () =
+  if Sys.getenv_opt race_child_var <> None then race_child ();
   Alcotest.run "bsf"
     [
       ( "props",
@@ -337,5 +389,10 @@ let () =
           Alcotest.test_case "cost two rows" `Quick test_cost_two_rows;
           Alcotest.test_case "CNOT YY sign" `Quick test_signs_cnot_yy;
           Alcotest.test_case "to_terms folds sign" `Quick test_to_terms_folds_sign;
+        ] );
+      ( "audit-flag",
+        [
+          Alcotest.test_case "first mutation on 4 domains" `Quick
+            test_first_mutation_race;
         ] );
     ]

@@ -240,6 +240,149 @@ let test_hooks_clean_on_real_pipelines () =
       Alcotest.(check bool) (name ^ " hook fired") true (!diags <> []))
     [ "phoenix"; "tket"; "paulihedral"; "tetris"; "naive" ]
 
+(* --- Job: the request resolution both front ends share ----------------- *)
+
+module Job = Phoenix_pipeline.Job
+
+let workload spec =
+  match Phoenix_serve.Workload.of_spec spec with
+  | Ok h -> h
+  | Error msg -> Alcotest.failf "%s: %s" spec msg
+
+let test_job_topology_sizes () =
+  let one_qubit =
+    Phoenix_ham.Hamiltonian.make 1
+      [ Phoenix_pauli.Pauli_term.make (Helpers.Pauli_string.of_string "Z") 0.5 ]
+  in
+  List.iter
+    (fun (h, sizes) ->
+      let n = Phoenix_ham.Hamiltonian.num_qubits h in
+      List.iter
+        (fun (name, size) ->
+          match Job.resolve ~pipeline:"phoenix" ~topology:name h with
+          | Error msg -> Alcotest.failf "%s: %s" name msg
+          | Ok job ->
+            Alcotest.(check (option int))
+              (Printf.sprintf "%s for %d qubits" name n)
+              size
+              (Option.map Topology.num_qubits (Job.topology job)))
+        sizes)
+    [
+      ( workload "heisenberg:6",
+        [
+          ("all-to-all", None);
+          ("heavy-hex", Some 64);
+          ("line", Some 6);
+          ("ring", Some 6);
+          ("grid", Some 9);
+        ] );
+      ( one_qubit,
+        [
+          ("all-to-all", None);
+          ("heavy-hex", Some 64);
+          ("line", Some 2);
+          ("ring", Some 3);
+          ("grid", Some 1);
+        ] );
+    ]
+
+let test_job_options () =
+  match
+    Job.resolve ~isa:Compiler.Su4_isa ~exact:true ~verify:true
+      ~cache:Phoenix_cache.Cache.Off ~domains:1 ~pipeline:"tket"
+      ~topology:"line" (workload "heisenberg:6")
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok job ->
+    let o = job.Job.options in
+    Alcotest.(check string) "pipeline" "tket" job.Job.entry.Registry.name;
+    Alcotest.(check bool)
+      "request values kept" true
+      (o.Compiler.isa = Compiler.Su4_isa
+      && o.Compiler.exact && o.Compiler.verify
+      && o.Compiler.cache = Phoenix_cache.Cache.Off
+      && o.Compiler.domains = 1);
+    Alcotest.(check bool)
+      "hardware target" true
+      (match o.Compiler.target with
+      | Compiler.Hardware _ -> true
+      | Compiler.Logical -> false);
+    Alcotest.(check bool)
+      "defaults elsewhere" true
+      (o.Compiler.tau = Compiler.default_options.Compiler.tau
+      && o.Compiler.lookahead = Compiler.default_options.Compiler.lookahead)
+
+let test_job_rejections () =
+  let heis = workload "heisenberg:6" and lih = workload "uccsd:LiH_frz_JW" in
+  let rejected what want r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error msg -> Alcotest.(check string) what want msg
+  in
+  rejected "unknown topology"
+    "unknown topology \"moebius\" (all-to-all, heavy-hex, line, ring, grid)"
+    (Job.resolve ~pipeline:"phoenix" ~topology:"moebius" heis);
+  rejected "unknown pipeline"
+    "unknown pipeline \"nope\" (phoenix, tket, paulihedral, tetris, 2qan, \
+     naive)"
+    (Job.resolve ~pipeline:"nope" ~topology:"all-to-all" heis);
+  rejected "2qan without a topology" "the 2qan pipeline needs a topology"
+    (Job.resolve ~pipeline:"2qan" ~topology:"all-to-all" heis);
+  rejected "2qan on a weight-3 workload"
+    "the 2qan pipeline only handles 2-local workloads"
+    (Job.resolve ~pipeline:"2qan" ~topology:"line" lih);
+  Alcotest.(check bool)
+    "2qan on a 2-local workload with a topology" true
+    (Result.is_ok (Job.resolve ~pipeline:"2qan" ~topology:"line" heis));
+  Alcotest.(check bool)
+    "find_pipeline agrees" true
+    (Job.find_pipeline "nope"
+    = Error
+        "unknown pipeline \"nope\" (phoenix, tket, paulihedral, tetris, \
+         2qan, naive)")
+
+(* The program a job exposes is the one [Registry.compile] compiles:
+   compiling it directly gives the same circuit, for every pipeline on
+   block-structured (UCCSD, Fermi-Hubbard) and flat (Heisenberg)
+   workloads.  On LiH support grouping happens to rebuild the UCCSD
+   blocks; on the 2x2 Hubbard lattice it does not, so there the check
+   also pins which pipelines adopt blocks. *)
+let test_job_program_differential () =
+  List.iter
+    (fun spec ->
+      let h = workload spec in
+      let n = Phoenix_ham.Hamiltonian.num_qubits h in
+      List.iter
+        (fun (e : Registry.entry) ->
+          let label = spec ^ " / " ^ e.Registry.name in
+          let topology =
+            if e.Registry.requires_topology then "line" else "all-to-all"
+          in
+          match Job.resolve ~pipeline:e.Registry.name ~topology h with
+          | Error msg ->
+            Alcotest.(check bool)
+              (label ^ " rejected only as not 2-local: " ^ msg)
+              true
+              (e.Registry.two_local_only
+              && Phoenix_ham.Hamiltonian.max_weight h > 2)
+          | Ok job ->
+            let options = job.Job.options in
+            let direct = Registry.compile ~options e h in
+            let program = Job.program job in
+            let via_program =
+              match program.Compiler.chunk_blocks with
+              | Some blocks -> Registry.compile_blocks ~options e n blocks
+              | None ->
+                Registry.compile_gadgets ~options e n
+                  program.Compiler.chunk_gadgets
+            in
+            Alcotest.(check string) label
+              (Phoenix_serve.Protocol.circuit_digest direct.Compiler.circuit)
+              (Phoenix_serve.Protocol.circuit_digest
+                 via_program.Compiler.circuit))
+        Registry.all)
+    [ "uccsd:LiH_frz_JW"; "heisenberg:6"; "fermi-hubbard:2x2" ]
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -266,5 +409,14 @@ let () =
         [
           Alcotest.test_case "clean on real pipelines" `Quick
             test_hooks_clean_on_real_pipelines;
+        ] );
+      ( "job",
+        [
+          Alcotest.test_case "topology register sizes" `Quick
+            test_job_topology_sizes;
+          Alcotest.test_case "request options" `Quick test_job_options;
+          Alcotest.test_case "rejections" `Quick test_job_rejections;
+          Alcotest.test_case "program = Registry.compile (all pipelines)" `Slow
+            test_job_program_differential;
         ] );
     ]

@@ -294,6 +294,17 @@ let test_malformed_lines () =
         "{\"id\":\"x\",\"workload\":\"tfim:3\",\"topology\":\"moebius\"}";
       expect "unknown topology" 2;
       Client.send_line c
+        "{\"id\":\"x\",\"workload\":\"heisenberg:4\",\"pipeline\":\"2qan\"}";
+      expect "2qan without a topology" 2;
+      Client.send_line c
+        "{\"id\":\"x\",\"workload\":\"uccsd:LiH_frz_JW\",\"pipeline\":\"2qan\",\
+         \"topology\":\"line\"}";
+      expect "2qan on a workload that is not 2-local" 2;
+      Client.send_line c
+        "{\"id\":\"x\",\"workload\":\"tfim:3\",\"pipeline\":\"tket\",\
+         \"template\":true}";
+      expect "template on a baseline pipeline" 2;
+      Client.send_line c
         "{\"id\":\"x\",\"workload\":\"tfim:3\",\"bind\":[0.5]}";
       expect "bind without template" 2;
       Client.send_line c

@@ -129,8 +129,14 @@ let prop_sign_flip_caught =
   Helpers.qtest ~count:80 "sign-flip fault is caught by the checkers"
     (Helpers.terms_gen 3 4)
     (fun terms ->
-      (* avoid angles where θ ≈ -θ *)
-      let terms = List.map (fun (p, a) -> p, (Float.abs a +. 0.2)) terms in
+      (* avoid angles where θ ≈ -θ modulo 2π, near 0 and near π: there
+         the flip changes the unitary by a global phase at most, so the
+         dense check cannot see it.  |a| <= 3 maps into [0.2, π - 0.2]. *)
+      let terms =
+        List.map
+          (fun (p, a) -> p, 0.2 +. (Float.abs a *. (Float.pi -. 0.4) /. 3.0))
+          terms
+      in
       let cfg = Simplify.run ~exact:true 3 terms in
       let bad = Synthesis.cfg_to_circuit 3 (flip_one_angle cfg) in
       Equiv.propagation_check ~exact:true 3 terms bad <> Ok ()
