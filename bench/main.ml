@@ -1,24 +1,18 @@
 (* Experiment harness: regenerates every table and figure of the paper's
-   evaluation (§V) and runs Bechamel micro-benchmarks of the compiler
-   passes.
+   evaluation (§V).  Compile-time measurement lives in the repository
+   benchmark (bench/suite, BENCHMARK.json).
 
      dune exec bench/main.exe                 - everything
      dune exec bench/main.exe -- table1       - one artifact
      dune exec bench/main.exe -- fig5 --quick - reduced benchmark subset
-     dune exec bench/main.exe -- perf --json  - also write BENCH_phoenix.json
 
    Artifacts: table1, fig5 (incl. Table II), fig6, table3, table4
-   (incl. Fig. 7), fig8, perf. *)
+   (incl. Fig. 7), fig8, ablations, fidelity. *)
 
 module E = Phoenix_experiments
 module Clock = Phoenix_util.Clock
-module Json = Phoenix_util.Json
-module Cache = Phoenix_cache.Cache
 
 let fmt = Format.std_formatter
-
-(* Set from the command line; [perf] writes BENCH_phoenix.json when on. *)
-let json_mode = ref false
 
 let labels ~quick =
   if quick then Some E.Workloads.uccsd_quick_labels else None
@@ -49,632 +43,6 @@ let run_fig8 ~quick =
   in
   E.Fig8.print fmt (E.Fig8.run ~scales ~molecules ())
 
-(* --- Bechamel micro-benchmarks of the compiler passes --- *)
-
-let perf_tests () =
-  let case = List.hd (E.Workloads.uccsd_suite ~labels:[ "LiH_frz_JW" ] ()) in
-  let n = case.E.Workloads.n in
-  let blocks = case.E.Workloads.gadget_blocks in
-  let gadgets = E.Workloads.gadgets case in
-  let groups = Phoenix.Group.of_blocks n blocks in
-  let first_group = List.hd groups in
-  let topo = E.Workloads.heavy_hex () in
-  (* Micro-benchmarks measure the compiler passes, not the synthesis
-     cache: a warm cache would answer every iteration after the first
-     from memory, so pin the tier off for every timed compile. *)
-  let cold = { Phoenix.Compiler.default_options with cache = Cache.Off } in
-  let open Bechamel in
-  Test.make_grouped ~name:"phoenix" ~fmt:"%s %s"
-    [
-      Test.make ~name:"grouping"
-        (Staged.stage (fun () -> ignore (Phoenix.Group.of_blocks n blocks)));
-      Test.make ~name:"bsf-simplify-one-group"
-        (Staged.stage (fun () ->
-             ignore (Phoenix.Simplify.run n first_group.Phoenix.Group.terms)));
-      Test.make ~name:"compile-logical-cnot"
-        (Staged.stage (fun () ->
-             ignore (Phoenix.Compiler.compile_blocks ~options:cold n blocks)));
-      Test.make ~name:"compile-logical-su4"
-        (Staged.stage (fun () ->
-             let options = { cold with isa = Phoenix.Compiler.Su4_isa } in
-             ignore (Phoenix.Compiler.compile_blocks ~options n blocks)));
-      Test.make ~name:"compile-heavy-hex"
-        (Staged.stage (fun () ->
-             let options =
-               { cold with target = Phoenix.Compiler.Hardware topo }
-             in
-             ignore (Phoenix.Compiler.compile_blocks ~options n blocks)));
-      Test.make ~name:"baseline-tket"
-        (Staged.stage (fun () ->
-             ignore (Phoenix_baselines.Tket_like.compile n gadgets)));
-    ]
-
-(* End-to-end compile wall times: one timed run each, so the JSON records
-   the user-visible latency next to the per-pass OLS estimates.  Pinned
-   cold so the numbers track the compiler, not the synthesis cache. *)
-let end_to_end_compiles () =
-  let case = List.hd (E.Workloads.uccsd_suite ~labels:[ "LiH_frz_JW" ] ()) in
-  let n = case.E.Workloads.n in
-  let blocks = case.E.Workloads.gadget_blocks in
-  let topo = E.Workloads.heavy_hex () in
-  let cold = { Phoenix.Compiler.default_options with cache = Cache.Off } in
-  let timed name f =
-    let t0 = Clock.monotonic_s () in
-    let r : Phoenix.Compiler.report = f () in
-    ( name,
-      Clock.monotonic_s () -. t0,
-      r.Phoenix.Compiler.two_q_count,
-      r.Phoenix.Compiler.pass_times )
-  in
-  [
-    timed "compile-logical-cnot" (fun () ->
-        Phoenix.Compiler.compile_blocks ~options:cold n blocks);
-    timed "compile-heavy-hex" (fun () ->
-        let options = { cold with target = Phoenix.Compiler.Hardware topo } in
-        Phoenix.Compiler.compile_blocks ~options n blocks);
-  ]
-
-(* Cold vs. warm synthesis-cache wall times: compile once against a fresh
-   memory tier to populate it, then again against the resident entries.
-   The reports' own per-run hit/miss deltas certify what each leg
-   measured (cold: all misses; warm: all hits). *)
-let cache_cold_warm () =
-  let case = List.hd (E.Workloads.uccsd_suite ~labels:[ "LiH_frz_JW" ] ()) in
-  let n = case.E.Workloads.n in
-  let blocks = case.E.Workloads.gadget_blocks in
-  let topo = E.Workloads.heavy_hex () in
-  let base = Phoenix.Compiler.default_options in
-  [
-    "compile-logical-cnot", base;
-    "compile-heavy-hex", { base with target = Phoenix.Compiler.Hardware topo };
-  ]
-  |> List.map (fun (name, options) ->
-         let options = { options with Phoenix.Compiler.cache = Cache.Mem } in
-         Cache.clear_memory ();
-         let timed () =
-           let t0 = Clock.monotonic_s () in
-           let r = Phoenix.Compiler.compile_blocks ~options n blocks in
-           Clock.monotonic_s () -. t0, r.Phoenix.Compiler.cache_stats
-         in
-         let cold_s, cold_stats = timed () in
-         let warm_s, warm_stats = timed () in
-         name, cold_s, warm_s, cold_stats, warm_stats)
-
-(* Parametric-compilation serving benchmark: the VQE-loop pattern the
-   template layer exists for.  The direct leg pays the full pipeline at
-   every parameter point (cache pinned off so the numbers measure
-   compilation, not memoization); the template leg compiles once with
-   symbolic slots and binds per iteration.  Every iteration's bound
-   circuit is certified bit-identical to the direct compile at the same
-   angles, and the bind trace is recorded so CI can assert no pipeline
-   pass runs per bind. *)
-type vqe_loop_result = {
-  vl_iterations : int;
-  vl_direct_wall_s : float;
-  vl_compile_template_s : float;
-  vl_bind_total_s : float;
-  vl_bind_us : float;  (* mean per-bind latency, microseconds *)
-  vl_speedup : float;  (* end-to-end: direct / (template compile + binds) *)
-  vl_per_iteration_speedup : float;  (* compile-per-theta / bind-per-theta *)
-  vl_bind_trace_passes : string list;
-  vl_bind_equals_compile : bool;
-}
-
-let vqe_loop ~quick () =
-  let case = List.hd (E.Workloads.uccsd_suite ~labels:[ "LiH_frz_JW" ] ()) in
-  let n = case.E.Workloads.n in
-  let blocks = case.E.Workloads.gadget_blocks in
-  let iterations = if quick then 8 else 128 in
-  let num_params = List.length blocks in
-  (* Deterministic generic angles (away from the zero-rotation
-     degeneracy) so the bit-identity certificate applies — see Angle. *)
-  let theta_at i =
-    Array.init num_params (fun k ->
-        0.11 +. Float.rem (0.327 +. (0.691 *. float_of_int (k + (7 * i)))) 2.9)
-  in
-  let cold = { Phoenix.Compiler.default_options with cache = Cache.Off } in
-  let concrete theta =
-    List.mapi
-      (fun k block -> List.map (fun (p, base) -> p, theta.(k) *. base) block)
-      blocks
-  in
-  let gate_bits g =
-    Phoenix_circuit.Gate.fold_angles
-      (fun acc t -> Printf.sprintf "%s %Lx" acc (Int64.bits_of_float t))
-      (Phoenix_circuit.Gate.to_string g)
-      g
-  in
-  let circuit_bits c =
-    String.concat "\n" (List.map gate_bits (Phoenix_circuit.Circuit.gates c))
-  in
-  let t0 = Clock.monotonic_s () in
-  let direct =
-    Array.init iterations (fun i ->
-        Phoenix.Compiler.compile_blocks ~options:cold n (concrete (theta_at i)))
-  in
-  let direct_wall_s = Clock.monotonic_s () -. t0 in
-  (* Keep only the bit renderings (unscanned strings): retaining 128
-     full reports across the bind loop would charge the binds with the
-     GC's marking of the direct leg's live heap. *)
-  let direct_bits =
-    Array.map
-      (fun (r : Phoenix.Compiler.report) -> circuit_bits r.Phoenix.Compiler.circuit)
-      direct
-  in
-  let symbolic =
-    List.mapi
-      (fun k block ->
-        List.map
-          (fun (p, base) ->
-            p, Phoenix_pauli.Angle.param ~index:k ~scale:base)
-          block)
-      blocks
-  in
-  let params = Array.init num_params (Printf.sprintf "theta%d") in
-  let t0 = Clock.monotonic_s () in
-  let tmpl =
-    Phoenix.Compiler.compile_template ~options:cold ~params n symbolic
-  in
-  let compile_template_s = Clock.monotonic_s () -. t0 in
-  let _, trace0 = Phoenix.Template.bind_with_trace tmpl (theta_at 0) in
-  let bind_trace_passes =
-    List.map (fun (e : Phoenix.Pass.trace_entry) -> e.Phoenix.Pass.pass) trace0
-  in
-  Gc.full_major ();
-  let t0 = Clock.monotonic_s () in
-  let bound =
-    Array.init iterations (fun i -> Phoenix.Template.bind tmpl (theta_at i))
-  in
-  let bind_total_s = Clock.monotonic_s () -. t0 in
-  let bind_equals_compile =
-    Array.for_all2
-      (fun bits c -> String.equal bits (circuit_bits c))
-      direct_bits bound
-  in
-  let iters = float_of_int iterations in
-  {
-    vl_iterations = iterations;
-    vl_direct_wall_s = direct_wall_s;
-    vl_compile_template_s = compile_template_s;
-    vl_bind_total_s = bind_total_s;
-    vl_bind_us = bind_total_s /. iters *. 1e6;
-    vl_speedup = direct_wall_s /. (compile_template_s +. bind_total_s);
-    vl_per_iteration_speedup =
-      (if bind_total_s > 0.0 then direct_wall_s /. bind_total_s else 0.0);
-    vl_bind_trace_passes = bind_trace_passes;
-    vl_bind_equals_compile = bind_equals_compile;
-  }
-
-(* Symbolic-certification overhead: the same two compile presets, each
-   timed plain, under the certify hook, and under dense verification
-   ([options.verify]).  The logical preset runs in exact mode so its
-   verify leg actually performs the end-to-end dense unitary comparison
-   the certifier replaces (LiH sits exactly at the n = 10 dense cap);
-   heavy-hex measures against the scalable propagation certificates.
-   The headline ratio is checker-seconds over the dense-verify wall —
-   the CI gate holds it below 20% on the logical preset.  Overall
-   verdicts ride along so a regression to plausible/refuted fails
-   loudly rather than hiding behind timing. *)
-type certify_result = {
-  cf_name : string;
-  cf_plain_wall_s : float;
-  cf_certify_wall_s : float;
-  cf_check_s : float;  (* independent checker seconds, from the boundaries *)
-  cf_verify_wall_s : float;  (* dense --verify compile wall *)
-  cf_overhead_vs_verify : float;  (* check_s / verify_wall_s *)
-  cf_boundaries : int;
-  cf_overall : string;
-}
-
-let bench_certify () =
-  let case = List.hd (E.Workloads.uccsd_suite ~labels:[ "LiH_frz_JW" ] ()) in
-  let n = case.E.Workloads.n in
-  let blocks = case.E.Workloads.gadget_blocks in
-  let topo = E.Workloads.heavy_hex () in
-  let cold = { Phoenix.Compiler.default_options with cache = Cache.Off } in
-  [
-    "compile-logical-cnot", { cold with Phoenix.Compiler.exact = true };
-    "compile-heavy-hex", { cold with target = Phoenix.Compiler.Hardware topo };
-  ]
-  |> List.map (fun (name, options) ->
-         let wall f =
-           let t0 = Clock.monotonic_s () in
-           ignore (f () : Phoenix.Compiler.report);
-           Clock.monotonic_s () -. t0
-         in
-         let plain_s =
-           wall (fun () -> Phoenix.Compiler.compile_blocks ~options n blocks)
-         in
-         let acc = ref [] in
-         let certify_s =
-           wall (fun () ->
-               Phoenix.Compiler.compile_blocks ~options
-                 ~hooks:[ Phoenix_tv.Certify.hook acc ]
-                 n blocks)
-         in
-         let bs = Phoenix_tv.Certify.boundaries acc in
-         let check_s = Phoenix_tv.Certify.total_check_seconds bs in
-         let verify_s =
-           wall (fun () ->
-               Phoenix.Compiler.compile_blocks
-                 ~options:{ options with Phoenix.Compiler.verify = true }
-                 n blocks)
-         in
-         {
-           cf_name = name;
-           cf_plain_wall_s = plain_s;
-           cf_certify_wall_s = certify_s;
-           cf_check_s = check_s;
-           cf_verify_wall_s = verify_s;
-           cf_overhead_vs_verify =
-             (if verify_s > 0.0 then check_s /. verify_s else 0.0);
-           cf_boundaries = List.length bs;
-           cf_overall = Phoenix_tv.Certify.overall bs;
-         })
-
-(* --- scaling curves and the streaming memory contract ----------------- *)
-
-(* One whole-program compile per (family, size): wall seconds, 2Q count
-   and the live heap with the finished report still held — the memory a
-   caller actually pays to keep the compiled circuit around.  [Gc.compact]
-   before each case resets [heap_words] to the live set so cases don't
-   inherit each other's garbage. *)
-type scaling_case = {
-  sc_family : string;
-  sc_label : string;
-  sc_qubits : int;
-  sc_gadgets : int;
-  sc_wall_s : float;
-  sc_two_q : int;
-  sc_heap_words : int;
-}
-
-type sweep_row = {
-  sw_steps : int;
-  sw_gadgets : int;
-  sw_wall_s : float;
-  sw_stream_peak_words : int;  (* keep_circuit:false *)
-  sw_kept_peak_words : int;  (* keep_circuit:true *)
-}
-
-type scaling_result = {
-  sr_cases : scaling_case list;
-  sr_sweep_workload : string;
-  sr_sweep : sweep_row list;
-  sr_sublinear : bool;
-}
-
-let phoenix_entry () =
-  match Phoenix_pipeline.Registry.find "phoenix" with
-  | Some e -> e
-  | None -> failwith "phoenix pipeline not registered"
-
-let run_scaling ~quick () =
-  let entry = phoenix_entry () in
-  let options = { Phoenix.Compiler.default_options with cache = Cache.Off } in
-  let gadget_count h =
-    List.length
-      (Phoenix_ham.Hamiltonian.trotter_gadgets
-         ~tau:options.Phoenix.Compiler.tau h)
-  in
-  let case sc_family sc_label h =
-    Gc.compact ();
-    let t0 = Clock.monotonic_s () in
-    let r = Phoenix_pipeline.Registry.compile ~options entry h in
-    let sc_wall_s = Clock.monotonic_s () -. t0 in
-    let sc_heap_words = (Gc.quick_stat ()).Gc.heap_words in
-    ignore (Sys.opaque_identity r.Phoenix.Compiler.circuit);
-    {
-      sc_family;
-      sc_label;
-      sc_qubits = Phoenix_ham.Hamiltonian.num_qubits h;
-      sc_gadgets = gadget_count h;
-      sc_wall_s;
-      sc_two_q = r.Phoenix.Compiler.two_q_count;
-      sc_heap_words;
-    }
-  in
-  let hubbard_sizes =
-    [ (2, 2); (2, 3); (3, 3) ] @ if quick then [] else [ (3, 4) ]
-  in
-  let qaoa_labels =
-    [ "Reg3-100"; "Reg3-250"; "Reg3-500" ]
-    @ if quick then [] else [ "Reg3-1000" ]
-  in
-  let sr_cases =
-    List.map
-      (fun (rows, cols) ->
-        case "fermi-hubbard"
-          (Printf.sprintf "%dx%d" rows cols)
-          (Phoenix_ham.Fermi_hubbard.lattice ~rows ~cols ()))
-      hubbard_sizes
-    @ List.map
-        (fun label ->
-          case "qaoa" label
-            (Phoenix_ham.Qaoa.maxcut_cost
-               (List.assoc label (Phoenix_ham.Qaoa.scaling_suite ()))))
-        qaoa_labels
-  in
-  (* The streaming contract: sweep Trotter steps over one sizeable
-     workload and sample the per-chunk heap high-water mark.  With
-     [keep_circuit:false] the peak must stay essentially flat while the
-     gadget count (and the kept-circuit peak) grows linearly — allow 2x
-     over the whole sweep for GC noise. *)
-  let sr_sweep_workload = "Reg3-1000" in
-  let sweep_h =
-    Phoenix_ham.Qaoa.maxcut_cost
-      (List.assoc sr_sweep_workload (Phoenix_ham.Qaoa.scaling_suite ()))
-  in
-  let per_step = gadget_count sweep_h in
-  let steps_list = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  let sr_sweep =
-    List.map
-      (fun steps ->
-        Gc.compact ();
-        let t0 = Clock.monotonic_s () in
-        let s =
-          Phoenix_pipeline.Registry.compile_stream ~options ~steps
-            ~keep_circuit:false entry sweep_h
-        in
-        let sw_wall_s = Clock.monotonic_s () -. t0 in
-        Gc.compact ();
-        let k =
-          Phoenix_pipeline.Registry.compile_stream ~options ~steps
-            ~keep_circuit:true entry sweep_h
-        in
-        {
-          sw_steps = steps;
-          sw_gadgets = steps * per_step;
-          sw_wall_s;
-          sw_stream_peak_words = s.Phoenix.Compiler.s_peak_heap_words;
-          sw_kept_peak_words = k.Phoenix.Compiler.s_peak_heap_words;
-        })
-      steps_list
-  in
-  let sr_sublinear =
-    match (sr_sweep, List.rev sr_sweep) with
-    | first :: _, last :: _ ->
-      last.sw_stream_peak_words < 2 * first.sw_stream_peak_words
-    | _ -> false
-  in
-  { sr_cases; sr_sweep_workload; sr_sweep; sr_sublinear }
-
-let print_scaling sc =
-  Format.fprintf fmt "@[<v>== Scaling (phoenix, cache off) ==@,";
-  List.iter
-    (fun c ->
-      Format.fprintf fmt
-        "%-14s %-10s n=%-5d gadgets=%-6d wall %8.3f s  2Q %-6d live heap %d w@,"
-        c.sc_family c.sc_label c.sc_qubits c.sc_gadgets c.sc_wall_s c.sc_two_q
-        c.sc_heap_words)
-    sc.sr_cases;
-  List.iter
-    (fun r ->
-      Format.fprintf fmt
-        "stream %-10s steps=%d gadgets=%-6d wall %8.3f s  peak %d w \
-         (kept-circuit peak %d w)@,"
-        sc.sr_sweep_workload r.sw_steps r.sw_gadgets r.sw_wall_s
-        r.sw_stream_peak_words r.sw_kept_peak_words)
-    sc.sr_sweep;
-  Format.fprintf fmt "streaming peak sublinear in gadget count: %b@,"
-    sc.sr_sublinear;
-  Format.fprintf fmt "@]@."
-
-let bench_json_path = "BENCH_phoenix.json"
-
-(* The single source of truth for the emitted schema.  [write_bench_json]
-   re-reads the file after writing and asserts this string is what landed
-   on disk, so the checked-in artifact can never drift from the writer
-   again (it had: v2 was checked in while the writer said v3). *)
-let schema_version = "phoenix-bench-v6"
-
-(* Machine-readable perf trajectory: per-pass ms/run from Bechamel plus
-   end-to-end compile wall seconds (with the pipeline's own per-pass
-   split), the synthesis-cache cold/warm comparison, and the parametric
-   VQE-loop serving numbers, appended-to by CI as a workflow artifact. *)
-let write_bench_json ~quick micro e2e cache vqe certify scaling =
-  let oc = open_out bench_json_path in
-  let p fmt_str = Printf.fprintf oc fmt_str in
-  p "{\n";
-  p "  \"schema\": \"%s\",\n" schema_version;
-  p "  \"workload\": \"LiH_frz_JW\",\n";
-  p "  \"quick\": %b,\n" quick;
-  p "  \"micro_ms_per_run\": {";
-  List.iteri
-    (fun i (name, ms) ->
-      p "%s\n    %s: %s"
-        (if i = 0 then "" else ",")
-        (Json.escape name)
-        (match ms with Some v -> Printf.sprintf "%.6f" v | None -> "null"))
-    micro;
-  p "\n  },\n";
-  p "  \"end_to_end\": {";
-  List.iteri
-    (fun i (name, wall_s, two_q, pass_times) ->
-      p "%s\n    %s: { \"wall_s\": %.6f, \"two_q_count\": %d,"
-        (if i = 0 then "" else ",")
-        (Json.escape name) wall_s two_q;
-      p "\n      \"pass_s\": {";
-      List.iteri
-        (fun j (pass, s) ->
-          p "%s %s: %.6f" (if j = 0 then "" else ",") (Json.escape pass) s)
-        pass_times;
-      p " } }")
-    e2e;
-  p "\n  },\n";
-  p "  \"cache\": {";
-  List.iteri
-    (fun i (name, cold_s, warm_s, cold_stats, warm_stats) ->
-      let speedup = if warm_s > 0.0 then cold_s /. warm_s else 0.0 in
-      p "%s\n    %s: { \"cold_wall_s\": %.6f, \"warm_wall_s\": %.6f,"
-        (if i = 0 then "" else ",")
-        (Json.escape name) cold_s warm_s;
-      p "\n      \"speedup\": %.3f," speedup;
-      p "\n      \"cold\": %s," (Cache.stats_to_json cold_stats);
-      p "\n      \"warm\": %s }" (Cache.stats_to_json warm_stats))
-    cache;
-  p "\n  },\n";
-  p "  \"certify\": {";
-  List.iteri
-    (fun i c ->
-      p "%s\n    %s: { \"plain_wall_s\": %.6f, \"certify_wall_s\": %.6f,"
-        (if i = 0 then "" else ",")
-        (Json.escape c.cf_name) c.cf_plain_wall_s c.cf_certify_wall_s;
-      p "\n      \"check_s\": %.6f, \"verify_wall_s\": %.6f," c.cf_check_s
-        c.cf_verify_wall_s;
-      p "\n      \"overhead_vs_verify\": %.4f, \"boundaries\": %d, \
-         \"overall\": %s }"
-        c.cf_overhead_vs_verify c.cf_boundaries (Json.escape c.cf_overall))
-    certify;
-  p "\n  },\n";
-  p "  \"scaling\": {\n";
-  p "    \"cases\": [";
-  List.iteri
-    (fun i c ->
-      p
-        "%s\n      { \"family\": %s, \"label\": %s, \"qubits\": %d, \
-         \"gadgets\": %d,\n\
-        \        \"wall_s\": %.6f, \"two_q_count\": %d, \"live_heap_words\": \
-         %d }"
-        (if i = 0 then "" else ",")
-        (Json.escape c.sc_family) (Json.escape c.sc_label) c.sc_qubits
-        c.sc_gadgets c.sc_wall_s c.sc_two_q c.sc_heap_words)
-    scaling.sr_cases;
-  p "\n    ],\n";
-  p "    \"steps_sweep\": {\n";
-  p "      \"workload\": %s,\n" (Json.escape scaling.sr_sweep_workload);
-  p "      \"rows\": [";
-  List.iteri
-    (fun i r ->
-      p
-        "%s\n        { \"steps\": %d, \"gadgets\": %d, \"wall_s\": %.6f,\n\
-        \          \"stream_peak_words\": %d, \"kept_peak_words\": %d }"
-        (if i = 0 then "" else ",")
-        r.sw_steps r.sw_gadgets r.sw_wall_s r.sw_stream_peak_words
-        r.sw_kept_peak_words)
-    scaling.sr_sweep;
-  p "\n      ],\n";
-  p "      \"streaming_sublinear\": %b\n" scaling.sr_sublinear;
-  p "    }\n";
-  p "  },\n";
-  p "  \"vqe_loop\": {\n";
-  p "    \"workload\": \"LiH_frz_JW\",\n";
-  p "    \"iterations\": %d,\n" vqe.vl_iterations;
-  p "    \"direct_wall_s\": %.6f,\n" vqe.vl_direct_wall_s;
-  p "    \"compile_template_s\": %.6f,\n" vqe.vl_compile_template_s;
-  p "    \"bind_total_s\": %.6f,\n" vqe.vl_bind_total_s;
-  p "    \"bind_us\": %.3f,\n" vqe.vl_bind_us;
-  p "    \"speedup\": %.1f,\n" vqe.vl_speedup;
-  p "    \"per_iteration_speedup\": %.1f,\n" vqe.vl_per_iteration_speedup;
-  p "    \"bind_trace_passes\": [%s],\n"
-    (String.concat ","
-       (List.map
-          (fun s -> " " ^ Json.escape s)
-          vqe.vl_bind_trace_passes)
-    ^ " ");
-  p "    \"bind_equals_compile\": %b\n" vqe.vl_bind_equals_compile;
-  p "  }\n}\n";
-  close_out oc;
-  (* Self-check: the artifact on disk carries the writer's schema. *)
-  let ic = open_in bench_json_path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let expected = Printf.sprintf "\"schema\": \"%s\"" schema_version in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  if not (contains contents expected) then begin
-    Printf.eprintf "%s does not carry schema %s — writer drift\n"
-      bench_json_path schema_version;
-    exit 1
-  end;
-  Format.fprintf fmt "wrote %s (schema %s)@." bench_json_path schema_version
-
-let run_perf ~quick =
-  let open Bechamel in
-  let quota = if quick then 0.5 else 2.0 in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) ()
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let raw = Benchmark.all cfg [ instance ] (perf_tests ()) in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-      instance raw
-  in
-  Format.fprintf fmt
-    "@[<v>== Compile-time micro-benchmarks (LiH_frz_JW, 144 Pauli strings) ==@,";
-  let micro = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> Some (est /. 1e6)
-        | Some _ | None -> None
-      in
-      micro := (name, est) :: !micro)
-    results;
-  let micro = List.sort compare !micro in
-  List.iter
-    (fun (name, est) ->
-      let value =
-        match est with
-        | Some ms -> Printf.sprintf "%12.3f ms/run" ms
-        | None -> "(no estimate)"
-      in
-      Format.fprintf fmt "%-34s %s@," name value)
-    micro;
-  Format.fprintf fmt
-    "(paper: compiles thousands of Pauli strings in dozens of seconds on a laptop)@,";
-  Format.fprintf fmt "@]@.";
-  let cache = cache_cold_warm () in
-  List.iter
-    (fun (name, cold_s, warm_s, cold_stats, warm_stats) ->
-      Format.fprintf fmt
-        "%-34s cache cold %8.3f s -> warm %8.3f s (%.1fx, warm %d hits / %d \
-         misses)@."
-        name cold_s warm_s
-        (if warm_s > 0.0 then cold_s /. warm_s else 0.0)
-        warm_stats.Cache.hits warm_stats.Cache.misses;
-      ignore cold_stats)
-    cache;
-  let certify = bench_certify () in
-  List.iter
-    (fun c ->
-      Format.fprintf fmt
-        "%-34s certify %8.3f s (checker %.3f s over %d boundaries, %s) vs \
-         dense verify %8.3f s -> overhead %.1f%% of verify@."
-        c.cf_name c.cf_certify_wall_s c.cf_check_s c.cf_boundaries c.cf_overall
-        c.cf_verify_wall_s
-        (100.0 *. c.cf_overhead_vs_verify))
-    certify;
-  let vqe = vqe_loop ~quick () in
-  Format.fprintf fmt
-    "vqe-loop (%d iters)                direct %8.3f s -> template %8.3f s + \
-     %d binds at %.1f us (%.0fx end-to-end, %.0fx per iteration, \
-     bit-identical: %b)@."
-    vqe.vl_iterations vqe.vl_direct_wall_s vqe.vl_compile_template_s
-    vqe.vl_iterations vqe.vl_bind_us vqe.vl_speedup
-    vqe.vl_per_iteration_speedup vqe.vl_bind_equals_compile;
-  let scaling = run_scaling ~quick () in
-  print_scaling scaling;
-  if !json_mode then begin
-    let e2e = end_to_end_compiles () in
-    List.iter
-      (fun (name, wall_s, two_q, pass_times) ->
-        Format.fprintf fmt "%-34s %12.3f s end-to-end (%d 2Q)@." name wall_s
-          two_q;
-        List.iter
-          (fun (pass, s) ->
-            Format.fprintf fmt "  %-32s %12.3f s@." pass s)
-          pass_times)
-      e2e;
-    write_bench_json ~quick micro e2e cache vqe certify scaling
-  end
-
 let artifacts =
   [
     "table1", run_table1;
@@ -685,14 +53,12 @@ let artifacts =
     "fig8", run_fig8;
     "ablations", run_ablations;
     "fidelity", run_fidelity;
-    "perf", run_perf;
   ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
-  json_mode := List.mem "--json" args;
-  let wanted = List.filter (fun a -> a <> "--quick" && a <> "--json") args in
+  let wanted = List.filter (fun a -> a <> "--quick") args in
   let to_run =
     match wanted with
     | [] -> artifacts

@@ -4,7 +4,6 @@
      compile   compile a Hamiltonian file (or builtin workload) and report
                metrics; optionally dump the gate list
      info      describe a builtin workload
-     bench     run one of the paper's experiment artifacts
      simulate  compile and state-vector-simulate a small workload
      analyze   run the static analyzer over a compiled workload
      certify   compile under the symbolic translation validator and
@@ -758,33 +757,6 @@ let info_cmd =
   in
   let doc = "Describe a workload." in
   Cmd.v (Cmd.info "info" ~doc) Term.(const run $ source_arg)
-
-let bench_cmd =
-  let artifact =
-    let doc = "Artifact: table1, fig5, fig6, table3, table4 or fig8." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ARTIFACT" ~doc)
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Use a reduced benchmark subset.")
-  in
-  let run artifact quick =
-    let fmt = Format.std_formatter in
-    let labels = if quick then Some Phoenix_experiments.Workloads.uccsd_quick_labels else None in
-    match artifact with
-    | "table1" -> Phoenix_experiments.Table1.print fmt (Phoenix_experiments.Table1.run ?labels ())
-    | "fig5" -> Phoenix_experiments.Fig5.print fmt (Phoenix_experiments.Fig5.run ?labels ())
-    | "fig6" -> Phoenix_experiments.Fig6.print fmt (Phoenix_experiments.Fig6.run ?labels ())
-    | "table3" -> Phoenix_experiments.Table3.print fmt (Phoenix_experiments.Table3.run ?labels ())
-    | "table4" -> Phoenix_experiments.Table4.print fmt (Phoenix_experiments.Table4.run ())
-    | "fig8" ->
-      let scales = if quick then [ 0.1; 0.8 ] else Phoenix_experiments.Fig8.default_scales in
-      Phoenix_experiments.Fig8.print fmt (Phoenix_experiments.Fig8.run ~scales ())
-    | other ->
-      Printf.eprintf "unknown artifact %S\n" other;
-      exit 2
-  in
-  let doc = "Regenerate one of the paper's tables/figures." in
-  Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ artifact $ quick)
 
 let simulate_cmd =
   let shots_arg =
@@ -1581,7 +1553,7 @@ let () =
     try
       Cmd.eval ~catch:false
         (Cmd.group info
-           [ compile_cmd; info_cmd; bench_cmd; simulate_cmd; analyze_cmd; certify_cmd; passes_cmd; cache_cmd; chaos_cmd; serve_cmd ])
+           [ compile_cmd; info_cmd; simulate_cmd; analyze_cmd; certify_cmd; passes_cmd; cache_cmd; chaos_cmd; serve_cmd ])
     with
     | Pass.Interrupted { pass; reason } ->
       (* a budget expired in a pass with no fallback rung: fail closed

@@ -44,7 +44,6 @@ type report = {
   logical_two_q : int;
   num_groups : int;
   wall_time : float;
-  pass_times : (string * float) list;
   diagnostics : Diag.t list;
   trace : Pass.trace;
   cache_stats : Cache.stats;
@@ -475,8 +474,6 @@ let run_passes ?protect ?hooks pipeline ctx =
     logical_two_q = ctx.Pass.logical_two_q;
     num_groups = List.length ctx.Pass.groups;
     wall_time;
-    pass_times =
-      List.map (fun (e : Pass.trace_entry) -> (e.Pass.pass, e.Pass.seconds)) trace;
     diagnostics = List.rev ctx.Pass.diagnostics;
     trace;
     cache_stats = Cache.diff (Cache.stats ()) cache_before;
@@ -629,8 +626,6 @@ let compile_stream ?(options = default_options) ?protect ?hooks
       logical_two_q = !logical2q;
       num_groups = !groups_n;
       wall_time = Clock.monotonic_s () -. t0;
-      pass_times =
-        List.map (fun (e : Pass.trace_entry) -> (e.Pass.pass, e.Pass.seconds)) trace;
       diagnostics = List.concat (List.rev !diags_rev);
       trace;
       cache_stats = Cache.diff (Cache.stats ()) cache_before;

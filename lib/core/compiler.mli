@@ -78,11 +78,6 @@ type report = {
           ratios *)
   num_groups : int;
   wall_time : float;  (** elapsed wall-clock seconds spent compiling *)
-  pass_times : (string * float) list;
-      (** per-pass wall-clock seconds in pipeline order — ["group"],
-          ["simplify"], ["order"], ["assemble"], ["peephole"],
-          ["lower"], ["route"], ["verify"]; passes that did not run are
-          absent *)
   diagnostics : Phoenix_verify.Diag.t list;
       (** chronological; empty unless [options.verify] *)
   trace : Pass.trace;

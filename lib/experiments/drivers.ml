@@ -29,8 +29,6 @@ type outcome = {
   counts : Metrics.counts;
   swaps : int;
   logical_two_q : int;
-  seconds : float;
-  pass_times : (string * float) list;
 }
 
 let options ?(o3 = true) ~isa ~target () =
@@ -46,7 +44,6 @@ let options ?(o3 = true) ~isa ~target () =
    routing + ISA lowering tail on hardware targets, which is exactly the
    treatment the paper's baseline columns get. *)
 let run ~options ~logical compiler n blocks =
-  let t0 = Sys.time () in
   let r = Pipelines.compile_blocks ~options (entry compiler) n blocks in
   {
     counts =
@@ -59,8 +56,6 @@ let run ~options ~logical compiler n blocks =
     swaps = r.Compiler.num_swaps;
     logical_two_q =
       (if logical then r.Compiler.two_q_count else r.Compiler.logical_two_q);
-    seconds = Sys.time () -. t0;
-    pass_times = r.Compiler.pass_times;
   }
 
 let run_logical ?o3 ~isa compiler n blocks =

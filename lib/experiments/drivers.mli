@@ -4,7 +4,7 @@
     by SABRE, and are rebased to SU(4) when that ISA is selected; PHOENIX
     runs its integrated pipeline.  All of them dispatch through the
     pipeline registry ({!Phoenix_pipeline.Registry}), so every outcome
-    carries the registry report's per-pass timings. *)
+    is read off the same compile report. *)
 
 type compiler = Naive | Tket | Paulihedral | Tetris | Phoenix_c
 
@@ -16,9 +16,6 @@ type outcome = {
   counts : Metrics.counts;
   swaps : int;  (** 0 for logical compilation *)
   logical_two_q : int;  (** pre-routing 2Q count under the same ISA *)
-  seconds : float;
-  pass_times : (string * float) list;
-      (** per-pass wall-clock seconds, in pipeline order *)
 }
 
 val run_logical :

@@ -28,24 +28,25 @@ let ansatz ?(seed = 1) ~layers g =
   in
   Hamiltonian.make n (List.concat_map layer (List.init layers (fun l -> l)))
 
-let benchmark_suite () =
-  let rand n = Graphs.random_regular ~seed:(1000 + n) ~degree:4 n in
-  let reg3 n = Graphs.random_regular ~seed:(3000 + n) ~degree:3 n in
-  [
-    "Rand-16", rand 16;
-    "Rand-20", rand 20;
-    "Rand-24", rand 24;
-    "Reg3-16", reg3 16;
-    "Reg3-20", reg3 20;
-    "Reg3-24", reg3 24;
-  ]
+let benchmark_labels =
+  [ "Rand-16"; "Rand-20"; "Rand-24"; "Reg3-16"; "Reg3-20"; "Reg3-24" ]
 
-let scaling_suite () =
-  (* same seeding convention as [benchmark_suite], continued upward *)
-  let reg3 n = Graphs.random_regular ~seed:(3000 + n) ~degree:3 n in
-  [
-    "Reg3-100", reg3 100;
-    "Reg3-250", reg3 250;
-    "Reg3-500", reg3 500;
-    "Reg3-1000", reg3 1000;
-  ]
+let scaling_labels = [ "Reg3-100"; "Reg3-250"; "Reg3-500"; "Reg3-1000" ]
+
+(* The one seeding rule for every named graph: [Rand-n] is 4-regular
+   with seed [1000 + n], [Reg3-n] is 3-regular with seed [3000 + n]. *)
+let graph_of_label label =
+  let regular ~seed_base ~degree n =
+    Some (Graphs.random_regular ~seed:(seed_base + n) ~degree n)
+  in
+  if not (List.mem label benchmark_labels || List.mem label scaling_labels)
+  then None
+  else
+    match String.split_on_char '-' label with
+    | [ "Rand"; n ] -> regular ~seed_base:1000 ~degree:4 (int_of_string n)
+    | [ "Reg3"; n ] -> regular ~seed_base:3000 ~degree:3 (int_of_string n)
+    | _ -> None
+
+let suite labels = List.map (fun l -> (l, Option.get (graph_of_label l))) labels
+let benchmark_suite () = suite benchmark_labels
+let scaling_suite () = suite scaling_labels

@@ -13,6 +13,11 @@ val ansatz : ?seed:int -> layers:int -> Graphs.t -> Hamiltonian.t
     angle γ_l followed by all mixer [X] terms with angle β_l; the angles
     are seeded synthetic parameters. *)
 
+val graph_of_label : string -> Graphs.t option
+(** The seeded graph one suite label names — any label of
+    {!benchmark_suite} or {!scaling_suite} — built on its own; [None] for
+    any other string.  Both suites are derived from it. *)
+
 val benchmark_suite :
   unit -> (string * Graphs.t) list
 (** The six graphs of the paper's Table IV: Rand-16/20/24 (4-regular
@@ -20,5 +25,4 @@ val benchmark_suite :
 
 val scaling_suite : unit -> (string * Graphs.t) list
 (** Large seeded 3-regular graphs — Reg3-100/250/500/1000 — for the
-    streaming-compiler scaling benchmarks; same seeding convention as
-    {!benchmark_suite}. *)
+    streaming-compiler scaling benchmarks. *)

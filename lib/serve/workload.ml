@@ -21,10 +21,7 @@ let of_spec name =
     | exception Not_found ->
       Error (Printf.sprintf "unknown uccsd label %S (see Table I)" label))
   | [ "qaoa"; label ] -> (
-    let suite =
-      Phoenix_ham.Qaoa.benchmark_suite () @ Phoenix_ham.Qaoa.scaling_suite ()
-    in
-    match List.assoc_opt label suite with
+    match Phoenix_ham.Qaoa.graph_of_label label with
     | Some g -> Ok (Phoenix_ham.Qaoa.maxcut_cost g)
     | None -> Error (Printf.sprintf "unknown qaoa graph %S" label))
   | [ "heisenberg"; n ] -> (

@@ -1,9 +1,10 @@
 (* Every JSON artifact the phoenix CLI writes must parse back with
-   Phoenix_util.Json and carry its schema tag: the --trace and --cert
-   files, analyze --json, chaos --json and cache stats --json.  The
-   strings they embed — a workload path, a cache directory — contain a
-   double quote and a non-ASCII character, which a hand-rolled escaper
-   gets wrong.  Usage: json_artifacts PHOENIX_EXE. *)
+   Phoenix_util.Json and carry its schema tag and the keys its schema
+   requires: the --trace and --cert files, analyze --json, chaos --json
+   and cache stats --json.  The strings they embed — a workload path, a
+   cache directory — contain a double quote and a non-ASCII character,
+   which a hand-rolled escaper gets wrong.  Usage: json_artifacts
+   PHOENIX_EXE. *)
 
 module Json = Phoenix_util.Json
 
@@ -45,9 +46,29 @@ let run bin ?(env = []) args =
 
 let str_field key v = Option.bind (Json.mem key v) Json.str
 
-(* Parse [text] and check its schema tag plus any expected string
-   fields. *)
-let check name ?schema ?(fields = []) text =
+(* Required keys: each entry names a key the object must carry and the
+   keys its own object value must carry in turn. *)
+type keys = (string * string list) list
+
+let flat names : keys = List.map (fun k -> (k, [])) names
+
+let has_keys name v (keys : keys) =
+  List.iter
+    (fun (key, inner) ->
+      match Json.mem key v with
+      | None -> fail "%s: no key %S" name key
+      | Some sub ->
+        List.iter
+          (fun k ->
+            if Json.mem k sub = None then fail "%s: no key %S.%S" name key k)
+          inner)
+    keys
+
+(* Parse [text] and check its schema tag, any expected string [fields],
+   the [keys] at the top level and, for each [(array, keys)] in [each],
+   the keys of every element of that array, which must be non-empty
+   (array [""] is the value itself). *)
+let check name ?schema ?(fields = []) ?(keys = []) ?(each = []) text =
   match Json.parse text with
   | Error msg -> fail "%s does not parse: %s" name msg
   | Ok v ->
@@ -61,6 +82,18 @@ let check name ?schema ?(fields = []) text =
         if str_field key v <> Some want then
           fail "%s: %S is not %S" name key want)
       fields;
+    has_keys name v keys;
+    List.iter
+      (fun (array, keys) ->
+        let value = if array = "" then Some v else Json.mem array v in
+        match Option.bind value Json.arr with
+        | Some (_ :: _ as elements) ->
+          List.iteri
+            (fun i e ->
+              has_keys (Printf.sprintf "%s %s[%d]" name array i) e keys)
+            elements
+        | _ -> fail "%s: %S is not a non-empty array" name array)
+      each;
     Printf.printf "ok: %s parses%s\n" name
       (match schema with Some s -> " as " ^ s | None -> "")
 
@@ -84,21 +117,49 @@ let () =
        (run bin [ "compile"; workload; "--trace"; trace ]));
   check "--trace" ~schema:"phoenix-trace-v1"
     ~fields:[ ("workload", workload) ]
+    ~keys:
+      [
+        ("total_seconds", []);
+        ("final", [ "gates"; "one_q"; "two_q"; "depth_2q" ]);
+      ]
+    ~each:
+      [
+        ( "passes",
+          flat
+            [
+              "pass"; "seconds"; "alloc_words"; "top_heap_words"; "before";
+              "after"; "delta";
+            ] );
+      ]
     (read_file trace);
   ignore
     (succeeds "compile --cert" (run bin [ "compile"; workload; "--cert"; cert ]));
   check "--cert" ~schema:"phoenix-cert-v1"
     ~fields:[ ("workload", workload) ]
+    ~keys:
+      [
+        ("template", []);
+        ( "summary",
+          [ "overall"; "proved"; "plausible"; "refuted"; "check_seconds" ] );
+      ]
+    ~each:
+      [
+        ( "boundaries",
+          flat [ "pass"; "claim"; "verdict"; "pass_seconds"; "check_seconds" ]
+        );
+      ]
     (read_file cert);
   let findings =
     succeeds "analyze --json" (run bin [ "analyze"; workload; "--json" ])
   in
-  check "analyze --json" findings;
+  check "analyze --json"
+    ~each:[ ("", flat [ "analysis"; "severity"; "location"; "message" ]) ]
+    findings;
   (match Json.parse findings with
-  | Ok (Json.Arr (_ :: _ as fs)) ->
+  | Ok (Json.Arr fs) ->
     if not (List.for_all (fun f -> str_field "analysis" f <> None) fs) then
-      fail "analyze --json: a finding has no analysis name"
-  | _ -> fail "analyze --json is not a non-empty array of findings");
+      fail "analyze --json: a finding's analysis name is not a string"
+  | _ -> ());
   ignore
     (succeeds "chaos --json"
        (run bin
@@ -108,6 +169,13 @@ let () =
           ]));
   check "chaos --json" ~schema:"phoenix-chaos-v1"
     ~fields:[ ("workload", workload) ]
+    ~keys:
+      (flat
+         [
+           "plan"; "base_seed"; "runs_per_pipeline"; "identical"; "degraded";
+           "failed_closed"; "violations";
+         ])
+    ~each:[ ("results", flat [ "pipeline"; "seed"; "class"; "detail" ]) ]
     (read_file chaos);
   let stats =
     succeeds "cache stats --json"
@@ -117,6 +185,7 @@ let () =
   in
   check "cache stats --json" ~schema:"phoenix-cache-stats-v1"
     ~fields:[ ("dir", cache_dir) ]
+    ~keys:(flat [ "entries"; "bytes"; "memory_budget_bytes" ])
     stats;
   ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
   exit (if !failures = 0 then 0 else 1)

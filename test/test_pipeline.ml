@@ -172,16 +172,6 @@ let prop_trace_telescopes =
           telescopes (Registry.compile_gadgets (entry name) 4 terms))
         [ "phoenix"; "tket"; "paulihedral"; "tetris"; "naive" ])
 
-(* Pass timings in the report come straight from the trace. *)
-let test_pass_times_match_trace () =
-  let r =
-    Registry.compile ~options:(opts ()) (entry "phoenix") (Lazy.force qaoa)
-  in
-  Alcotest.(check (list string))
-    "pass_times names = trace order"
-    (List.map (fun (e : Pass.trace_entry) -> e.Pass.pass) r.Compiler.trace)
-    (List.map fst r.Compiler.pass_times)
-
 (* --- registry surface ------------------------------------------------ *)
 
 let test_registry_names () =
@@ -248,6 +238,40 @@ let workload spec =
   match Phoenix_serve.Workload.of_spec spec with
   | Ok h -> h
   | Error msg -> Alcotest.failf "%s: %s" spec msg
+
+(* Every named QAOA graph resolves on its own to the Hamiltonian its
+   suite builds; other labels are unknown.  The lattice Hubbard specs
+   resolve to two spin orbitals per site. *)
+let test_workload_specs () =
+  let suites =
+    Phoenix_ham.Qaoa.benchmark_suite () @ Phoenix_ham.Qaoa.scaling_suite ()
+  in
+  Alcotest.(check (list string))
+    "suite labels"
+    [
+      "Rand-16"; "Rand-20"; "Rand-24"; "Reg3-16"; "Reg3-20"; "Reg3-24";
+      "Reg3-100"; "Reg3-250"; "Reg3-500"; "Reg3-1000";
+    ]
+    (List.map fst suites);
+  List.iter
+    (fun (label, g) ->
+      Alcotest.(check bool)
+        ("qaoa:" ^ label) true
+        (workload ("qaoa:" ^ label) = Phoenix_ham.Qaoa.maxcut_cost g))
+    suites;
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool)
+        (spec ^ " unknown") true
+        (Result.is_error (Phoenix_serve.Workload.of_spec spec)))
+    [ "qaoa:Reg3-18"; "qaoa:Rand-100"; "qaoa:" ];
+  List.iter
+    (fun (shape, sites) ->
+      let spec = "fermi-hubbard:" ^ shape in
+      Alcotest.(check int)
+        spec (2 * sites)
+        (Phoenix_ham.Hamiltonian.num_qubits (workload spec)))
+    [ ("2x2", 4); ("2x3", 6); ("3x3", 9) ]
 
 let test_job_topology_sizes () =
   let one_qubit =
@@ -397,8 +421,6 @@ let () =
           Alcotest.test_case "telescopes (all pipelines)" `Slow
             test_trace_telescopes_all_pipelines;
           prop_trace_telescopes;
-          Alcotest.test_case "pass_times = trace" `Quick
-            test_pass_times_match_trace;
         ] );
       ( "registry",
         [
@@ -412,6 +434,7 @@ let () =
         ] );
       ( "job",
         [
+          Alcotest.test_case "workload specs" `Quick test_workload_specs;
           Alcotest.test_case "topology register sizes" `Quick
             test_job_topology_sizes;
           Alcotest.test_case "request options" `Quick test_job_options;

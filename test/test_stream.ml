@@ -109,6 +109,44 @@ let test_discard_equals_kept () =
     kept.Compiler.s_report.Compiler.circuit
     (Circuit.concat_list n (List.rev !emitted))
 
+(* The streaming memory contract: with [keep_circuit:false] no chunk
+   circuit stays reachable once it has been emitted, so the live heap
+   after each chunk grows by bookkeeping only (per-chunk trace and report
+   entries), not by a circuit.  Sampled inside [emit] after a full major
+   collection; the current chunk is live at every sample, so it cancels
+   out of the growth. *)
+let test_stream_memory_flat () =
+  let steps = 16 in
+  let options =
+    {
+      Compiler.default_options with
+      Compiler.domains = 1;
+      cache = Phoenix_cache.Cache.Off;
+    }
+  in
+  let chunk_words = ref 0 in
+  let live_rev = ref [] in
+  let emit c =
+    chunk_words := Obj.reachable_words (Obj.repr c);
+    Gc.full_major ();
+    live_rev := (Gc.stat ()).Gc.live_words :: !live_rev
+  in
+  let s =
+    Registry.compile_stream ~options ~steps ~keep_circuit:false ~emit
+      (entry "phoenix")
+      (Phoenix_ham.Spin_models.heisenberg_chain 100)
+  in
+  Alcotest.(check int) "chunks" steps s.Compiler.s_chunks;
+  match (List.rev !live_rev, !live_rev) with
+  | first :: _, last :: _ ->
+    let growth = (last - first) / (steps - 1) in
+    if growth >= !chunk_words / 4 then
+      Alcotest.failf
+        "live heap grows %d words per chunk (%d -> %d over %d chunks); one \
+         chunk circuit is %d words"
+        growth first last steps !chunk_words
+  | _ -> Alcotest.fail "emit never ran"
+
 let test_rejects_hardware () =
   let topo = Phoenix_topology.Topology.line 4 in
   let options =
@@ -160,6 +198,8 @@ let () =
       ( "contracts",
         [
           Alcotest.test_case "discard ≡ kept" `Quick test_discard_equals_kept;
+          Alcotest.test_case "discarded chunks are not retained" `Quick
+            test_stream_memory_flat;
           Alcotest.test_case "hardware rejected" `Quick test_rejects_hardware;
           Alcotest.test_case "steps ≥ 1" `Quick test_rejects_bad_steps;
         ] );

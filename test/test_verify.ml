@@ -17,6 +17,7 @@ module Group = Phoenix.Group
 module Simplify = Phoenix.Simplify
 module Synthesis = Phoenix.Synthesis
 module Compiler = Phoenix.Compiler
+module Pass = Phoenix.Pass
 module Sabre = Phoenix_router.Sabre
 module Topology = Phoenix_topology.Topology
 
@@ -250,16 +251,23 @@ let test_unfaulted_compile_verifies () =
 
 let test_pass_times_reported () =
   let r = Compiler.compile heisenberg4 in
-  let keys = List.map fst r.Compiler.pass_times in
+  let keys =
+    List.map (fun (e : Pass.trace_entry) -> e.Pass.pass) r.Compiler.trace
+  in
   List.iter
     (fun k ->
       Alcotest.(check bool) (k ^ " timed") true (List.mem k keys))
     [ "group"; "simplify"; "order"; "peephole"; "lower" ];
   List.iter
-    (fun (k, t) ->
-      Alcotest.(check bool) (k ^ " non-negative") true (t >= 0.0))
-    r.Compiler.pass_times;
-  let sum = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 r.Compiler.pass_times in
+    (fun (e : Pass.trace_entry) ->
+      Alcotest.(check bool) (e.Pass.pass ^ " non-negative") true
+        (e.Pass.seconds >= 0.0))
+    r.Compiler.trace;
+  let sum =
+    List.fold_left
+      (fun acc (e : Pass.trace_entry) -> acc +. e.Pass.seconds)
+      0.0 r.Compiler.trace
+  in
   Alcotest.(check bool) "passes within wall time" true
     (sum <= r.Compiler.wall_time +. 1e-3)
 
