@@ -33,7 +33,12 @@ let concat a b =
   { n = a.n; gates = a.gates @ b.gates }
 
 let concat_list n cs =
-  List.fold_left concat (empty n) cs
+  let init = empty n in
+  List.iter
+    (fun c ->
+      if c.n <> n then invalid_arg "Circuit.concat: qubit-count mismatch")
+    cs;
+  { init with gates = List.concat_map gates cs }
 
 let dagger t = { t with gates = List.rev_map Gate.dagger t.gates }
 

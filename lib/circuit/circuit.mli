@@ -29,6 +29,10 @@ val concat : t -> t -> t
 (** Raises [Invalid_argument] on differing qubit counts. *)
 
 val concat_list : int -> t list -> t
+(** [concat_list n cs] is the [n]-qubit concatenation of [cs] in order,
+    in time linear in the total gate count.  Raises [Invalid_argument]
+    like {!concat} when some circuit is not on [n] qubits. *)
+
 val dagger : t -> t
 
 val map_angles : (float -> float) -> t -> t

@@ -2,8 +2,8 @@ module Gate = Helpers.Gate
 module Circuit = Helpers.Circuit
 module Clifford2q = Helpers.Clifford2q
 module Pauli = Helpers.Pauli
-module Endian = Phoenix_circuit.Endian
-module Interaction = Phoenix_circuit.Interaction
+module Endian = Order_reference.Endian
+module Interaction = Order_reference.Interaction
 
 let cnot a b = Gate.Cnot (a, b)
 let h q = Gate.G1 (Gate.H, q)
@@ -69,7 +69,20 @@ let test_map_qubits () =
 let test_concat_mismatch () =
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Circuit.concat: qubit-count mismatch") (fun () ->
-      ignore (Circuit.concat (Circuit.empty 2) (Circuit.empty 3)))
+      ignore (Circuit.concat (Circuit.empty 2) (Circuit.empty 3)));
+  Alcotest.check_raises "list mismatch"
+    (Invalid_argument "Circuit.concat: qubit-count mismatch") (fun () ->
+      ignore
+        (Circuit.concat_list 2
+           [ Circuit.create 2 [ cnot 0 1 ]; Circuit.empty 3; Circuit.empty 2 ]));
+  Alcotest.(check (list string))
+    "list order"
+    [ "CNOT q0,q1"; "H q1"; "CNOT q1,q0" ]
+    (List.map Gate.to_string
+       (Circuit.gates
+          (Circuit.concat_list 2
+             [ Circuit.create 2 [ cnot 0 1 ]; Circuit.empty 2;
+               Circuit.create 2 [ h 1; cnot 1 0 ] ])))
 
 let test_interaction_counts () =
   let c = Circuit.create 3 [ cnot 0 1; cnot 1 0; cnot 1 2 ] in

@@ -189,6 +189,12 @@ let test_order_keeps_all_blocks () =
   in
   let ordered = Order.order blocks in
   Alcotest.(check int) "same count" 3 (List.length ordered);
+  let b = List.hd blocks in
+  Alcotest.(check int) "shared records kept" 3
+    (List.length (Order.order [ b; b; b ]));
+  Alcotest.check_raises "lookahead 0"
+    (Invalid_argument "Order.order: lookahead must be at least 1") (fun () ->
+      ignore (Order.order ~lookahead:0 blocks));
   (* widest first *)
   match ordered with
   | first :: _ ->
@@ -202,9 +208,9 @@ let test_exposed_cliffords () =
       [ Gate.Cliff2 c; Gate.Rpp { p0 = Phoenix_pauli.Pauli.Z; p1 = Phoenix_pauli.Pauli.Z; a = 0; b = 1; theta = 0.5 } ]
   in
   Alcotest.(check int) "leading exposed" 1
-    (List.length (Order.exposed_boundary_cliffords `Leading circ));
+    (List.length (Order_reference.exposed_boundary_cliffords `Leading circ));
   Alcotest.(check int) "trailing shadowed" 0
-    (List.length (Order.exposed_boundary_cliffords `Trailing circ))
+    (List.length (Order_reference.exposed_boundary_cliffords `Trailing circ))
 
 let test_assembly_cost_rewards_cancellation () =
   let c = Phoenix_pauli.Clifford2q.make Phoenix_pauli.Clifford2q.CZZ 0 1 in
@@ -217,6 +223,153 @@ let test_assembly_cost_rewards_cancellation () =
   let cost_cancel = Order.assembly_cost b_cliff b_cliff in
   let cost_plain = Order.assembly_cost b_plain b_plain in
   Alcotest.(check bool) "cancellation cheaper" true (cost_cancel < cost_plain)
+
+(* --- ordering: summary-based cost = the register-wide reference --- *)
+
+let one_q_gen n =
+  let open QCheck2.Gen in
+  let* k =
+    oneofl Gate.[ H; S; Sdg; X; Y; Z; T; Tdg; Rx 0.3; Ry (-0.7); Rz 1.1 ]
+  in
+  let* q = int_range 0 (n - 1) in
+  return (Gate.G1 (k, q))
+
+(* Random gates over [n] qubits: every 2Q kind the ordering cost sees,
+   Clifford2Q gates of all six kinds in both operand orders. *)
+let gate_gen n =
+  let open QCheck2.Gen in
+  if n < 2 then one_q_gen n
+  else
+    let pair =
+      let* a = int_range 0 (n - 1) in
+      let* b = int_range 0 (n - 2) in
+      return (a, if b >= a then b + 1 else b)
+    in
+    let sigma = oneofl Phoenix_pauli.Pauli.[ X; Y; Z ] in
+    frequency
+      [
+        2, one_q_gen n;
+        2, map (fun (a, b) -> Gate.Cnot (a, b)) pair;
+        4, map (fun c -> Gate.Cliff2 c) (Helpers.clifford2q_gen n);
+        2,
+        (let* a, b = pair and* p0 = sigma and* p1 = sigma in
+         return (Gate.Rpp { p0; p1; a; b; theta = 0.4 }));
+        1, map (fun (a, b) -> Gate.Swap (a, b)) pair;
+      ]
+
+(* Empty circuits, 1Q-only circuits (no 2Q layer) and mixed ones. *)
+let order_circuit_gen n =
+  let open QCheck2.Gen in
+  let gates g = list_size (int_range 0 12) g in
+  map (Circuit.create n)
+    (frequency [ 1, return []; 1, gates (one_q_gen n); 6, gates (gate_gen n) ])
+
+let order_block_gen n =
+  let open QCheck2.Gen in
+  let* w = Helpers.pauli_string_gen n and* circuit = order_circuit_gen n in
+  return { Order.group = Group.of_terms n [ w, 0.1 ]; circuit }
+
+let print_block b = Format.asprintf "%a" Circuit.pp b.Order.circuit
+
+let cost_bits_agree ~routing_aware prev next =
+  Int64.equal
+    (Int64.bits_of_float (Order.assembly_cost ~routing_aware prev next))
+    (Int64.bits_of_float
+       (Order_reference.assembly_cost ~routing_aware prev next))
+
+let prop_assembly_cost_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"assembly cost = reference bit for bit"
+       ~print:(fun (a, b) -> print_block a ^ "\n" ^ print_block b)
+       QCheck2.Gen.(
+         let* n = int_range 1 8 in
+         pair (order_block_gen n) (order_block_gen n))
+       (fun (a, b) ->
+         cost_bits_agree ~routing_aware:false a b
+         && cost_bits_agree ~routing_aware:true a b))
+
+(* Positions of [ordered]'s records in [blocks] (physical identity). *)
+let index_sequence blocks ordered =
+  List.map
+    (fun b ->
+      match List.find_index (fun b' -> b' == b) blocks with
+      | Some i -> i
+      | None -> -1)
+    ordered
+
+let prop_order_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"order = reference index sequence"
+       ~print:(fun (blocks, lookahead, routing_aware) ->
+         Printf.sprintf "%d blocks, lookahead %d, routing_aware %b:\n%s"
+           (List.length blocks) lookahead routing_aware
+           (String.concat "\n" (List.map print_block blocks)))
+       QCheck2.Gen.(
+         let* n = int_range 1 8 in
+         let* blocks = list_size (int_range 0 40) (order_block_gen n) in
+         let* lookahead = int_range 1 12 and* routing_aware = bool in
+         return (blocks, lookahead, routing_aware))
+       (fun (blocks, lookahead, routing_aware) ->
+         index_sequence blocks (Order.order ~lookahead ~routing_aware blocks)
+         = index_sequence blocks
+             (Order_reference.order ~lookahead ~routing_aware blocks)))
+
+(* The blocks a real compile hands to the order pass. *)
+let blocks_at_order ?target spec =
+  let h =
+    match Phoenix_serve.Workload.of_spec spec with
+    | Ok h -> h
+    | Error msg -> Alcotest.failf "%s: %s" spec msg
+  in
+  let captured = ref [] in
+  let hook ~(pass : Phoenix.Pass.t) ~before ~after:_ ~seconds:_ =
+    if pass.Phoenix.Pass.name = "order" then
+      captured := before.Phoenix.Pass.blocks
+  in
+  let options =
+    {
+      Compiler.default_options with
+      target = Option.value ~default:Compiler.Logical target;
+      cache = Phoenix_cache.Cache.Off;
+    }
+  in
+  ignore (Compiler.compile ~options ~hooks:[ hook ] h);
+  !captured
+
+let test_real_blocks_match_reference () =
+  let hh = Compiler.Hardware (Topology.ibm_manhattan ()) in
+  List.iter
+    (fun (spec, target) ->
+      let blocks = blocks_at_order ?target spec in
+      Alcotest.(check bool) (spec ^ " captured blocks") true
+        (List.length blocks > 1);
+      List.iter
+        (fun prev ->
+          List.iter
+            (fun next ->
+              List.iter
+                (fun routing_aware ->
+                  if not (cost_bits_agree ~routing_aware prev next) then
+                    Alcotest.failf "%s: cost differs (routing_aware %b)" spec
+                      routing_aware)
+                [ false; true ])
+            blocks)
+        blocks;
+      List.iter
+        (fun routing_aware ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s order (routing_aware %b)" spec routing_aware)
+            (index_sequence blocks
+               (Order_reference.order ~routing_aware blocks))
+            (index_sequence blocks (Order.order ~routing_aware blocks)))
+        [ false; true ])
+    [
+      "uccsd:LiH_frz_JW", None;
+      "uccsd:LiH_frz_JW", Some hh;
+      "qaoa:Reg3-16", None;
+      "qaoa:Reg3-16", Some hh;
+    ]
 
 (* --- compiler pipeline --- *)
 
@@ -365,6 +518,10 @@ let () =
           Alcotest.test_case "exposed cliffords" `Quick test_exposed_cliffords;
           Alcotest.test_case "rewards cancellation" `Quick
             test_assembly_cost_rewards_cancellation;
+          prop_assembly_cost_matches_reference;
+          prop_order_matches_reference;
+          Alcotest.test_case "real blocks = reference" `Slow
+            test_real_blocks_match_reference;
         ] );
       ( "compiler",
         [

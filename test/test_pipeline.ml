@@ -47,6 +47,11 @@ let opts ?(exact = false) ?(verify = false) ?(peephole = true) ?target ?isa ()
     isa = Option.value ~default:Compiler.Cnot_isa isa;
   }
 
+let workload spec =
+  match Phoenix_serve.Workload.of_spec spec with
+  | Ok h -> h
+  | Error msg -> Alcotest.failf "%s: %s" spec msg
+
 (* --- golden outputs: PHOENIX is bit-identical across the refactor ---- *)
 
 let check_report name ~md5 ~two_q ~depth_2q ~one_q ~swaps ~logical_two_q
@@ -96,6 +101,28 @@ let test_phoenix_golden_qaoa () =
   check_report "heavyhex" ~md5:"8c595a2b87bb915b30abf42915a52533" ~two_q:115
     ~depth_2q:35 ~one_q:24 ~swaps:23 ~logical_two_q:48
     (go (opts ~target:(Compiler.Hardware hh) ()))
+
+(* Goldens past the 16 logical qubits of the presets above, where the
+   ordering cost's register-wide terms (untouched qubits' endian entries,
+   untouched rows of the Eq. 7 distance matrices) carry most of the
+   weight: a 250-qubit QAOA graph, a 5×5 Hubbard lattice and a routed
+   water molecule. *)
+let test_phoenix_golden_at_scale () =
+  let phoenix = entry "phoenix" in
+  let go ?target spec =
+    Registry.compile ~options:(opts ?target ()) phoenix (workload spec)
+  in
+  check_report "Reg3-250" ~md5:"606a1ec96316f5c5791f58ac5957f4ab" ~two_q:750
+    ~depth_2q:34 ~one_q:375 ~swaps:0 ~logical_two_q:750
+    (go "qaoa:Reg3-250");
+  check_report "fermi-hubbard 5x5" ~md5:"3ddf03c748c7cf195ca462839c045840"
+    ~two_q:1168 ~depth_2q:924 ~one_q:1324 ~swaps:0 ~logical_two_q:1168
+    (go "fermi-hubbard:5x5");
+  check_report "H2O_frz_BK heavyhex" ~md5:"2420e96ba0df06cb4bcfe25efa38be67"
+    ~two_q:8127 ~depth_2q:5692 ~one_q:6443 ~swaps:2003 ~logical_two_q:2158
+    (go
+       ~target:(Compiler.Hardware (Topology.ibm_manhattan ()))
+       "uccsd:H2O_frz_BK")
 
 (* The baselines, now expressed as registry pipelines, still produce the
    exact circuits their standalone [compile] entry points did. *)
@@ -172,6 +199,37 @@ let prop_trace_telescopes =
           telescopes (Registry.compile_gadgets (entry name) 4 terms))
         [ "phoenix"; "tket"; "paulihedral"; "tetris"; "naive" ])
 
+(* --- the order pass scales linearly in the program ------------------- *)
+
+(* Words the order pass allocates per gadget, on one domain with the
+   synthesis cache off.  Allocation counts are deterministic where
+   wall-clock times are not, so this is the form of the linear-time claim
+   a test can gate on: any per-candidate cost that grows with the
+   register width shows up as a per-gadget ratio far above one between a
+   250- and a 1000-qubit QAOA graph. *)
+let order_words_per_gadget spec =
+  let h = workload spec in
+  let options =
+    { (opts ()) with Compiler.domains = 1; cache = Phoenix_cache.Cache.Off }
+  in
+  let r = Registry.compile ~options (entry "phoenix") h in
+  match List.find_opt (fun e -> e.Pass.pass = "order") r.Compiler.trace with
+  | Some e ->
+    e.Pass.alloc_words
+    /. float_of_int
+         (List.length (Phoenix_ham.Hamiltonian.trotter_gadgets h))
+  | None -> Alcotest.failf "%s: no order entry in the trace" spec
+
+let test_order_allocation_linear () =
+  let small = order_words_per_gadget "qaoa:Reg3-250" in
+  let large = order_words_per_gadget "qaoa:Reg3-1000" in
+  let ratio = large /. small in
+  if ratio > 1.5 then
+    Alcotest.failf
+      "order words per gadget grew %.2f× from Reg3-250 (%.0f) to Reg3-1000 \
+       (%.0f); linear-time ordering keeps it within 1.5×"
+      ratio small large
+
 (* --- registry surface ------------------------------------------------ *)
 
 let test_registry_names () =
@@ -233,11 +291,6 @@ let test_hooks_clean_on_real_pipelines () =
 (* --- Job: the request resolution both front ends share ----------------- *)
 
 module Job = Phoenix_pipeline.Job
-
-let workload spec =
-  match Phoenix_serve.Workload.of_spec spec with
-  | Ok h -> h
-  | Error msg -> Alcotest.failf "%s: %s" spec msg
 
 (* Every named QAOA graph resolves on its own to the Hamiltonian its
    suite builds; other labels are unknown.  The lattice Hubbard specs
@@ -414,6 +467,7 @@ let () =
         [
           Alcotest.test_case "phoenix uccsd" `Slow test_phoenix_golden_uccsd;
           Alcotest.test_case "phoenix qaoa" `Quick test_phoenix_golden_qaoa;
+          Alcotest.test_case "phoenix at scale" `Slow test_phoenix_golden_at_scale;
           Alcotest.test_case "baselines" `Slow test_baseline_golden;
         ] );
       ( "trace",
@@ -421,6 +475,8 @@ let () =
           Alcotest.test_case "telescopes (all pipelines)" `Slow
             test_trace_telescopes_all_pipelines;
           prop_trace_telescopes;
+          Alcotest.test_case "order allocation linear in gadgets" `Slow
+            test_order_allocation_linear;
         ] );
       ( "registry",
         [
