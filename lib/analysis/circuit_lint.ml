@@ -289,9 +289,10 @@ let angle_sanity t =
 
    End-to-end check that the compiled circuit implements the gadget
    program it was compiled from, in the frame × phase-polynomial
-   abstract domain ([Phoenix_tv]).  Simulation-free like every other
-   registry analysis, and — unlike the dense verifier — sound on routed
-   circuits (via the recorded layout) and on slotted templates. *)
+   abstract domain ([Phoenix_verify.Checker]).  Simulation-free like
+   every other registry analysis, and — unlike the dense verifier —
+   sound on routed circuits (via the recorded layout) and on slotted
+   templates. *)
 
 let translation_validation t =
   let analysis = "translation-validation" in
@@ -308,10 +309,10 @@ let translation_validation t =
     in
     let relation = if t.exact then "sequence" else "multiset" in
     (match
-       Phoenix_tv.Checker.check_program ~exact:t.exact ?l2p n program
+       Phoenix_verify.Checker.check_program ~exact:t.exact ?l2p n program
          t.circuit
      with
-    | Phoenix_tv.Checker.Proved ->
+    | Phoenix_verify.Checker.Proved ->
       [
         Finding.info ~analysis
           "%d-gadget program certified against the circuit (%s relation%s)"
@@ -320,7 +321,7 @@ let translation_validation t =
           | Some _ -> ", relabeled through the routing layout"
           | None -> "");
       ]
-    | Phoenix_tv.Checker.Plausible r ->
+    | Phoenix_verify.Checker.Plausible r ->
       [ Finding.warning ~analysis "not certified (checker out of domain): %s" r ]
-    | Phoenix_tv.Checker.Refuted r ->
+    | Phoenix_verify.Checker.Refuted r ->
       [ Finding.error ~analysis "circuit does not implement the program: %s" r ])

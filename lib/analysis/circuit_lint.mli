@@ -80,7 +80,7 @@ val angle_sanity : target -> Finding.t list
 
 val translation_validation : target -> Finding.t list
 (** Symbolic end-to-end translation validation
-    ({!Phoenix_tv.Checker.check_program}): does the circuit implement
+    ({!Phoenix_verify.Checker.check_program}): does the circuit implement
     the target's [program] in the frame × phase-polynomial domain?
     [Info] when proved, [Warning] when the checker is out of its domain
     (never a silent accept), [Error] with a counterexample description

@@ -8,6 +8,7 @@ module Parallel = Phoenix_util.Parallel
 module Clock = Phoenix_util.Clock
 module Diag = Phoenix_verify.Diag
 module Equiv = Phoenix_verify.Equiv
+module Checker = Phoenix_verify.Checker
 module Structural = Phoenix_verify.Structural
 module Cache = Phoenix_cache.Cache
 
@@ -60,14 +61,18 @@ type report = {
 let group_unitary_max_qubits = 8
 let final_unitary_max_qubits = 10
 
-(* Per-group translation validation: the scalable Pauli-propagation check
-   always runs; for small registers the dense unitary comparison backs it
-   up.  The dense comparison is the degradable rung: when the budget
-   expires inside it, the group keeps its propagation certificate and a
-   ladder event records the step.  The propagation check itself carries
-   no checkpoints — the terminal rung always completes. *)
+(* Per-group translation validation: the symbolic checker's scalable
+   Pauli-propagation check always runs (an undecided verdict fails
+   closed, like a refuted one); for small registers the dense unitary
+   comparison backs it up.  The dense comparison is the degradable
+   rung: when the budget expires inside it, the group keeps its
+   propagation certificate and a ladder event records the step.  The
+   propagation check itself carries no checkpoints — the terminal rung
+   always completes. *)
 let check_group_circuit (options : options) n terms circuit =
-  match Equiv.propagation_check ~exact:options.exact n terms circuit with
+  match
+    Checker.to_result (Checker.check_program ~exact:options.exact n terms circuit)
+  with
   | Error _ as e -> (e, [])
   | Ok () ->
     if n > group_unitary_max_qubits then (Ok (), [])
@@ -430,7 +435,10 @@ let verify_pass =
               (Resilience.event ~subject:"equivalence-check"
                  ~from_rung:"dense-unitary" ~to_rung:"pauli-propagation" ())
           in
-          match Equiv.propagation_check ~exact:true n program ctx.Pass.circuit with
+          match
+            Checker.to_result
+              (Checker.check_program ~exact:true n program ctx.Pass.circuit)
+          with
           | Ok () ->
             Pass.diagf ~pass:"verify" Diag.Warning ctx
               "budget exhausted during dense check; degraded to the \

@@ -118,9 +118,9 @@ let diagf ?group ~pass severity ctx fmt =
     (fun m -> add_diag ctx (Diag.make ?group ~pass severity m))
     fmt
 
-(* --- pass certificates --- *)
+(* --- pass certificates: the checker's claims, re-exported --- *)
 
-type certificate =
+type certificate = Phoenix_verify.Checker.claim =
   | Unchanged
   | Preserving
   | Reordering

@@ -116,10 +116,12 @@ val diagf :
 
     Every pass carries a {e certificate}: a machine-checkable claim
     about the semantic relation between its input and output contexts,
-    emitted by the pass itself and audited by the independent symbolic
-    checker in [Phoenix_tv] (which shares no code with the passes).  The
-    claims form a small lattice of rewrite freedoms over the Pauli IR's
-    (signed Clifford frame × phase polynomial) abstraction:
+    emitted by the pass itself and audited by the symbolic equivalence
+    checker {!Phoenix_verify.Checker}, which sits below the pass layer
+    and rebuilds both sides from raw gates.  The type is the checker's
+    [claim], re-exported with its constructors.  The claims form a small
+    lattice of rewrite freedoms over the Pauli IR's (signed Clifford
+    frame × phase polynomial) abstraction:
 
     - {!Unchanged}: the abstraction is structurally identical on both
       sides (e.g. assembly, counting, verification passes).
@@ -133,7 +135,7 @@ val diagf :
       register and must equal the input modulo the claimed qubit
       permutation (plus the freedoms above). *)
 
-type certificate =
+type certificate = Phoenix_verify.Checker.claim =
   | Unchanged
   | Preserving
   | Reordering
@@ -154,8 +156,8 @@ type t = {
   certify : before:ctx -> after:ctx -> certificate;
       (** The pass's certificate for one executed boundary.  It may read
           both contexts (e.g. to report the layout it installed), but it
-          is a {e claim}, not a proof — [Phoenix_tv.Checker] replays it
-          in the abstract domain and returns a verdict. *)
+          is a {e claim}, not a proof — {!Phoenix_verify.Checker} replays
+          it in the abstract domain and returns a verdict. *)
 }
 (** A named transformation over the context.  A pipeline is a [t list]. *)
 

@@ -119,8 +119,9 @@ val arena_size : unit -> int
     dropped: range reduction subtracts a multiple of 4π, and
     [exp(-i(x - 4πk)/2 σ) = exp(-ix/2 σ)] exactly for every Pauli [σ],
     so as a rotation generator [norm(x) ≡ x] for all bindings.  This is
-    the angle-equality backbone of the translation validator
-    ([Phoenix_tv]): [θ/2 + θ/2] and [θ] linearize identically. *)
+    the angle-equality backbone of the equivalence checker
+    ([Phoenix_verify.Checker]): [θ/2 + θ/2] and [θ] linearize
+    identically. *)
 
 type linear = { coeffs : (int * float) list; const : float }
 (** Canonical affine form: [coeffs] maps parameter index to coefficient,

@@ -3,7 +3,7 @@ module Circuit = Phoenix_circuit.Circuit
 module Circuit_lint = Phoenix_analysis.Circuit_lint
 module Analyses = Phoenix_analysis.Registry
 module Diag = Phoenix_verify.Diag
-module Equiv = Phoenix_verify.Equiv
+module Checker = Phoenix_verify.Checker
 
 (* Mid-pipeline circuits are not yet in the target ISA (abstract Pauli
    rotations, un-expanded SWAPs), so per-boundary linting runs only the
@@ -19,11 +19,12 @@ let lint acc : Pass.hook =
     List.iter (fun f -> acc := (pass.Pass.name, f) :: !acc) findings
   end
 
-(* The one boundary where whole-program translation validation is sound
-   for every pipeline: the pass that materializes the full circuit from
-   an empty one (assemble, or naive's synth).  Later passes rewrite
-   rotations (peephole folding) or permute qubits (routing), where
-   gadget-multiset propagation checking no longer applies. *)
+(* The one boundary every pipeline shares where the circuit can be
+   checked against the whole program alone: the pass that materializes
+   the full circuit from an empty one (assemble, or naive's synth).
+   Later passes rewrite rotations (peephole folding) or permute qubits
+   (routing); the certify hook audits those boundaries against each
+   pass's own claim. *)
 let applicable ~(before : Pass.ctx) ~(after : Pass.ctx) =
   Circuit.length before.Pass.circuit = 0
   && Circuit.length after.Pass.circuit > 0
@@ -34,8 +35,9 @@ let translation_validate acc : Pass.hook =
  fun ~pass ~before ~after ~seconds:_ ->
   if applicable ~before ~after then begin
     let result =
-      Equiv.propagation_check ~exact:after.Pass.options.Pass.exact after.Pass.n
-        after.Pass.gadgets after.Pass.circuit
+      Checker.to_result
+        (Checker.check_program ~exact:after.Pass.options.Pass.exact
+           after.Pass.n after.Pass.gadgets after.Pass.circuit)
     in
     let d =
       match result with

@@ -14,11 +14,12 @@ val lint :
 
 val translation_validate :
   Phoenix_verify.Diag.t list ref -> Phoenix.Pass.hook
-(** Whole-program Pauli-propagation validation at the one boundary where
-    it is sound for every registered pipeline: the pass that materializes
+(** Whole-program Pauli-propagation validation
+    ({!Phoenix_verify.Checker.check_program}) at the one boundary where
+    it applies to every registered pipeline: the pass that materializes
     the full circuit from an empty one (assemble / naive's synth), before
     peephole rewriting or routing.  Records an [Info] diagnostic on
-    success, an [Error] on mismatch.  This gives baseline pipelines —
+    success, an [Error] on mismatch or an undecided verdict.  This gives baseline pipelines —
     which had no verification story at all — a translation-validation
     check for free. *)
 

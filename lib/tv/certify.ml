@@ -1,4 +1,9 @@
 module Pass = Phoenix.Pass
+module Order = Phoenix.Order
+module Group = Phoenix.Group
+module Circuit = Phoenix_circuit.Circuit
+module Domain = Phoenix_verify.Domain
+module Checker = Phoenix_verify.Checker
 module Clock = Phoenix_util.Clock
 module Json = Phoenix_util.Json
 
@@ -10,13 +15,35 @@ type boundary = {
   check_seconds : float;
 }
 
+(* The most-lowered representation a context holds wins: a non-empty
+   circuit, else synthesized blocks, else IR groups, else the flat
+   gadget program.  This is the α every pass boundary is compared
+   under, so a pass that rewrites between representations (grouping,
+   synthesis, assembly) is checked exactly like one that rewrites
+   within a circuit. *)
+let of_ctx (ctx : Pass.ctx) =
+  let n = ctx.Pass.n in
+  if Circuit.length ctx.Pass.circuit > 0 then Domain.of_circuit ctx.Pass.circuit
+  else if ctx.Pass.blocks <> [] then
+    Domain.of_circuit
+      (Circuit.concat_list n
+         (List.map (fun b -> b.Order.circuit) ctx.Pass.blocks))
+  else if ctx.Pass.groups <> [] then
+    Domain.of_terms n (List.concat_map (fun g -> g.Group.terms) ctx.Pass.groups)
+  else Domain.of_terms n ctx.Pass.gadgets
+
+let check_boundary ~claim ~before ~after =
+  match (of_ctx before, of_ctx after) with
+  | a, b -> Checker.check_claim ~exact:after.Pass.options.Pass.exact claim a b
+  | exception (Invalid_argument m | Failure m) -> Checker.Plausible m
+
 let schema_version = "phoenix-cert-v1"
 
 let hook acc : Pass.hook =
  fun ~pass ~before ~after ~seconds ->
   let claim = pass.Pass.certify ~before ~after in
   let t0 = Clock.monotonic_s () in
-  let verdict = Checker.check_boundary ~claim ~before ~after in
+  let verdict = check_boundary ~claim ~before ~after in
   let check_seconds = Clock.monotonic_s () -. t0 in
   acc :=
     {

@@ -1,20 +1,31 @@
-(** Certification driver: the [certify] pass-manager hook and the
-    [phoenix-cert-v1] artifact.
+(** Certification driver: the [certify] pass-manager hook, the
+    per-boundary check, and the [phoenix-cert-v1] artifact.
 
     Usage mirrors the lint hook: own a [boundary list ref], pass
     [Certify.hook acc] to {!Phoenix.Pass.run} (or any [compile*] /
     registry entry point taking [?hooks]), then read {!boundaries}.
     Each executed pass boundary contributes one record: the pass's
-    claimed certificate, the independent checker's verdict, and the
-    wall-clock cost of both the pass and the check. *)
+    claimed certificate, the verdict of the equivalence checker
+    ({!Phoenix_verify.Checker}), and the wall-clock cost of both the
+    pass and the check. *)
 
 type boundary = {
   pass : string;
   claim : string;  (** {!Phoenix.Pass.certificate_label} of the claim *)
-  verdict : Checker.verdict;
+  verdict : Phoenix_verify.Checker.verdict;
   pass_seconds : float;
   check_seconds : float;
 }
+
+val check_boundary :
+  claim:Phoenix.Pass.certificate ->
+  before:Phoenix.Pass.ctx ->
+  after:Phoenix.Pass.ctx ->
+  Phoenix_verify.Checker.verdict
+(** Audit one executed pass boundary against the pass's claim: abstract
+    each context by the most-lowered representation it holds (circuit ≻
+    blocks ≻ groups ≻ gadgets), then apply
+    {!Phoenix_verify.Checker.check_claim}. *)
 
 val schema_version : string
 (** ["phoenix-cert-v1"]. *)

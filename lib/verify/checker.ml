@@ -1,8 +1,12 @@
 module Pauli = Phoenix_pauli.Pauli
 module Pauli_string = Phoenix_pauli.Pauli_string
 module Angle = Phoenix_pauli.Angle
-module Frame = Phoenix_verify.Frame
-module Pass = Phoenix.Pass
+
+type claim =
+  | Unchanged
+  | Preserving
+  | Reordering
+  | Routing of { l2p : int array; n_physical : int }
 
 type verdict = Proved | Plausible of string | Refuted of string
 
@@ -14,6 +18,10 @@ let verdict_label = function
 let verdict_reason = function
   | Proved -> None
   | Plausible r | Refuted r -> Some r
+
+let to_result = function
+  | Proved -> Ok ()
+  | Plausible r | Refuted r -> Error r
 
 let two_pi = 8.0 *. atan 1.0
 
@@ -154,8 +162,16 @@ let normal_form terms =
    term by the quarter-turns extracted so far, which is exactly a
    pullback through [P_{i-1} = Q_1⋯Q_{i-1}]; the result is the exact
    factorization [U = (F·P_m)·(r_m ⋯ r_1)] — same operator, canonical
-   frame/polynomial split. *)
-let canonicalize (d : Domain.t) =
+   frame/polynomial split.
+
+   One round is not enough: the pullback can bring two terms onto the
+   same axis that only meet after the peel (e.g. two [XYYI] rotations
+   separated by Z quarter-turns on the phase-folded side), and a side
+   that merges them splits the summed angle differently from a side
+   that does not.  So the round repeats until a normal form merges
+   nothing.  Each repeat removes at least one term, so the loop ends,
+   and each round is the same exact refactoring. *)
+let peel (d : Domain.t) terms =
   let p = ref (Frame.identity d.Domain.n) in
   let acc = ref [] in
   List.iter
@@ -171,12 +187,20 @@ let canonicalize (d : Domain.t) =
         (* P_i = P_{i-1}·Q_i: Q_i sits earlier in scan order. *)
         p := Frame.compose q !p
       end)
-    (normal_form d.Domain.terms);
+    terms;
   {
     d with
     Domain.terms = List.rev !acc;
     Domain.frame = Frame.compose !p d.Domain.frame;
   }
+
+let canonicalize (d : Domain.t) =
+  let rec round d nf =
+    let d = peel d nf in
+    let nf = normal_form d.Domain.terms in
+    if List.length nf < List.length d.Domain.terms then round d nf else d
+  in
+  round d (normal_form d.Domain.terms)
 
 let compare_sequence before after =
   let nb = normal_form before and na = normal_form after in
@@ -389,56 +413,56 @@ let check_routing ~exact ~l2p ~n_physical (before : Domain.t)
         (fun () -> attempt before after)
         (fun () -> attempt (canonicalize before) (canonicalize after))
 
-(* --- pass-boundary check --- *)
+(* --- claim relations --- *)
 
 let guard f = try f () with Invalid_argument m | Failure m -> Plausible m
 
-let check_boundary ~(claim : Pass.certificate) ~(before : Pass.ctx)
-    ~(after : Pass.ctx) =
-  guard (fun () ->
-      let a = Domain.of_ctx before in
-      let b = Domain.of_ctx after in
-      match claim with
-      | Pass.Routing { l2p; n_physical } ->
-        check_routing ~exact:after.Pass.options.Pass.exact ~l2p ~n_physical a b
-      | Pass.Unchanged ->
-        (* Strictest relation: raw abstractions, no canonicalization. *)
-        if b.Domain.n <> a.Domain.n then
-          Refuted
-            (Printf.sprintf
-               "register size changed (%d to %d) without a routing claim"
-               a.Domain.n b.Domain.n)
-        else if not (Domain.frame_equal a.Domain.frame b.Domain.frame) then
-          Refuted "residual Clifford frames differ"
-        else compare_structural a.Domain.terms b.Domain.terms
-      | (Pass.Preserving | Pass.Reordering) as claim ->
-        if b.Domain.n <> a.Domain.n then
-          Refuted
-            (Printf.sprintf
-               "register size changed (%d to %d) without a routing claim"
-               a.Domain.n b.Domain.n)
-        else
-          let check (x : Domain.t) (y : Domain.t) =
-            if not (Domain.frame_equal x.Domain.frame y.Domain.frame) then
-              Refuted "residual Clifford frames differ"
-            else
-              match claim with
-              | Pass.Preserving ->
-                compare_sequence x.Domain.terms y.Domain.terms
-              | _ -> compare_multiset x.Domain.terms y.Domain.terms
-          in
-          either_way
-            (fun () -> check a b)
-            (fun () -> check (canonicalize a) (canonicalize b)))
+let same_register (a : Domain.t) (b : Domain.t) k =
+  if b.Domain.n <> a.Domain.n then
+    Refuted
+      (Printf.sprintf "register size changed (%d to %d) without a routing claim"
+         a.Domain.n b.Domain.n)
+  else k ()
 
-(* --- end-to-end program-vs-circuit check (the analysis entry) --- *)
+let check_claim ~exact claim (a : Domain.t) (b : Domain.t) =
+  guard (fun () ->
+      match claim with
+      | Routing { l2p; n_physical } -> check_routing ~exact ~l2p ~n_physical a b
+      | Unchanged ->
+        (* Strictest relation: raw abstractions, no canonicalization. *)
+        same_register a b (fun () ->
+            if not (Frame.equal a.Domain.frame b.Domain.frame) then
+              Refuted "residual Clifford frames differ"
+            else compare_structural a.Domain.terms b.Domain.terms)
+      | (Preserving | Reordering) as claim ->
+        same_register a b (fun () ->
+            let check (x : Domain.t) (y : Domain.t) =
+              if not (Frame.equal x.Domain.frame y.Domain.frame) then
+                Refuted "residual Clifford frames differ"
+              else
+                match claim with
+                | Preserving -> compare_sequence x.Domain.terms y.Domain.terms
+                | _ -> compare_multiset x.Domain.terms y.Domain.terms
+            in
+            either_way
+              (fun () -> check a b)
+              (fun () -> check (canonicalize a) (canonicalize b))))
+
+(* --- end-to-end program-vs-circuit check --- *)
 
 let pad_axis n' p =
-  List.fold_left
-    (fun acc q -> Pauli_string.set acc q (Pauli_string.get p q))
-    (Pauli_string.identity n')
-    (Pauli_string.support_list p)
+  if Pauli_string.num_qubits p = n' then p
+  else
+    List.fold_left
+      (fun acc q -> Pauli_string.set acc q (Pauli_string.get p q))
+      (Pauli_string.identity n')
+      (Pauli_string.support_list p)
 
+(* The raw attempt compares the circuit's residual frame against the
+   identity in place and the program as a bare term list; the program's
+   identity-framed abstraction is built only when the canonical attempt
+   needs it.  A passing check therefore allocates one n-qubit frame, the
+   circuit scan's. *)
 let check_program ?(exact = false) ?l2p n program circuit =
   guard (fun () ->
       let after = Domain.of_circuit circuit in
@@ -455,21 +479,29 @@ let check_program ?(exact = false) ?l2p n program circuit =
           (* Dangling wires beyond the program's register are allowed
              (the liveness lint owns that complaint); embed the program
              on the circuit's register. *)
+          let n' = after.Domain.n in
           let before =
-            Domain.of_terms after.Domain.n
-              (List.map
-                 (fun (p, t) -> (pad_axis after.Domain.n p, t))
-                 program)
+            Domain.program_terms
+              (List.map (fun (p, t) -> (pad_axis n' p, t)) program)
           in
-          let check (x : Domain.t) (y : Domain.t) =
-            if not (Domain.frame_equal x.Domain.frame y.Domain.frame) then
-              Refuted
-                "residual Clifford frame: conjugation layers do not cancel \
-                 against the program"
-            else if exact then
-              compare_sequence x.Domain.terms y.Domain.terms
-            else compare_multiset x.Domain.terms y.Domain.terms
+          let relation x y =
+            if exact then compare_sequence x y else compare_multiset x y
+          in
+          let frame_mismatch =
+            Refuted
+              "residual Clifford frame: conjugation layers do not cancel \
+               against the program"
           in
           either_way
-            (fun () -> check before after)
-            (fun () -> check (canonicalize before) (canonicalize after)))
+            (fun () ->
+              if not (Frame.is_identity after.Domain.frame) then frame_mismatch
+              else relation before after.Domain.terms)
+            (fun () ->
+              let x =
+                canonicalize
+                  { Domain.n = n'; terms = before; frame = Frame.identity n' }
+              in
+              let y = canonicalize after in
+              if not (Frame.equal x.Domain.frame y.Domain.frame) then
+                frame_mismatch
+              else relation x.Domain.terms y.Domain.terms))

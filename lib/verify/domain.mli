@@ -1,16 +1,16 @@
-(** The translation validator's abstract domain: a signed Clifford
+(** The equivalence checker's abstract domain: a signed Clifford
     frame × symbolic phase polynomial, computed over the Pauli IR.
 
-    A compilation context — gadget program, IR groups, synthesized
-    blocks, or circuit — abstracts to the list of Pauli rotations it
-    applies, each pulled back through the Clifford frame accumulated
-    before it ([C·exp(-iθ/2 σ) = exp(-iθ/2 CσC†)·C]), plus the residual
-    frame of the trailing Cliffords.  Angles are canonical
+    A gadget program or a circuit abstracts to the list of Pauli
+    rotations it applies, each pulled back through the Clifford frame
+    accumulated before it ([C·exp(-iθ/2 σ) = exp(-iθ/2 CσC†)·C]), plus
+    the residual frame of the trailing Cliffords.  Angles are canonical
     {!Phoenix_pauli.Angle.linear} forms, so two abstractions compare
     structurally for {e every} parameter binding — the pullback never
     performs float arithmetic on a possibly-slotted angle (signs land on
-    the linear form), which is why this scanner shares no code with the
-    pass-side {!Phoenix_verify.Equiv} helpers it audits. *)
+    the linear form).  {!of_circuit} is the library's only rotation
+    scanner: every consumer that asks "does this circuit implement this
+    program" reads circuits through it. *)
 
 type term = {
   axis : Phoenix_pauli.Pauli_string.t;  (** pulled-back rotation axis *)
@@ -20,7 +20,7 @@ type term = {
 type t = {
   n : int;
   terms : term list;  (** rotations in time order *)
-  frame : Phoenix_verify.Frame.t;  (** residual Clifford action *)
+  frame : Frame.t;  (** residual Clifford action *)
 }
 
 val term_to_string : term -> string
@@ -36,27 +36,16 @@ val split_quarter_turns : Phoenix_pauli.Angle.linear -> int * Phoenix_pauli.Angl
     into a neighbouring phase cell.  Slot coefficients pass through
     untouched. *)
 
+val program_terms : (Phoenix_pauli.Pauli_string.t * float) list -> term list
+(** The rotation terms of a flat gadget program, in program order
+    (identity terms are dropped — they are global phases). *)
+
 val of_terms : int -> (Phoenix_pauli.Pauli_string.t * float) list -> t
-(** Abstraction of a flat gadget program (identity terms are dropped —
-    they are global phases; the frame is the identity). *)
+(** Abstraction of a flat gadget program: {!program_terms} under the
+    identity frame. *)
 
 val of_circuit : Phoenix_circuit.Circuit.t -> t
 (** Abstraction of a circuit via the slot-safe rotation scanner.  Raises
     [Invalid_argument] on gates outside the Clifford+rotation alphabet
     (surfaced by the checker as a {e plausible} verdict, never a silent
     accept). *)
-
-val of_blocks : int -> Phoenix.Order.block list -> t
-val of_groups : int -> Phoenix.Group.t list -> t
-
-val of_ctx : Phoenix.Pass.ctx -> t
-(** Abstraction of a pass boundary: the most-lowered representation the
-    context holds (circuit ≻ blocks ≻ groups ≻ gadgets). *)
-
-val frame_equal : Phoenix_verify.Frame.t -> Phoenix_verify.Frame.t -> bool
-(** Equality of Clifford actions, decided on the 2n X/Z generators. *)
-
-val frame_permutation : Phoenix_verify.Frame.t -> int array option
-(** [Some perm] iff the frame is a pure, sign-free qubit permutation
-    ([X_q ↦ X_perm(q)] and [Z_q ↦ Z_perm(q)], positive signs) — the only
-    residual action routing is allowed to leave behind. *)

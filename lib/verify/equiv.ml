@@ -1,121 +1,6 @@
-module Pauli = Phoenix_pauli.Pauli
-module Pauli_string = Phoenix_pauli.Pauli_string
-module Gate = Phoenix_circuit.Gate
 module Circuit = Phoenix_circuit.Circuit
 module Unitary = Phoenix_linalg.Unitary
 module Fidelity = Phoenix_linalg.Fidelity
-
-let pi = 4.0 *. atan 1.0
-
-(* The Pauli axis of a rotation gate, embedded in n qubits, or [None]
-   for Clifford gates.  T/T† are π/4 Z-rotations up to global phase. *)
-let rotation_axis n = function
-  | Gate.G1 (Gate.Rx theta, q) -> Some (Pauli_string.single n q Pauli.X, theta)
-  | Gate.G1 (Gate.Ry theta, q) -> Some (Pauli_string.single n q Pauli.Y, theta)
-  | Gate.G1 (Gate.Rz theta, q) -> Some (Pauli_string.single n q Pauli.Z, theta)
-  | Gate.G1 (Gate.T, q) -> Some (Pauli_string.single n q Pauli.Z, pi /. 4.0)
-  | Gate.G1 (Gate.Tdg, q) -> Some (Pauli_string.single n q Pauli.Z, -.pi /. 4.0)
-  | Gate.Rpp { p0; p1; a; b; theta } ->
-    Some (Pauli_string.set (Pauli_string.single n a p0) b p1, theta)
-  | _ -> None
-
-let propagated_rotations circuit =
-  let n = Circuit.num_qubits circuit in
-  let frame = Frame.identity n in
-  let emitted = ref [] in
-  let rec scan g =
-    match rotation_axis n g with
-    | Some (axis, theta) ->
-      let neg, s = Frame.image frame axis in
-      emitted := (s, (if neg then -.theta else theta)) :: !emitted
-    | None -> (
-      match g with
-      | Gate.Su4 { parts; _ } -> List.iter scan parts
-      | _ -> Frame.apply_gate frame g)
-  in
-  List.iter scan (Circuit.gates circuit);
-  List.rev !emitted, frame
-
-let pp_term (p, theta) =
-  Printf.sprintf "(%s, %+.6g)" (Pauli_string.to_string p) theta
-
-(* Stable assignment of source gadgets to emitted rotations: gadget [i]
-   takes the earliest unused emitted rotation with the same axis and
-   angle.  Identical gadgets are interchangeable, so the stable choice
-   is also the one minimizing order inversions. *)
-let match_rotations ~tol inputs emitted =
-  let emitted = Array.of_list emitted in
-  let used = Array.make (Array.length emitted) false in
-  let rec assign acc i = function
-    | [] -> Ok (List.rev acc)
-    | (p, theta) :: rest ->
-      let rec find j =
-        if j >= Array.length emitted then None
-        else
-          let q, phi = emitted.(j) in
-          if (not used.(j))
-             && Pauli_string.equal p q
-             && Float.abs (theta -. phi) <= tol
-          then Some j
-          else find (j + 1)
-      in
-      (match find 0 with
-      | Some j ->
-        used.(j) <- true;
-        assign (j :: acc) (i + 1) rest
-      | None ->
-        Error
-          (Printf.sprintf "gadget #%d %s is not realized by the circuit" i
-             (pp_term (p, theta))))
-  in
-  assign [] 0 inputs
-
-let propagation_check ?(exact = false) ?(tol = 1e-9) n gadgets circuit =
-  if Circuit.num_qubits circuit <> n then
-    Error
-      (Printf.sprintf "circuit acts on %d qubits, program on %d"
-         (Circuit.num_qubits circuit) n)
-  else begin
-    let gadgets =
-      List.filter (fun (p, _) -> not (Pauli_string.is_identity p)) gadgets
-    in
-    let emitted, frame = propagated_rotations circuit in
-    if not (Frame.is_identity frame) then
-      Error "residual Clifford frame: conjugation layers do not cancel"
-    else if List.length emitted <> List.length gadgets then
-      Error
-        (Printf.sprintf "circuit implements %d rotations, program has %d"
-           (List.length emitted) (List.length gadgets))
-    else
-      match match_rotations ~tol gadgets emitted with
-      | Error _ as e -> e
-      | Ok perm when not exact -> ignore perm; Ok ()
-      | Ok perm ->
-        (* Exact mode: the realized order may only exchange commuting
-           gadgets. *)
-        let inputs = Array.of_list gadgets in
-        let places = Array.of_list perm in
-        let violation = ref None in
-        Array.iteri
-          (fun i (p, _) ->
-            for j = i + 1 to Array.length inputs - 1 do
-              let q, _ = inputs.(j) in
-              if
-                !violation = None
-                && (not (Pauli_string.commutes p q))
-                && places.(i) > places.(j)
-              then violation := Some (i, j)
-            done)
-          inputs;
-        (match !violation with
-        | None -> Ok ()
-        | Some (i, j) ->
-          Error
-            (Printf.sprintf
-               "exact mode: non-commuting gadgets #%d %s and #%d %s were \
-                reordered"
-               i (pp_term inputs.(i)) j (pp_term inputs.(j))))
-  end
 
 let unitary_check ?(tol = 1e-7) n gadgets circuit =
   if n > 12 then

@@ -1,42 +1,10 @@
-(** Translation validation: is a compiled circuit equivalent to the
-    gadget program it came from?
+(** The dense equivalence oracle: does a compiled circuit equal the
+    gadget program it came from, as a [2^n × 2^n] unitary?
 
-    Two checkers with complementary ranges:
-
-    - {!unitary_check} builds both [2^n × 2^n] unitaries and compares
-      them up to global phase — exact but only viable for small [n].
-    - {!propagation_check} is the scalable path: it conjugates every
-      rotation gate of the circuit back through the accumulated Clifford
-      frame ({!Frame}), recovering the signed Pauli axis and angle each
-      rotation implements in the input frame, and then matches that
-      sequence against the source gadgets.  The circuit is equivalent
-      when the frame closes to the identity, every gadget is realized
-      exactly once with the right axis/sign/angle and — in exact mode —
-      no two non-commuting gadgets were reordered (commuting exchanges
-      preserve the unitary; the rest is Trotter freedom, which exact
-      mode forbids). *)
-
-val propagated_rotations :
-  Phoenix_circuit.Circuit.t ->
-  (Phoenix_pauli.Pauli_string.t * float) list * Frame.t
-(** Time-ordered rotations of the circuit pulled back to the input
-    frame (signs folded into the angles), plus the residual Clifford
-    frame.  The whole scan is polynomial in circuit size and qubit
-    count. *)
-
-val propagation_check :
-  ?exact:bool ->
-  ?tol:float ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list ->
-  Phoenix_circuit.Circuit.t ->
-  (unit, string) result
-(** [propagation_check n gadgets circuit]: validate [circuit] against
-    the gadget program.  With [~exact:true] (default [false]) the
-    realized order must preserve the relative order of every
-    non-commuting gadget pair; otherwise multiset equality suffices
-    (Trotter-reordering freedom).  [tol] (default [1e-9]) bounds the
-    per-rotation angle discrepancy. *)
+    Exact but only viable for small [n].  It shares nothing with the
+    symbolic {!Checker} — it multiplies matrices instead of propagating
+    Pauli frames — so it stays the independent oracle the checker is
+    tested against. *)
 
 val unitary_check :
   ?tol:float ->

@@ -164,6 +164,15 @@ let rec is_clifford_gate = function
     false
   | Gate.Su4 { parts; _ } -> List.for_all is_clifford_gate parts
 
+let equal a b =
+  let same (na, sa) (nb, sb) = na = nb && Pauli_string.equal sa sb in
+  a.n = b.n
+  &&
+  let rec go q =
+    q >= a.n || (same a.xs.(q) b.xs.(q) && same a.zs.(q) b.zs.(q) && go (q + 1))
+  in
+  go 0
+
 let is_identity t =
   let gen_fixed q (neg, s) p =
     (not neg) && Pauli_string.equal s (Pauli_string.single t.n q p)

@@ -6,9 +6,9 @@
     Clifford gates seen so far.  A rotation gate [exp(-i θ/2 σ)]
     encountered mid-scan therefore acts, pulled back to the circuit's
     input frame, along the signed Pauli axis [image frame σ] — which is
-    exactly what {!Equiv.propagation_check} compares against the source
-    gadget program.  All operations are polynomial in the qubit count
-    (no [2^n] objects), so the check scales to full benchmark sizes. *)
+    how {!Domain.of_circuit} abstracts a circuit for the {!Checker}.
+    All operations are polynomial in the qubit count (no [2^n]
+    objects), so the check scales to full benchmark sizes. *)
 
 type t
 
@@ -48,6 +48,10 @@ val compose : t -> t -> t
 
 val image : t -> Phoenix_pauli.Pauli_string.t -> bool * Phoenix_pauli.Pauli_string.t
 (** [image f σ] is the signed pullback [F† σ F] as [(negated, string)]. *)
+
+val equal : t -> t -> bool
+(** Equality of Clifford actions: same width and the same signed images
+    of the 2n X/Z generators, which determine the whole map. *)
 
 val is_identity : t -> bool
 (** Whether the frame is the identity map with all-positive signs —

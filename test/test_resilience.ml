@@ -255,6 +255,61 @@ let test_deadline_degrades_and_verifies () =
     "trace records the ladder steps" true
     (contains "\"degradations\"" && contains "naive-ladder")
 
+(* The verify pass's budget fallback: when the end-to-end dense check
+   of an exact compile is interrupted, the symbolic checker decides the
+   phase-folded final circuit instead.  It must accept a correct
+   circuit — the compile stays error-free and the dense oracle, run
+   here without a budget, confirms the circuit. *)
+let test_verify_fallback_accepts_folded_circuit () =
+  let h = Phoenix_ham.Fermi_hubbard.lattice ~rows:2 ~cols:2 () in
+  let n = Phoenix_ham.Hamiltonian.num_qubits h in
+  let program =
+    match Phoenix_ham.Hamiltonian.gadget_blocks h with
+    | Some blocks -> List.concat blocks
+    | None -> Phoenix_ham.Hamiltonian.trotter_gadgets h
+  in
+  let reference = Phoenix_linalg.Unitary.program_unitary n program in
+  List.iter
+    (fun k ->
+      let options =
+        {
+          Compiler.default_options with
+          exact = true;
+          verify = true;
+          cache = Cache.Off;
+          domains = 1;
+          budget = Budget.after_checks k;
+        }
+      in
+      let r = Compiler.compile ~options h in
+      let what fmt = Printf.sprintf ("after_checks %d: " ^^ fmt) k in
+      (match Diag.errors r.Compiler.diagnostics with
+      | [] -> ()
+      | d :: _ -> Alcotest.failf "%s" (what "%s" (Diag.to_string d)));
+      Alcotest.(check bool)
+        (what "equivalence check degraded")
+        true
+        (List.exists
+           (fun (e : Resilience.event) ->
+             e.Resilience.subject = "equivalence-check")
+           r.Compiler.degradations);
+      Alcotest.(check bool)
+        (what "fallback certificate passed")
+        true
+        (List.exists
+           (fun (d : Diag.t) ->
+             d.Diag.pass = "verify"
+             && d.Diag.severity = Diag.Warning
+             && String.ends_with ~suffix:"(passed)" d.Diag.message)
+           r.Compiler.diagnostics);
+      let infid =
+        Phoenix_linalg.Fidelity.infidelity reference
+          (Phoenix_linalg.Unitary.circuit_unitary r.Compiler.circuit)
+      in
+      if not (infid < 1e-7) then
+        Alcotest.failf "%s" (what "dense infidelity %.3e" infid))
+    [ 1; 100 ]
+
 let test_degraded_results_never_cached () =
   Cache.clear_memory ();
   Cache.reset_health ();
@@ -482,6 +537,8 @@ let () =
             test_registry_is_clean;
           Alcotest.test_case "deadline degrades and verifies" `Quick
             test_deadline_degrades_and_verifies;
+          Alcotest.test_case "verify fallback accepts a folded circuit"
+            `Quick test_verify_fallback_accepts_folded_circuit;
           Alcotest.test_case "degraded results never cached" `Quick
             test_degraded_results_never_cached;
           Alcotest.test_case "unabsorbed deadline names the pass" `Quick

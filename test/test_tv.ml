@@ -18,8 +18,8 @@ module Gate = Helpers.Gate
 module Circuit = Helpers.Circuit
 module Angle = Phoenix_pauli.Angle
 module Frame = Phoenix_verify.Frame
-module Domain = Phoenix_tv.Domain
-module Checker = Phoenix_tv.Checker
+module Domain = Phoenix_verify.Domain
+module Checker = Phoenix_verify.Checker
 module Certify = Phoenix_tv.Certify
 module Pass = Phoenix.Pass
 module Compiler = Phoenix.Compiler
@@ -125,7 +125,7 @@ let test_apply_pauli_rotation () =
         Alcotest.(check bool)
           (Printf.sprintf "%s on qubit %d == %d quarter turns" what q k)
           true
-          (Domain.frame_equal by_gate by_rot)
+          (Frame.equal by_gate by_rot)
       done)
     [
       ("S", Gate.S, Pauli.Z, 1);
@@ -140,12 +140,12 @@ let test_apply_pauli_rotation () =
   Frame.apply_pauli_rotation g (Pauli_string.single n 0 Pauli.Z) 0;
   Frame.apply_pauli_rotation g (Pauli_string.single n 1 Pauli.X) 4;
   Alcotest.(check bool) "k = 0 and k = 4 are no-ops" true
-    (Domain.frame_equal f g);
+    (Frame.equal f g);
   let zz = Pauli_string.set (Pauli_string.single n 0 Pauli.Z) 1 Pauli.Z in
   Frame.apply_pauli_rotation g zz 1;
   Frame.apply_pauli_rotation g zz 3;
   Alcotest.(check bool) "two-qubit quarter turn inverts" true
-    (Domain.frame_equal f g)
+    (Frame.equal f g)
 
 let test_compose () =
   let n = 3 in
@@ -157,7 +157,7 @@ let test_compose () =
     Alcotest.(check bool)
       (Printf.sprintf "compose at cut %d == whole scan" cut)
       true
-      (Domain.frame_equal
+      (Frame.equal
          (Frame.compose (frame_of n first) (frame_of n second))
          whole)
   done
@@ -177,7 +177,7 @@ let test_canonicalize_spellings () =
   Alcotest.(check int) "rotation spelling: no residual terms" 0
     (List.length b.Domain.terms);
   Alcotest.(check bool) "frames agree" true
-    (Domain.frame_equal a.Domain.frame b.Domain.frame)
+    (Frame.equal a.Domain.frame b.Domain.frame)
 
 (* --- sequence vs multiset relations -------------------------------------- *)
 
@@ -407,7 +407,7 @@ let test_routing_mutations_rejected () =
   let l2p, n_physical, before, after = Lazy.force captured in
   let claim l2p n_physical = Pass.Routing { l2p; n_physical } in
   check_verdict "sanity: unmutated certificate proves" Checker.Proved
-    (Checker.check_boundary ~claim:(claim l2p n_physical) ~before ~after);
+    (Certify.check_boundary ~claim:(claim l2p n_physical) ~before ~after);
   let mutations =
     [
       ( "swapped layout entries",
@@ -435,18 +435,18 @@ let test_routing_mutations_rejected () =
       Alcotest.(check bool)
         (what ^ " is rejected")
         true
-        (refuted (Checker.check_boundary ~claim ~before ~after)))
+        (refuted (Certify.check_boundary ~claim ~before ~after)))
     mutations
 
 let test_unchanged_claim_on_changed_boundary () =
   let claim, before, after = Lazy.force captured_lower in
   check_verdict "sanity: lower boundary proves under its own claim"
     Checker.Proved
-    (Checker.check_boundary ~claim ~before ~after);
+    (Certify.check_boundary ~claim ~before ~after);
   Alcotest.(check bool)
     "overclaiming unchanged on a rewriting pass is rejected" true
     (refuted
-       (Checker.check_boundary ~claim:Pass.Unchanged ~before ~after))
+       (Certify.check_boundary ~claim:Pass.Unchanged ~before ~after))
 
 let test_program_mutations_rejected () =
   let ham = Spin.tfim_chain 4 in

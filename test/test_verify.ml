@@ -1,6 +1,7 @@
-(* Verified compilation: Clifford conjugation frames, Pauli-propagation
-   and dense equivalence checks, structural validation, per-group fault
-   recovery, and the PHOENIX-vs-baselines differential harness. *)
+(* Verified compilation: Clifford conjugation frames, the symbolic
+   equivalence checker against the dense oracle, structural validation,
+   per-group fault recovery, and the PHOENIX-vs-baselines differential
+   harness. *)
 
 module Pauli = Helpers.Pauli
 module Pauli_string = Helpers.Pauli_string
@@ -12,6 +13,7 @@ module Unitary = Helpers.Unitary
 module Diag = Phoenix_verify.Diag
 module Frame = Phoenix_verify.Frame
 module Equiv = Phoenix_verify.Equiv
+module Checker = Phoenix_verify.Checker
 module Structural = Phoenix_verify.Structural
 module Group = Phoenix.Group
 module Simplify = Phoenix.Simplify
@@ -20,8 +22,16 @@ module Compiler = Phoenix.Compiler
 module Pass = Phoenix.Pass
 module Sabre = Phoenix_router.Sabre
 module Topology = Phoenix_topology.Topology
+module Peephole = Phoenix_circuit.Peephole
+module Phase_folding = Phoenix_circuit.Phase_folding
+module Cache = Phoenix_cache.Cache
 
 let ps = Pauli_string.of_string
+
+(* The checker's program check with its verdict mapped the way the
+   compiler reads it: only [Proved] is [Ok]. *)
+let program_check ?exact n terms c =
+  Checker.to_result (Checker.check_program ?exact n terms c)
 
 (* --- frame: pullback vs dense conjugation --- *)
 
@@ -79,7 +89,7 @@ let test_frame_rejects_rotation () =
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ())
 
-(* --- propagation check on PHOENIX group synthesis --- *)
+(* --- the checker on PHOENIX group synthesis --- *)
 
 let prop_group_synthesis_exact_checks =
   Helpers.qtest ~count:80 "exact group synthesis passes propagation + dense"
@@ -87,7 +97,7 @@ let prop_group_synthesis_exact_checks =
     (fun terms ->
       let cfg = Simplify.run ~exact:true 3 terms in
       let c = Synthesis.cfg_to_circuit 3 cfg in
-      Equiv.propagation_check ~exact:true 3 terms c = Ok ()
+      program_check ~exact:true 3 terms c = Ok ()
       && Equiv.unitary_check 3 terms c = Ok ())
 
 let prop_group_synthesis_default_checks =
@@ -96,7 +106,7 @@ let prop_group_synthesis_default_checks =
     (fun terms ->
       let cfg = Simplify.run 4 terms in
       let c = Synthesis.cfg_to_circuit 4 cfg in
-      Equiv.propagation_check 4 terms c = Ok ())
+      program_check 4 terms c = Ok ())
 
 (* Simplify in exact mode preserves the group unitary on random 2–4
    qubit groups (checked through the new validator). *)
@@ -109,7 +119,7 @@ let prop_simplify_exact_small_groups =
     (fun (n, terms) ->
       let c = Synthesis.cfg_to_circuit n (Simplify.run ~exact:true n terms) in
       Equiv.unitary_check n terms c = Ok ()
-      && Equiv.propagation_check ~exact:true n terms c = Ok ())
+      && program_check ~exact:true n terms c = Ok ())
 
 (* An injected sign-flip fault in a BSF row must be caught. *)
 let flip_one_angle cfg =
@@ -140,13 +150,13 @@ let prop_sign_flip_caught =
       in
       let cfg = Simplify.run ~exact:true 3 terms in
       let bad = Synthesis.cfg_to_circuit 3 (flip_one_angle cfg) in
-      Equiv.propagation_check ~exact:true 3 terms bad <> Ok ()
+      program_check ~exact:true 3 terms bad <> Ok ()
       && Equiv.unitary_check 3 terms bad <> Ok ())
 
 let test_propagation_catches_residual_frame () =
   (* a stray Clifford that never cancels *)
   let c = Circuit.create 2 [ Gate.G1 (Gate.H, 0); Gate.G1 (Gate.Rz 0.5, 0) ] in
-  match Equiv.propagation_check 2 [ ps "XI", 0.5 ] c with
+  match program_check 2 [ ps "XI", 0.5 ] c with
   | Error msg ->
     Alcotest.(check bool) "message is descriptive" true (String.length msg > 10)
   | Ok () -> Alcotest.fail "expected residual-frame error"
@@ -162,10 +172,91 @@ let test_propagation_exact_order () =
       ]
   in
   Alcotest.(check bool) "default mode accepts reordering" true
-    (Equiv.propagation_check 2 terms swapped = Ok ());
-  (match Equiv.propagation_check ~exact:true 2 terms swapped with
+    (program_check 2 terms swapped = Ok ());
+  (match program_check ~exact:true 2 terms swapped with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "exact mode must reject the reordering")
+
+(* --- soundness: a Proved verdict is a dense equality ---
+
+   Random exact-mode programs on 2–6 qubits.  Candidates are the naive
+   and PHOENIX compiles, their peephole + phase-folded rewrites (which
+   respell Clifford phases as rotations, so the canonical attempt is
+   exercised), and single mutations of all four: a dropped gate, two
+   adjacent gates swapped, an inserted S, a negated or a perturbed
+   rotation.  Whatever the checker proves must equal the program as a
+   dense unitary; equivalently, unequal unitaries never give [Proved].
+   The unmutated candidates must prove, so the property is never
+   satisfied vacuously. *)
+
+let set_rotation_angle f = function
+  | Gate.G1 (Gate.Rx t, q) -> Some (Gate.G1 (Gate.Rx (f t), q))
+  | Gate.G1 (Gate.Ry t, q) -> Some (Gate.G1 (Gate.Ry (f t), q))
+  | Gate.G1 (Gate.Rz t, q) -> Some (Gate.G1 (Gate.Rz (f t), q))
+  | Gate.Rpp r -> Some (Gate.Rpp { r with theta = f r.theta })
+  | _ -> None
+
+let mutations salt c =
+  let n = Circuit.num_qubits c in
+  let gates = Array.of_list (Circuit.gates c) in
+  let m = Array.length gates in
+  let rebuild l = Circuit.create n l in
+  let at i = salt mod max 1 i in
+  let dropped = List.filteri (fun i _ -> i <> at m) (Array.to_list gates) in
+  let swapped =
+    if m < 2 then []
+    else
+      let i = at (m - 1) in
+      let g = Array.copy gates in
+      g.(i) <- gates.(i + 1);
+      g.(i + 1) <- gates.(i);
+      [ rebuild (Array.to_list g) ]
+  in
+  let with_s =
+    let i = at (m + 1) in
+    let l = Array.to_list gates in
+    List.filteri (fun j _ -> j < i) l
+    @ (Gate.G1 (Gate.S, salt mod n) :: List.filteri (fun j _ -> j >= i) l)
+  in
+  let rotations =
+    List.filter (fun i -> set_rotation_angle Fun.id gates.(i) <> None)
+      (List.init m Fun.id)
+  in
+  let retuned f =
+    match rotations with
+    | [] -> []
+    | _ ->
+      let r = List.nth rotations (at (List.length rotations)) in
+      let g = Array.copy gates in
+      g.(r) <- Option.get (set_rotation_angle f gates.(r));
+      [ rebuild (Array.to_list g) ]
+  in
+  (rebuild dropped :: rebuild with_s :: swapped)
+  @ retuned Float.neg
+  @ retuned (fun t -> t +. 0.3)
+
+let prop_proved_implies_dense_equal =
+  let open QCheck2.Gen in
+  Helpers.qtest ~count:60 "checker Proved implies dense equality (exact, 2–6 qubits)"
+    (let* n = int_range 2 6 in
+     let* terms = Helpers.terms_gen n 6 in
+     let* salt = int_range 0 1_000_000 in
+     return (n, terms, salt))
+    (fun (n, terms, salt) ->
+      let phoenix =
+        (Compiler.compile_gadgets
+           ~options:
+             { Compiler.default_options with exact = true; cache = Cache.Off }
+           n terms)
+          .Compiler.circuit
+      in
+      let naive = Phoenix_baselines.Naive.compile n terms in
+      let rewrite c = Phase_folding.fold (Peephole.optimize c) in
+      let bases = [ phoenix; naive; rewrite phoenix; rewrite naive ] in
+      let proved c = Checker.check_program ~exact:true n terms c = Checker.Proved in
+      let sound c = (not (proved c)) || Equiv.unitary_check n terms c = Ok () in
+      List.for_all proved bases
+      && List.for_all sound (bases @ List.concat_map (mutations salt) bases))
 
 (* --- structural validation --- *)
 
@@ -374,6 +465,7 @@ let () =
           Alcotest.test_case "residual frame" `Quick
             test_propagation_catches_residual_frame;
           Alcotest.test_case "exact order" `Quick test_propagation_exact_order;
+          prop_proved_implies_dense_equal;
         ] );
       ( "structural",
         [
