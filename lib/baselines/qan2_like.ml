@@ -126,6 +126,14 @@ let route_pass =
       let topo = topology_of_ctx ctx in
       let n = ctx.Pass.n in
       let n_phys = Topology.num_qubits topo in
+      (* a pending interaction across two components could never
+         execute, and the loop below would never end *)
+      if not (Topology.is_connected topo) then
+        invalid_arg
+          (Printf.sprintf
+             "Qan2_like.compile: the %d-qubit coupling graph is disconnected \
+              — routing cannot reach every qubit"
+             n_phys);
       let initial_layout =
         match ctx.Pass.layout with Some l -> l | None -> place topo n ctx.Pass.gadgets
       in
@@ -141,13 +149,7 @@ let route_pass =
       let layout = ref initial_layout in
       let emitted = ref (List.rev ones) (* 1Q gates are free: place them first *)
       and swaps = ref 0 in
-      let emitted_phys g =
-        let f q = Layout.physical_of !layout q in
-        match g with
-        | Gate.Rpp r -> Gate.Rpp { r with a = f r.a; b = f r.b }
-        | Gate.G1 (k, q) -> Gate.G1 (k, f q)
-        | _ -> assert false
-      in
+      let emitted_phys g = Gate.map_qubits (Layout.physical_of !layout) g in
       (* 1Q rotations are emitted at their logical qubit's initial site. *)
       emitted := List.map emitted_phys !emitted |> List.rev;
       let pending = ref twos in
@@ -172,6 +174,7 @@ let route_pass =
         List.fold_left (fun acc i -> acc + dist i) 0 !pending
       in
       while !pending <> [] do
+        Phoenix_util.Budget.checkpoint ();
         ignore (emit_executable ());
         if !pending <> [] then begin
           (* candidate swaps: edges touching any pending interaction qubit *)

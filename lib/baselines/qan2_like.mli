@@ -27,7 +27,8 @@ val compile :
   int ->
   (Phoenix_pauli.Pauli_string.t * float) list ->
   result
-(** Raises [Invalid_argument] on gadgets of weight > 2. *)
+(** Raises [Invalid_argument] on gadgets of weight > 2, on a device
+    smaller than the register and on a disconnected coupling graph. *)
 
 val place :
   Phoenix_topology.Topology.t ->

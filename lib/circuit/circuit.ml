@@ -45,19 +45,7 @@ let dagger t = { t with gates = List.rev_map Gate.dagger t.gates }
 let map_angles f t = { t with gates = List.map (Gate.map_angles f) t.gates }
 
 let map_qubits f t =
-  let map_gate g =
-    let open Gate in
-    let rec go = function
-      | G1 (k, q) -> G1 (k, f q)
-      | Cnot (a, b) -> Cnot (f a, f b)
-      | Cliff2 c -> Cliff2 { c with Phoenix_pauli.Clifford2q.a = f c.a; b = f c.b }
-      | Rpp r -> Rpp { r with a = f r.a; b = f r.b }
-      | Swap (a, b) -> Swap (f a, f b)
-      | Su4 { a; b; parts } -> Su4 { a = f a; b = f b; parts = List.map go parts }
-    in
-    go g
-  in
-  let gates = List.map map_gate t.gates in
+  let gates = List.map (Gate.map_qubits f) t.gates in
   List.iter (check_gate t.n) gates;
   { t with gates }
 

@@ -40,6 +40,15 @@ let pair g =
   | [ _ ] -> None
   | _ -> assert false
 
+let rec map_qubits f = function
+  | G1 (k, q) -> G1 (k, f q)
+  | Cnot (a, b) -> Cnot (f a, f b)
+  | Cliff2 c -> Cliff2 { c with Clifford2q.a = f c.a; b = f c.b }
+  | Rpp r -> Rpp { r with a = f r.a; b = f r.b }
+  | Swap (a, b) -> Swap (f a, f b)
+  | Su4 { a; b; parts } ->
+    Su4 { a = f a; b = f b; parts = List.map (map_qubits f) parts }
+
 let dagger_one_q = function
   | H -> H
   | S -> Sdg

@@ -46,6 +46,9 @@ val pair : t -> (int * int) option
 (** Unordered qubit pair of a 2Q gate, normalized with smaller index
     first; [None] for 1Q gates. *)
 
+val map_qubits : (int -> int) -> t -> t
+(** Relabel every qubit operand, [Su4] parts included. *)
+
 val dagger : t -> t
 (** Inverse gate.  [Su4] inverts by reversing daggered parts. *)
 

@@ -62,8 +62,9 @@ let group_unitary_max_qubits = 8
 let final_unitary_max_qubits = 10
 
 (* Per-group translation validation: the symbolic checker's scalable
-   Pauli-propagation check always runs (an undecided verdict fails
-   closed, like a refuted one); for small registers the dense unitary
+   Pauli-propagation check always runs, on the group's support (an
+   undecided verdict fails closed, like a refuted one); for small
+   registers (≤ 8 qubits, whatever the group's width) the dense unitary
    comparison backs it up.  The dense comparison is the degradable
    rung: when the budget expires inside it, the group keeps its
    propagation certificate and a ladder event records the step.  The
@@ -71,7 +72,8 @@ let final_unitary_max_qubits = 10
    always completes. *)
 let check_group_circuit (options : options) n terms circuit =
   match
-    Checker.to_result (Checker.check_program ~exact:options.exact n terms circuit)
+    Checker.to_result
+      (Checker.check_on_support ~exact:options.exact n terms circuit)
   with
   | Error _ as e -> (e, [])
   | Ok () ->

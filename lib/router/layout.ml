@@ -25,6 +25,7 @@ let of_l2p ~n_physical l2p =
 let n_logical t = Array.length t.l2p
 let n_physical t = Array.length t.p2l
 let physical_of t l = t.l2p.(l)
+let to_l2p t = Array.copy t.l2p
 let logical_of t p = if t.p2l.(p) = -1 then None else Some t.p2l.(p)
 
 let swap_physical t p q =

@@ -18,6 +18,9 @@ val n_physical : t -> int
 val physical_of : t -> int -> int
 (** Physical qubit hosting a logical qubit. *)
 
+val to_l2p : t -> int array
+(** A fresh copy of the logical-to-physical map. *)
+
 val logical_of : t -> int -> int option
 (** Logical qubit on a physical qubit, if any. *)
 

@@ -19,7 +19,7 @@ let interaction_aware ?(seed_site = 0) topo ~n_logical ~weights =
   in
   let used = Array.make n_phys false in
   let l2p = Array.make n_logical (-1) in
-  let physical_degree p = List.length (Topology.neighbors topo p) in
+  let physical_degree p = Array.length (Topology.neighbor_array topo p) in
   let best_site l =
     let placed_partners =
       List.filter

@@ -5,7 +5,11 @@
     a decay factor that spreads consecutive swaps across qubits.  Any 2Q
     gate type in the circuit IR is routed (Cliff2/Rpp/Su4 included); the
     result contains explicit [Swap] gates, which a later
-    {!Phoenix_circuit.Rebase.to_cnot_basis} pass expands into 3 CNOTs. *)
+    {!Phoenix_circuit.Rebase.to_cnot_basis} pass expands into 3 CNOTs.
+
+    Both routers keep their state in flat int arrays, score each
+    candidate SWAP in place, and are deterministic: equal inputs (seed
+    included) give equal results. *)
 
 type result = {
   circuit : Phoenix_circuit.Circuit.t;
@@ -20,24 +24,20 @@ val route :
   ?lookahead:int ->
   ?decay:float ->
   ?seed:int ->
-  ?use_bridge:bool ->
   Phoenix_topology.Topology.t ->
   Phoenix_circuit.Circuit.t ->
   result
 (** Route with a fixed initial layout (default: trivial).  [lookahead]
     (default 20) is the extended-set size; [decay] (default 0.001) the
-    per-use penalty increment.  With [use_bridge] (default false), a
-    front CNOT at distance 2 whose qubits no upcoming gate touches is
-    realized by the 4-CNOT bridge template (Itoko et al.) instead of
-    SWAPs, leaving the layout unchanged.  Raises [Invalid_argument] when
-    the device is too small or disconnected. *)
+    per-use penalty increment.  Raises [Invalid_argument] when the device
+    has fewer qubits than the circuit or its coupling graph is
+    disconnected. *)
 
 val route_with_refinement :
   ?initial:Layout.t ->
   ?iterations:int ->
   ?lookahead:int ->
   ?seed:int ->
-  ?use_bridge:bool ->
   Phoenix_topology.Topology.t ->
   Phoenix_circuit.Circuit.t ->
   result
@@ -45,7 +45,8 @@ val route_with_refinement :
     [initial] (default: interaction-aware placement), alternate
     forward/backward routing passes ([iterations] round trips, default
     1), then route forward with the better of the refined and the seed
-    layout. *)
+    layout (the seed layout on a tie).  Raises [Invalid_argument] as
+    {!route} does. *)
 
 val route_commuting :
   ?initial:Layout.t ->
@@ -57,4 +58,9 @@ val route_commuting :
     at every step all currently-adjacent interactions execute and SWAPs
     are chosen against the whole pending set — the strategy 2QAN
     pioneered for 2-local programs.  The caller must guarantee
-    commutativity. *)
+    commutativity.  After more than [2 · n_physical] SWAPs without an
+    executed gate, the first pending gate is stepped along a shortest
+    path until a gate executes, so routing always ends.  Raises
+    [Invalid_argument] when the device has fewer qubits than the circuit
+    or its coupling graph is disconnected: a pending gate across two
+    components could never execute. *)

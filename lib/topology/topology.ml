@@ -1,28 +1,34 @@
-module Union_find = Phoenix_util.Union_find
-
+(* Every table is filled once by [make] and shared read-only by all
+   callers: the router reads [dist] and [nbr] on every candidate it
+   scores, so they are flat arrays rather than lists or a lazy matrix. *)
 type t = {
   n : int;
   edges : (int * int) list;
-  adj : int list array;
-  dist : int array array Lazy.t;
+  nbr : int array array; (* neighbours of each qubit, ascending *)
+  dist : int array; (* row-stride n·n BFS distances; [n] = unreachable *)
+  adjacent : Bytes.t; (* row-stride n·n, '\001' on a coupling edge *)
+  connected : bool;
 }
 
-let bfs_distances n adj =
-  let dist = Array.make_matrix n n n in
-  let queue = Queue.create () in
+let bfs_distances n nbr =
+  let dist = Array.make (n * n) n in
+  let queue = Array.make n 0 in
   for src = 0 to n - 1 do
-    dist.(src).(src) <- 0;
-    Queue.clear queue;
-    Queue.add src queue;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      List.iter
+    let row = src * n in
+    dist.(row + src) <- 0;
+    queue.(0) <- src;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      Array.iter
         (fun v ->
-          if v <> src && dist.(src).(v) = n then begin
-            dist.(src).(v) <- dist.(src).(u) + 1;
-            Queue.add v queue
+          if dist.(row + v) = n && v <> src then begin
+            dist.(row + v) <- dist.(row + u) + 1;
+            queue.(!tail) <- v;
+            incr tail
           end)
-        adj.(u)
+        nbr.(u)
     done
   done;
   dist
@@ -37,25 +43,31 @@ let make n raw_edges =
   in
   let edges = List.sort_uniq compare (List.map normalize raw_edges) in
   let adj = Array.make n [] in
+  let adjacent = Bytes.make (n * n) '\000' in
   List.iter
     (fun (a, b) ->
       adj.(a) <- b :: adj.(a);
-      adj.(b) <- a :: adj.(b))
+      adj.(b) <- a :: adj.(b);
+      Bytes.set adjacent ((a * n) + b) '\001';
+      Bytes.set adjacent ((b * n) + a) '\001')
     edges;
-  Array.iteri (fun i l -> adj.(i) <- List.sort compare l) adj;
-  { n; edges; adj; dist = lazy (bfs_distances n adj) }
+  let nbr = Array.map (fun l -> Array.of_list (List.sort compare l)) adj in
+  let dist = bfs_distances n nbr in
+  let connected =
+    let rec reach v = v >= n || (dist.(v) < n && reach (v + 1)) in
+    reach 0
+  in
+  { n; edges; nbr; dist; adjacent; connected }
 
 let num_qubits t = t.n
 let edges t = t.edges
-let neighbors t q = t.adj.(q)
-let are_adjacent t a b = List.mem b t.adj.(a)
-let distance_matrix t = Lazy.force t.dist
-let distance t a b = (distance_matrix t).(a).(b)
-
-let is_connected t =
-  let uf = Union_find.create t.n in
-  List.iter (fun (a, b) -> Union_find.union uf a b) t.edges;
-  Union_find.count uf = 1
+let neighbors t q = Array.to_list t.nbr.(q)
+let neighbor_array t q = t.nbr.(q)
+let are_adjacent t a b =
+  b >= 0 && b < t.n && Bytes.get t.adjacent ((a * t.n) + b) <> '\000'
+let distance t a b = t.dist.((a * t.n) + b)
+let distances t = t.dist
+let is_connected t = t.connected
 
 let all_to_all n =
   make n

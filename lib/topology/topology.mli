@@ -1,7 +1,9 @@
 (** Hardware coupling graphs.
 
-    A topology is an undirected connectivity graph over physical qubits,
-    with all-pairs shortest-path distances computed once and cached. *)
+    A topology is an undirected connectivity graph over physical qubits.
+    {!make} builds its tables once — all-pairs BFS distances in one
+    row-stride array, an n·n adjacency table, per-qubit neighbour
+    arrays and the connectivity flag — and every query reads them. *)
 
 type t
 
@@ -14,14 +16,20 @@ val edges : t -> (int * int) list
 (** Normalized (small endpoint first), sorted, unique. *)
 
 val neighbors : t -> int -> int list
+(** Ascending. *)
+
+val neighbor_array : t -> int -> int array
+(** {!neighbors} as a shared array — do not mutate. *)
+
 val are_adjacent : t -> int -> int -> bool
 
 val distance : t -> int -> int -> int
 (** Shortest-path length.  Unreachable pairs return the qubit count, a
     finite sentinel larger than any true distance. *)
 
-val distance_matrix : t -> int array array
-(** Shared cached matrix — do not mutate. *)
+val distances : t -> int array
+(** The shared row-stride distance table: [distance t a b] is
+    [(distances t).(a * num_qubits t + b)].  Do not mutate. *)
 
 val is_connected : t -> bool
 

@@ -230,6 +230,64 @@ let test_order_allocation_linear () =
        (%.0f); linear-time ordering keeps it within 1.5×"
       ratio small large
 
+(* --- per-group --verify costs the group, not the register -------------- *)
+
+(* Words the per-group check allocates per group: the simplify pass's
+   allocation with [verify] minus without, over the group count (one
+   domain, cache off).  A check that builds a register-wide frame for
+   every group grows with the register; one on the group's support
+   does not. *)
+let verify_words_per_group spec =
+  let h = workload spec in
+  let simplify verify =
+    let options =
+      { (opts ~verify ()) with Compiler.domains = 1; cache = Phoenix_cache.Cache.Off }
+    in
+    let r = Registry.compile ~options (entry "phoenix") h in
+    match List.find_opt (fun e -> e.Pass.pass = "simplify") r.Compiler.trace with
+    | Some e -> (e.Pass.alloc_words, r.Compiler.num_groups)
+    | None -> Alcotest.failf "%s: no simplify entry in the trace" spec
+  in
+  let checked, groups = simplify true in
+  let plain, _ = simplify false in
+  (checked -. plain) /. float_of_int groups
+
+let test_verify_allocation_per_group () =
+  let small = verify_words_per_group "qaoa:Reg3-250" in
+  let large = verify_words_per_group "qaoa:Reg3-1000" in
+  let ratio = large /. small in
+  if ratio > 1.5 then
+    Alcotest.failf
+      "verify words per group grew %.2f× from Reg3-250 (%.0f) to Reg3-1000 \
+       (%.0f); checking on the group's support keeps it within 1.5×"
+      ratio small large
+
+(* --- routing allocates per emitted gate, not per scored layout -------- *)
+
+(* Words the route pass allocates per 2Q gate it leaves on heavy-hex
+   [uccsd:H2O_frz_BK] (one domain, cache off).  A router that copies the
+   layout for every candidate SWAP it scores spends about 4.4k words per
+   gate here; scoring candidates in place on flat arrays leaves mostly
+   the routed and lowered gates themselves. *)
+let test_route_allocation_per_gate () =
+  let options =
+    {
+      (opts ~target:(Compiler.Hardware (Topology.ibm_manhattan ())) ()) with
+      Compiler.domains = 1;
+      cache = Phoenix_cache.Cache.Off;
+    }
+  in
+  let r = Registry.compile ~options (entry "phoenix") (workload "uccsd:H2O_frz_BK") in
+  match List.find_opt (fun e -> e.Pass.pass = "route") r.Compiler.trace with
+  | Some e ->
+    let per_gate = e.Pass.alloc_words /. float_of_int e.Pass.after.Pass.two_q in
+    if per_gate > 1000.0 then
+      Alcotest.failf
+        "route allocated %.0f words per routed 2Q gate (%.0f words, %d gates); \
+         in-place candidate scoring stays within 1000"
+        per_gate e.Pass.alloc_words e.Pass.after.Pass.two_q
+  | None -> Alcotest.fail "no route entry in the trace"
+
 (* --- registry surface ------------------------------------------------ *)
 
 let test_registry_names () =
@@ -477,6 +535,10 @@ let () =
           prop_trace_telescopes;
           Alcotest.test_case "order allocation linear in gadgets" `Slow
             test_order_allocation_linear;
+          Alcotest.test_case "route allocation per routed gate" `Slow
+            test_route_allocation_per_gate;
+          Alcotest.test_case "verify allocation per group flat in the register"
+            `Slow test_verify_allocation_per_group;
         ] );
       ( "registry",
         [

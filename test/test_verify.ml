@@ -446,6 +446,95 @@ let prop_differential_commuting =
           Helpers.unitary_equiv ~tol:1e-7 reference (Unitary.circuit_unitary c))
         [ phoenix; naive; tket ])
 
+(* --- per-group checks on the group's support -------------------------- *)
+
+(* [Checker.check_on_support] relabels a group onto the qubits its terms
+   touch; its verdict must be the full-register one. *)
+let same_label ?exact n terms c =
+  Checker.verdict_label (Checker.check_program ?exact n terms c)
+  = Checker.verdict_label (Checker.check_on_support ?exact n terms c)
+
+let test_local_matches_full_on_compiles () =
+  List.iter
+    (fun (spec, exact) ->
+      let h =
+        match Phoenix_serve.Workload.of_spec spec with
+        | Ok h -> h
+        | Error msg -> Alcotest.failf "%s: %s" spec msg
+      in
+      let blocks = ref [] in
+      let hook ~pass ~before:_ ~after ~seconds:_ =
+        if pass.Pass.name = "simplify" then blocks := after.Pass.blocks
+      in
+      let options =
+        { Compiler.default_options with exact; domains = 1; cache = Cache.Off }
+      in
+      ignore (Compiler.compile ~options ~hooks:[ hook ] h);
+      let n = Phoenix_ham.Hamiltonian.num_qubits h in
+      Alcotest.(check bool) (spec ^ " has groups") true (!blocks <> []);
+      List.iteri
+        (fun i (b : Phoenix.Order.block) ->
+          let g = b.Phoenix.Order.group in
+          if not (same_label ~exact n g.Group.terms b.Phoenix.Order.circuit) then
+            Alcotest.failf "%s (exact %b): group %d verdicts differ" spec exact i)
+        !blocks)
+    [
+      ("uccsd:LiH_frz_JW", false);
+      ("uccsd:LiH_frz_JW", true);
+      ("qaoa:Reg3-16", false);
+      ("fermi-hubbard:2x2", false);
+    ]
+
+(* The fault injections above, on terms embedded into qubits 1, 3 and 4
+   of a 6-qubit register, so the local check really shrinks the frame. *)
+let embed p =
+  let sites = [| 1; 3; 4 |] in
+  let out = Array.make 6 Pauli.I in
+  List.iteri (fun i x -> out.(sites.(i)) <- x) (Pauli_string.to_list p);
+  Pauli_string.of_list (Array.to_list out)
+
+let prop_local_matches_full_on_faults =
+  Helpers.qtest ~count:80 "local = full verdicts on clean and sign-flipped groups"
+    (Helpers.terms_gen 3 4)
+    (fun terms ->
+      let terms =
+        List.map
+          (fun (p, a) -> embed p, 0.2 +. (Float.abs a *. (Float.pi -. 0.4) /. 3.0))
+          terms
+      in
+      let cfg = Simplify.run ~exact:true 6 terms in
+      let good = Synthesis.cfg_to_circuit 6 cfg in
+      let bad = Synthesis.cfg_to_circuit 6 (flip_one_angle cfg) in
+      let stray = Circuit.append good (Gate.G1 (Gate.H, 0)) in
+      Checker.check_on_support ~exact:true 6 terms good = Checker.Proved
+      && program_check ~exact:true 6 terms bad <> Ok ()
+      && List.for_all
+           (fun c -> same_label ~exact:true 6 terms c && same_label 6 terms c)
+           [ good; bad; stray ])
+
+let test_local_matches_full_on_frame_and_order () =
+  let frame = Circuit.create 6 [ Gate.G1 (Gate.H, 3); Gate.G1 (Gate.Rz 0.5, 3) ] in
+  let terms = [ embed (ps "XII"), 0.5 ] in
+  Alcotest.(check bool) "residual frame refuted locally" true
+    (Checker.check_on_support 6 terms frame <> Checker.Proved);
+  Alcotest.(check bool) "residual frame: same verdict" true
+    (same_label 6 terms frame);
+  let terms = [ embed (ps "XXI"), 0.4; embed (ps "ZII"), 0.7 ] in
+  let swapped =
+    Circuit.create 6
+      [
+        Gate.G1 (Gate.Rz 0.7, 1);
+        Gate.Rpp { p0 = Pauli.X; p1 = Pauli.X; a = 1; b = 3; theta = 0.4 };
+      ]
+  in
+  List.iter
+    (fun exact ->
+      Alcotest.(check bool)
+        (Printf.sprintf "exact order %b: same verdict" exact)
+        true
+        (same_label ~exact 6 terms swapped))
+    [ false; true ]
+
 let () =
   Alcotest.run "verify"
     [
@@ -488,4 +577,12 @@ let () =
         ] );
       ( "differential",
         [ prop_differential_exact; prop_differential_commuting ] );
+      ( "support",
+        [
+          Alcotest.test_case "local = full on compiled groups" `Quick
+            test_local_matches_full_on_compiles;
+          prop_local_matches_full_on_faults;
+          Alcotest.test_case "local = full on frame and order faults" `Quick
+            test_local_matches_full_on_frame_and_order;
+        ] );
     ]
