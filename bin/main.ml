@@ -769,7 +769,7 @@ let simulate_cmd =
       Printf.eprintf "simulation limited to 14 qubits (got %d)\n" n;
       exit 2
     end;
-    let r = Compiler.compile h in
+    let r = Pipelines.compile Pipelines.phoenix h in
     let v = Phoenix_linalg.Statevector.of_circuit r.Compiler.circuit in
     Printf.printf "compiled: %d CNOTs, 2Q depth %d\n" r.Compiler.two_q_count
       r.Compiler.depth_2q;

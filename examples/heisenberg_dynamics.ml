@@ -7,6 +7,7 @@
 module Spin_models = Phoenix_ham.Spin_models
 module Hamiltonian = Phoenix_ham.Hamiltonian
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Unitary = Phoenix_linalg.Unitary
 module Herm = Phoenix_linalg.Herm
 module Fidelity = Phoenix_linalg.Fidelity
@@ -33,7 +34,7 @@ let () =
     (fun steps ->
       let tau = total_time /. float_of_int steps in
       let options = { Compiler.default_options with tau } in
-      let r = Compiler.compile ~options h in
+      let r = Registry.compile ~options Registry.phoenix h in
       let step_u = Unitary.circuit_unitary r.Compiler.circuit in
       let rec pow acc k =
         if k = 0 then acc else pow (Phoenix_linalg.Cmat.mul step_u acc) (k - 1)

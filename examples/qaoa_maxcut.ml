@@ -6,9 +6,8 @@
 
 module Graphs = Phoenix_ham.Graphs
 module Qaoa = Phoenix_ham.Qaoa
-module Hamiltonian = Phoenix_ham.Hamiltonian
 module Compiler = Phoenix.Compiler
-module Circuit = Phoenix_circuit.Circuit
+module Registry = Phoenix_pipeline.Registry
 
 let () =
   let n = 16 in
@@ -17,30 +16,27 @@ let () =
     (Graphs.num_edges graph) (Graphs.is_connected graph);
 
   let cost = Qaoa.maxcut_cost ~gamma:0.7 graph in
-  let gadgets = Hamiltonian.trotter_gadgets cost in
-  let topo = Phoenix_topology.Topology.ibm_manhattan () in
-
+  let options =
+    {
+      Compiler.default_options with
+      target = Compiler.Hardware (Phoenix_topology.Topology.ibm_manhattan ());
+    }
+  in
+  let show name entry =
+    let r = Registry.compile ~options entry cost in
+    Printf.printf "%-10s: #CNOT %-4d Depth-2Q %-4d #SWAP %d\n" name
+      r.Compiler.two_q_count r.Compiler.depth_2q r.Compiler.num_swaps
+  in
   (* 2QAN-style baseline *)
-  let q = Phoenix_baselines.Qan2_like.compile topo n gadgets in
-  Printf.printf "2QAN-like : #CNOT %-4d Depth-2Q %-4d #SWAP %d\n"
-    (Circuit.count_2q q.Phoenix_baselines.Qan2_like.circuit)
-    (Circuit.depth_2q q.Phoenix_baselines.Qan2_like.circuit)
-    q.Phoenix_baselines.Qan2_like.num_swaps;
-
+  show "2QAN-like" Registry.qan2;
   (* PHOENIX: the cost layer is Z-diagonal, so the commuting-aware router
      reorders interactions freely *)
-  let r =
-    Compiler.compile
-      ~options:{ Compiler.default_options with target = Compiler.Hardware topo }
-      cost
-  in
-  Printf.printf "PHOENIX   : #CNOT %-4d Depth-2Q %-4d #SWAP %d\n"
-    r.Compiler.two_q_count r.Compiler.depth_2q r.Compiler.num_swaps;
+  show "PHOENIX" Registry.phoenix;
 
   (* The full alternating ansatz (cost + mixer layers) also compiles;
      at the logical level its 2Q count is fixed, the interest is depth. *)
   let ansatz = Qaoa.ansatz ~seed:7 ~layers:2 graph in
-  let logical = Compiler.compile ansatz in
+  let logical = Registry.compile Registry.phoenix ansatz in
   Printf.printf
     "2-layer ansatz (logical): #CNOT %d, Depth-2Q %d (lower bound %d = 2·edges·layers/⌊n/2⌋)\n"
     logical.Compiler.two_q_count logical.Compiler.depth_2q

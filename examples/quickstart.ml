@@ -7,6 +7,7 @@ module Pauli_string = Phoenix_pauli.Pauli_string
 module Pauli_term = Phoenix_pauli.Pauli_term
 module Hamiltonian = Phoenix_ham.Hamiltonian
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Circuit = Phoenix_circuit.Circuit
 
 let () =
@@ -29,7 +30,7 @@ let () =
 
   (* Compile one first-order Trotter step exp(-i·h_j·τ·P_j) per term. *)
   let options = { Compiler.default_options with tau = 0.1 } in
-  let report = Compiler.compile ~options h in
+  let report = Registry.compile ~options Registry.phoenix h in
   Printf.printf "PHOENIX output: %d CNOTs, 2Q depth %d, %d 1Q gates\n"
     report.Compiler.two_q_count report.Compiler.depth_2q
     report.Compiler.one_q_count;
@@ -43,7 +44,7 @@ let () =
   (* Verify the compilation against the exact gadget product (PHOENIX in
      exact mode performs only unitary-preserving rewrites). *)
   let exact_opts = { options with exact = true } in
-  let exact = Compiler.compile ~options:exact_opts h in
+  let exact = Registry.compile ~options:exact_opts Registry.phoenix h in
   let reference =
     Phoenix_linalg.Unitary.program_unitary 3
       (Hamiltonian.trotter_gadgets ~tau:0.1 h)

@@ -9,8 +9,8 @@ module Molecules = Phoenix_ham.Molecules
 module Uccsd = Phoenix_ham.Uccsd
 module Fermion = Phoenix_ham.Fermion
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Circuit = Phoenix_circuit.Circuit
-module B = Phoenix_baselines
 
 let describe label (h : Hamiltonian.t) =
   Printf.printf "%s: %d qubits, %d Pauli strings, max weight %d\n" label
@@ -19,27 +19,28 @@ let describe label (h : Hamiltonian.t) =
 
 let compare_compilers h =
   let n = Hamiltonian.num_qubits h in
-  let gadgets = Hamiltonian.trotter_gadgets h in
-  let report name circuit =
+  let report name (r : Compiler.report) =
     Printf.printf "  %-18s #CNOT %-6d Depth-2Q %-6d\n" name
-      (Circuit.count_cnot circuit) (Circuit.depth_2q circuit)
+      (Circuit.count_cnot r.Compiler.circuit) r.Compiler.depth_2q
   in
-  report "original" (B.Naive.compile n gadgets);
-  report "TKET-like" (B.Tket_like.compile n gadgets);
+  (* naive and TKET-like compile the flat Trotter program *)
+  report "original" (Registry.compile Registry.naive h);
+  report "TKET-like" (Registry.compile Registry.tket h);
   (match Hamiltonian.gadget_blocks h with
   | Some gblocks ->
-    report "Paulihedral-like" (B.Paulihedral_like.compile_blocks n gblocks);
-    report "Tetris-like" (B.Tetris_like.compile_blocks n gblocks)
+    let blocked entry = Registry.compile_blocks entry n gblocks in
+    report "Paulihedral-like" (blocked Registry.paulihedral);
+    report "Tetris-like" (blocked Registry.tetris)
   | None -> ());
-  let r = Compiler.compile h in
+  let r = Registry.compile Registry.phoenix h in
   Printf.printf "  %-18s #CNOT %-6d Depth-2Q %-6d (%d IR groups, %.2fs)\n"
     "PHOENIX" r.Compiler.two_q_count r.Compiler.depth_2q r.Compiler.num_groups
     r.Compiler.wall_time;
   (* SU(4) ISA: Clifford sandwiches and cores fuse into native 2Q blocks *)
   let su4 =
-    Compiler.compile
+    Registry.compile
       ~options:{ Compiler.default_options with isa = Compiler.Su4_isa }
-      h
+      Registry.phoenix h
   in
   Printf.printf "  %-18s #SU4  %-6d Depth-2Q %-6d\n" "PHOENIX (SU4 ISA)"
     su4.Compiler.two_q_count su4.Compiler.depth_2q
@@ -60,9 +61,9 @@ let () =
   let topo = Phoenix_topology.Topology.ibm_manhattan () in
   let h = Uccsd.ansatz Fermion.Jordan_wigner spec in
   let r =
-    Compiler.compile
+    Registry.compile
       ~options:{ Compiler.default_options with target = Compiler.Hardware topo }
-      h
+      Registry.phoenix h
   in
   Printf.printf
     "LiH JW on heavy-hex-64: #CNOT %d (logical %d, %.1fx), Depth-2Q %d, %d SWAPs\n"

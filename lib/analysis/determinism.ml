@@ -1,4 +1,5 @@
 module Compiler = Phoenix.Compiler
+module Pass = Phoenix.Pass
 module Group = Phoenix.Group
 module Circuit = Phoenix_circuit.Circuit
 module Diag = Phoenix_verify.Diag
@@ -42,12 +43,18 @@ let diff_reports ~label (reference : Compiler.report)
     err "%s: diagnostics stream differs from the serial reference" label;
   List.rev !fs
 
+(* The PHOENIX pipeline over pre-built IR groups, skipping the group
+   pass. *)
+let compile_groups options n groups =
+  Compiler.run_passes
+    (Compiler.passes ~with_grouping:false options)
+    (Pass.init ~groups options n)
+
 let audit_groups ?(options = Compiler.default_options)
     ?(domain_counts = [ 2; 4 ]) ?(seeds = [ 1; 42 ]) n groups =
   let serial =
     with_seed_env None (fun () ->
-        Compiler.compile_groups ~options:{ options with Compiler.domains = 1 }
-          n groups)
+        compile_groups { options with Compiler.domains = 1 } n groups)
   in
   let replays =
     List.concat_map
@@ -59,8 +66,7 @@ let audit_groups ?(options = Compiler.default_options)
       (fun (d, s) ->
         let candidate =
           with_seed_env (Some s) (fun () ->
-              Compiler.compile_groups
-                ~options:{ options with Compiler.domains = d } n groups)
+              compile_groups { options with Compiler.domains = d } n groups)
         in
         diff_reports
           ~label:(Printf.sprintf "domains=%d seed=%d" d s)

@@ -7,8 +7,6 @@ type location =
   | Global
   | Gate of int
   | Qubit of int
-  | Row of int
-  | Column of int
   | Group of int
 
 type t = {
@@ -32,8 +30,6 @@ let location_to_string = function
   | Global -> ""
   | Gate i -> Printf.sprintf "gate #%d" i
   | Qubit q -> Printf.sprintf "qubit %d" q
-  | Row i -> Printf.sprintf "row %d" i
-  | Column q -> Printf.sprintf "column %d" q
   | Group g -> Printf.sprintf "group %d" g
 
 let to_string f =
@@ -60,8 +56,6 @@ let location_to_json = function
   | Global -> {|{"kind":"global"}|}
   | Gate i -> Printf.sprintf {|{"kind":"gate","index":%d}|} i
   | Qubit q -> Printf.sprintf {|{"kind":"qubit","index":%d}|} q
-  | Row i -> Printf.sprintf {|{"kind":"row","index":%d}|} i
-  | Column q -> Printf.sprintf {|{"kind":"column","index":%d}|} q
   | Group g -> Printf.sprintf {|{"kind":"group","index":%d}|} g
 
 let to_json f =

@@ -16,8 +16,6 @@ type location =
   | Global
   | Gate of int  (** index into the circuit's gate list *)
   | Qubit of int
-  | Row of int  (** BSF tableau row *)
-  | Column of int  (** BSF tableau column *)
   | Group of int  (** IR group index *)
 
 type t = {

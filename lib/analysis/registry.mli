@@ -4,8 +4,8 @@
     analyze], the [--lint] compile flag, and the test harness all run
     the registry rather than hand-picked pass lists, so a newly
     registered analysis is automatically surfaced everywhere.  (The
-    compiler-internal audits — {!Tableau_audit}, {!Determinism} — have
-    different inputs and are invoked directly.)
+    compiler-internal {!Determinism} audit has different inputs and is
+    invoked directly.)
 
     To add an analysis: write a [Circuit_lint.target -> Finding.t list]
     function (simulation-free, polynomial in the gate count), append an

@@ -13,7 +13,3 @@ let synth_pass =
       })
 
 let passes = [ synth_pass ]
-
-let compile n gadgets =
-  let ctx, _ = Pass.run passes (Pass.init ~gadgets Pass.default_options n) in
-  ctx.Pass.circuit

@@ -6,7 +6,3 @@
 
 val passes : Phoenix.Pass.t list
 (** The single-pass pipeline: synth. *)
-
-val compile :
-  int -> (Phoenix_pauli.Pauli_string.t * float) list ->
-  Phoenix_circuit.Circuit.t

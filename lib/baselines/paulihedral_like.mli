@@ -8,23 +8,11 @@
     cancellations, which the peephole pass (standing in for the Qiskit O2
     that Paulihedral pairs with) then harvests. *)
 
-val passes : with_grouping:bool -> Phoenix.Pass.t list
-(** The pipeline: [group →] order → synth → assemble → peephole.  Pass
-    [~with_grouping:false] when the context already carries IR groups. *)
-
-val compile :
-  ?peephole:bool ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list ->
-  Phoenix_circuit.Circuit.t
+val passes : Phoenix.Pass.t list
+(** The pipeline: group → order → synth → assemble → peephole.  The
+    group pass adopts the context's algorithm-level blocks when it
+    carries them (one per Trotter term, as the real Paulihedral frontend
+    consumes) and groups by support otherwise. *)
 
 val order_blocks : Phoenix.Group.t list -> Phoenix.Group.t list
 (** Greedy max-overlap chaining, exposed for testing. *)
-
-val compile_blocks :
-  ?peephole:bool ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list list ->
-  Phoenix_circuit.Circuit.t
-(** Compile with algorithm-level blocks (one per Trotter term, as the
-    real Paulihedral frontend consumes) instead of support-derived groups. *)

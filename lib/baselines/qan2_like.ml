@@ -7,12 +7,6 @@ module Layout = Phoenix_router.Layout
 module Pass = Phoenix.Pass
 module Passes = Phoenix.Passes
 
-type result = {
-  circuit : Circuit.t;
-  num_swaps : int;
-  initial_layout : Layout.t;
-}
-
 type interaction = { a : int; b : int; gate : Gate.t }
 
 let to_gate n (p, theta) =
@@ -110,7 +104,7 @@ let place_pass =
       let topo = topology_of_ctx ctx in
       let n = ctx.Pass.n in
       if n > Topology.num_qubits topo then
-        invalid_arg "Qan2_like.compile: device too small";
+        invalid_arg "Qan2_like.place: device too small";
       { ctx with Pass.layout = Some (place topo n ctx.Pass.gadgets) })
 
 (* The 2QAN scheduling loop: alternate between emitting every
@@ -131,7 +125,7 @@ let route_pass =
       if not (Topology.is_connected topo) then
         invalid_arg
           (Printf.sprintf
-             "Qan2_like.compile: the %d-qubit coupling graph is disconnected \
+             "Qan2_like.route: the %d-qubit coupling graph is disconnected \
               — routing cannot reach every qubit"
              n_phys);
       let initial_layout =
@@ -255,15 +249,3 @@ let lower_pass =
       { ctx with Pass.circuit = Rebase.to_cnot_basis ctx.Pass.circuit })
 
 let passes = [ place_pass; route_pass; lower_pass; Passes.peephole ]
-
-let compile ?(peephole = true) topo n gadgets =
-  let options =
-    { Pass.default_options with Pass.peephole; Pass.target = Pass.Hardware topo }
-  in
-  let ctx, _ = Pass.run passes (Pass.init ~gadgets options n) in
-  {
-    circuit = ctx.Pass.circuit;
-    num_swaps = ctx.Pass.num_swaps;
-    initial_layout =
-      (match ctx.Pass.layout with Some l -> l | None -> assert false);
-  }

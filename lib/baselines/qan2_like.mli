@@ -11,24 +11,12 @@
     merged by the peephole into the 3-CNOT fused block that is 2QAN's
     signature saving. *)
 
-type result = {
-  circuit : Phoenix_circuit.Circuit.t;  (** physical, CNOT basis *)
-  num_swaps : int;
-  initial_layout : Phoenix_router.Layout.t;
-}
-
 val passes : Phoenix.Pass.t list
-(** The pipeline: place → route → lower → peephole.  Requires a
-    [Hardware] target in the context options. *)
-
-val compile :
-  ?peephole:bool ->
-  Phoenix_topology.Topology.t ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list ->
-  result
-(** Raises [Invalid_argument] on gadgets of weight > 2, on a device
-    smaller than the register and on a disconnected coupling graph. *)
+(** The pipeline: place → route → lower → peephole, emitting a physical
+    CNOT-basis circuit.  Requires a [Hardware] target in the context
+    options.  Raises [Invalid_argument] on gadgets of weight > 2, on a
+    device smaller than the register and on a disconnected coupling
+    graph. *)
 
 val place :
   Phoenix_topology.Topology.t ->

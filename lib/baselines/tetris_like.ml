@@ -86,22 +86,5 @@ let synth_pass =
             ctx.Pass.groups;
       })
 
-let passes ~with_grouping =
-  (if with_grouping then [ Passes.group ] else [])
-  @ [ order_pass; synth_pass; Passes.assemble; Passes.peephole ]
-
-let run ~with_grouping ~peephole ctx =
-  let ctx, _ =
-    Pass.run (passes ~with_grouping)
-      { ctx with Pass.options = { ctx.Pass.options with Pass.peephole } }
-  in
-  ctx.Pass.circuit
-
-let compile ?(peephole = true) n gadgets =
-  run ~with_grouping:true ~peephole (Pass.init ~gadgets Pass.default_options n)
-
-let compile_blocks ?(peephole = true) n blocks =
-  run ~with_grouping:true ~peephole
-    (Pass.init
-       ~gadgets:(List.concat blocks)
-       ~term_blocks:blocks Pass.default_options n)
+let passes =
+  [ Passes.group; order_pass; synth_pass; Passes.assemble; Passes.peephole ]

@@ -8,24 +8,12 @@
     and the first gadget of the candidate, and hands routing to the
     shared SABRE router. *)
 
-val passes : with_grouping:bool -> Phoenix.Pass.t list
-(** The pipeline: [group →] order → synth → assemble → peephole.  Pass
-    [~with_grouping:false] when the context already carries IR groups. *)
-
-val compile :
-  ?peephole:bool ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list ->
-  Phoenix_circuit.Circuit.t
+val passes : Phoenix.Pass.t list
+(** The pipeline: group → order → synth → assemble → peephole.  The
+    group pass adopts the context's algorithm-level blocks when it
+    carries them (one per Trotter term, as the real Tetris frontend
+    consumes) and groups by support otherwise. *)
 
 val boundary_score :
   Phoenix_pauli.Pauli_string.t -> Phoenix_pauli.Pauli_string.t -> float
 (** Cancellation-compatibility estimate between two adjacent gadgets. *)
-
-val compile_blocks :
-  ?peephole:bool ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list list ->
-  Phoenix_circuit.Circuit.t
-(** Compile with algorithm-level blocks (one per Trotter term, as the
-    real Tetris frontend consumes) instead of support-derived groups. *)

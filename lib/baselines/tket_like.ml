@@ -67,8 +67,3 @@ let synth_pass =
       })
 
 let passes = [ partition_pass; synth_pass; Passes.assemble; Passes.peephole ]
-
-let compile ?(peephole = true) n gadgets =
-  let options = { Pass.default_options with Pass.peephole } in
-  let ctx, _ = Pass.run passes (Pass.init ~gadgets options n) in
-  ctx.Pass.circuit

@@ -9,11 +9,5 @@
     FullPeepholeOptimise. *)
 
 val passes : Phoenix.Pass.t list
-(** The pipeline: partition → synth → assemble → peephole. *)
-
-val compile :
-  ?peephole:bool ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list ->
-  Phoenix_circuit.Circuit.t
-(** Logical-level compilation to the {H, S, S†, Rz, CNOT} basis. *)
+(** The pipeline: partition → synth → assemble → peephole, emitting the
+    {H, S, S†, Rz, CNOT} basis. *)

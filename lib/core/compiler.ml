@@ -3,7 +3,6 @@ module Gate = Phoenix_circuit.Gate
 module Rebase = Phoenix_circuit.Rebase
 module Topology = Phoenix_topology.Topology
 module Sabre = Phoenix_router.Sabre
-module Hamiltonian = Phoenix_ham.Hamiltonian
 module Parallel = Phoenix_util.Parallel
 module Clock = Phoenix_util.Clock
 module Diag = Phoenix_verify.Diag
@@ -467,6 +466,13 @@ let passes ?synthesize ?(with_grouping = true) (options : options) =
       (if options.verify then [ verify_pass ] else []);
     ]
 
+(* The final circuit's metrics: the last pass's [after] snapshot, which
+   [Pass.run] already took; only an empty pass list needs a fresh count. *)
+let final_metrics trace circuit =
+  match List.rev trace with
+  | (e : Pass.trace_entry) :: _ -> e.Pass.after
+  | [] -> Pass.metrics_of circuit
+
 (* The one run-and-fold every compile entry point shares: run a pass
    list over [ctx] and fold the finished context into a report carrying
    the run's synthesis-cache counter delta and wall time. *)
@@ -475,11 +481,12 @@ let run_passes ?protect ?hooks pipeline ctx =
   let cache_before = Cache.stats () in
   let ctx, trace = Pass.run ?protect ?hooks pipeline ctx in
   let wall_time = Clock.monotonic_s () -. t0 in
+  let final = final_metrics trace ctx.Pass.circuit in
   {
     circuit = ctx.Pass.circuit;
-    two_q_count = Circuit.count_2q ctx.Pass.circuit;
-    depth_2q = Circuit.depth_2q ctx.Pass.circuit;
-    one_q_count = Circuit.count_1q ctx.Pass.circuit;
+    two_q_count = final.Pass.two_q;
+    depth_2q = final.Pass.depth_2q;
+    one_q_count = final.Pass.one_q;
     num_swaps = ctx.Pass.num_swaps;
     logical_two_q = ctx.Pass.logical_two_q;
     num_groups = List.length ctx.Pass.groups;
@@ -491,28 +498,11 @@ let run_passes ?protect ?hooks pipeline ctx =
     layout = ctx.Pass.layout;
   }
 
-let compile_groups ?(options = default_options) ?protect ?hooks ?synthesize n
-    groups =
-  run_passes ?protect ?hooks
-    (passes ?synthesize ~with_grouping:false options)
-    (Pass.init ~groups options n)
-
-let compile_gadgets ?(options = default_options) ?protect ?hooks ?synthesize n
-    gadgets =
-  run_passes ?protect ?hooks (passes ?synthesize options)
-    (Pass.init ~gadgets options n)
-
-let compile_blocks ?(options = default_options) ?protect ?hooks ?synthesize n
-    blocks =
-  run_passes ?protect ?hooks (passes ?synthesize options)
-    (Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n)
-
 (* --- streaming compilation -------------------------------------------- *)
 
 (* One unit of streaming work: a gadget program plus (optionally) its
-   algorithm-level block structure, mirroring the [compile_gadgets] /
-   [compile_blocks] split — grouping semantics differ between the two,
-   so the distinction must survive chunking. *)
+   algorithm-level block structure — grouping semantics differ between
+   the two, so the distinction must survive chunking. *)
 type chunk = {
   chunk_gadgets : (Phoenix_pauli.Pauli_string.t * float) list;
   chunk_blocks : (Phoenix_pauli.Pauli_string.t * float) list list option;
@@ -567,7 +557,7 @@ let aggregate_traces traces =
     (List.rev !order)
 
 let compile_stream ?(options = default_options) ?protect ?hooks
-    ?(keep_circuit = true) ?emit ?pipeline n chunks =
+    ?(keep_circuit = true) ?emit ~pipeline n chunks =
   (match options.target with
   | Logical -> ()
   | Hardware _ ->
@@ -575,9 +565,6 @@ let compile_stream ?(options = default_options) ?protect ?hooks
       "Compiler.compile_stream: streaming requires a logical target (chunks \
        route independently, and concatenating per-chunk placements is \
        unsound)");
-  let pipeline =
-    match pipeline with Some mk -> mk | None -> fun options -> passes options
-  in
   let t0 = Clock.monotonic_s () in
   let cache_before = Cache.stats () in
   let circuits = ref [] in
@@ -603,7 +590,7 @@ let compile_stream ?(options = default_options) ?protect ?hooks
       let c = r.circuit in
       traces := r.trace :: !traces;
       two_q_rev := r.two_q_count :: !two_q_rev;
-      agg := Pass.metrics_add !agg (Pass.metrics_of c);
+      agg := Pass.metrics_add !agg (final_metrics r.trace c);
       diags_rev := r.diagnostics :: !diags_rev;
       degr_rev := r.degradations :: !degr_rev;
       groups_n := !groups_n + r.num_groups;
@@ -791,11 +778,3 @@ let compile_template ?(options = default_options) ?protect ?hooks
     t_slot_count = count_template_slots prototype;
     t_report = report;
   }
-
-let compile ?(options = default_options) ?protect ?hooks h =
-  let n = Hamiltonian.num_qubits h in
-  match Hamiltonian.gadget_blocks ~tau:options.tau h with
-  | Some blocks -> compile_blocks ~options ?protect ?hooks n blocks
-  | None ->
-    compile_gadgets ~options ?protect ?hooks n
-      (Hamiltonian.trotter_gadgets ~tau:options.tau h)

@@ -4,13 +4,12 @@
     ordering → ISA lowering (CNOT or SU(4)) → optional hardware-aware
     routing → peephole cleanup.
 
-    Since the pass-manager refactor this module is itself a {!Pass}
-    pipeline — the canonical one.  [compile*] assemble the pass list with
-    {!passes}, run it with {!Pass.run}, and fold the final context into
-    the same {!report} as always; options and reports are unchanged and
-    the output is bit-identical to the pre-refactor compiler.  Baseline
-    pipelines reuse the shared passes ({!Passes}) and are registered
-    alongside this one in [Phoenix_pipeline.Registry].
+    This module is the canonical {!Pass} pipeline: {!passes} builds the
+    pass list and {!run_passes} runs any pass list and folds the final
+    context into the common {!report}.  Callers compile through the
+    pipeline registry ([Phoenix_pipeline.Registry]), whose [phoenix]
+    entry is {!passes} and whose baseline entries reuse the shared
+    passes ({!Passes}).
 
     With [verify = true] every pass boundary is translation-validated
     (see {!Phoenix_verify}): each group's synthesized circuit is checked
@@ -101,9 +100,13 @@ val run_passes :
   ?protect:bool -> ?hooks:Pass.hook list -> Pass.t list -> Pass.ctx -> report
 (** Run a pass list over [ctx] with {!Pass.run} and fold the finished
     context into the common report, with this run's synthesis-cache
-    counter delta and wall time.  Every compile entry point — PHOENIX's
-    and the registry's (see [Phoenix_pipeline.Registry]) — reports
-    through it. *)
+    counter delta and wall time.  Every compile entry point of the
+    registry (see [Phoenix_pipeline.Registry]) reports through it.
+    [hooks] are {!Pass.hook} pass-boundary instrumentation, fired after
+    every pass; [protect] (default [false]) is {!Pass.run}'s fail-closed
+    mode: unexpected exceptions escaping a pass re-raise as
+    {!Pass.Failed} with the pass named.  The report's gate counts are
+    the last trace entry's [after] snapshot. *)
 
 val passes :
   ?synthesize:(Group.t -> Phoenix_circuit.Circuit.t) ->
@@ -111,60 +114,18 @@ val passes :
   options ->
   Pass.t list
 (** The canonical PHOENIX pipeline for [options], as a declarative pass
-    list: grouping (unless [with_grouping = false], for pre-grouped
-    input), simplify, ordering (skipped in exact mode), assembly,
-    peephole, ISA lowering, routing (hardware targets only), and final
-    verification (when [options.verify]). *)
+    list: grouping (unless [with_grouping = false], for a context
+    initialized with IR groups), simplify, ordering (skipped in exact
+    mode), assembly, peephole, ISA lowering, routing (hardware targets
+    only), and final verification (when [options.verify]).
 
-val compile :
-  ?options:options ->
-  ?protect:bool ->
-  ?hooks:Pass.hook list ->
-  Phoenix_ham.Hamiltonian.t ->
-  report
-(** [hooks] (here and below) are {!Pass.hook} pass-boundary
-    instrumentation, fired after every pass.  [protect] (here and below,
-    default [false]) is {!Pass.run}'s fail-closed mode: unexpected
-    exceptions escaping a pass re-raise as {!Pass.Failed} with the pass
-    named. *)
-
-val compile_gadgets :
-  ?options:options ->
-  ?protect:bool ->
-  ?hooks:Pass.hook list ->
-  ?synthesize:(Group.t -> Phoenix_circuit.Circuit.t) ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list ->
-  report
-(** Compile an explicit gadget program over [n] qubits, grouping by
-    support. *)
-
-val compile_blocks :
-  ?options:options ->
-  ?protect:bool ->
-  ?hooks:Pass.hook list ->
-  ?synthesize:(Group.t -> Phoenix_circuit.Circuit.t) ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list list ->
-  report
-(** Compile with caller-supplied algorithm-level blocks as IR groups.
-    [compile] uses this automatically when the Hamiltonian records block
-    structure (UCCSD ansatzes do). *)
-
-val compile_groups :
-  ?options:options ->
-  ?protect:bool ->
-  ?hooks:Pass.hook list ->
-  ?synthesize:(Group.t -> Phoenix_circuit.Circuit.t) ->
-  int ->
-  Group.t list ->
-  report
-(** Lowest-level entry point.  [synthesize] overrides per-group circuit
-    synthesis (default {!Synthesis.group_circuit}); it exists for
-    experimentation and fault injection — with [verify = true] a
-    synthesizer that produces a wrong circuit is caught per group and
-    recovered via the naive ladder.  Supplying [synthesize] forces
-    serial group compilation (the closure is not assumed thread-safe). *)
+    [synthesize] overrides per-group circuit synthesis (default
+    {!Synthesis.group_circuit}); it exists for experimentation and fault
+    injection — with [verify = true] a synthesizer that produces a wrong
+    circuit is caught per group and recovered via the naive ladder.
+    Supplying [synthesize] bypasses the synthesis cache and forces
+    serial group compilation (the closure is not assumed
+    thread-safe). *)
 
 (** {1 Streaming compilation}
 
@@ -178,9 +139,8 @@ val compile_groups :
     concatenates the per-chunk circuits or hands each to [emit] and
     drops it, bounding peak memory by the chunk size.
 
-    Contract: a single-chunk stream is bit-identical to the matching
-    whole-program entry point ([compile_blocks] when the chunk carries
-    blocks, [compile_gadgets] otherwise), and a multi-chunk stream is
+    Contract: a single-chunk stream is bit-identical to {!run_passes}
+    of the same pass list over the chunk, and a multi-chunk stream is
     bit-identical to the concatenation of the chunks' independent
     compiles.  A whole-program compile of the {e concatenated} gadget
     list is a different program — grouping would merge rotations across
@@ -191,7 +151,7 @@ type chunk = {
       (** the chunk's gadget program, in order *)
   chunk_blocks : (Phoenix_pauli.Pauli_string.t * float) list list option;
       (** algorithm-level block structure when known; its presence
-          selects [compile_blocks]-style grouping for the chunk *)
+          selects block-based grouping for the chunk *)
 }
 
 val chunk_of_gadgets : (Phoenix_pauli.Pauli_string.t * float) list -> chunk
@@ -220,14 +180,14 @@ val compile_stream :
   ?hooks:Pass.hook list ->
   ?keep_circuit:bool ->
   ?emit:(Phoenix_circuit.Circuit.t -> unit) ->
-  ?pipeline:(options -> Pass.t list) ->
+  pipeline:(options -> Pass.t list) ->
   int ->
   chunk Seq.t ->
   stream_report
-(** Compile a lazy chunk stream over [n] qubits.  Each chunk runs the
-    canonical pipeline via {!run_passes} with the given [hooks], exactly
-    as [compile_gadgets]/[compile_blocks] would; [pipeline] overrides
-    the pass list per chunk (the registry streams baselines with it).  [emit] is called with
+(** Compile a lazy chunk stream over [n] qubits.  Each chunk runs
+    [pipeline options] via {!run_passes} with the given [hooks] (the
+    registry passes its entry's pass list, so baselines stream too).
+    [emit] is called with
     each chunk's finished circuit in stream order; with [keep_circuit =
     false] (default [true]) the circuit is dropped after [emit] and the
     aggregate report carries an empty circuit, keeping peak memory

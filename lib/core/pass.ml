@@ -183,10 +183,12 @@ let run ?(protect = false) ?(hooks = []) passes ctx =
          exception across the job boundary. *)
       raise (Failed { pass = pass.name; error = Printexc.to_string e })
   in
-  let final, rev_trace =
+  (* Each pass's [after] snapshot is the next pass's [before]: the
+     circuit between two passes is the same value, so it is counted
+     once. *)
+  let final, _, rev_trace =
     List.fold_left
-      (fun (ctx, acc) pass ->
-        let before = metrics_of ctx.circuit in
+      (fun (ctx, before, acc) pass ->
         let m0 = Gc.minor_words () in
         let g0 = Gc.quick_stat () in
         let t0 = Clock.monotonic_s () in
@@ -212,6 +214,7 @@ let run ?(protect = false) ?(hooks = []) passes ctx =
           (fun h -> h ~pass ~before:ctx ~after:ctx' ~seconds)
           hooks;
         ( ctx',
+          after,
           {
             pass = pass.name;
             seconds;
@@ -221,7 +224,7 @@ let run ?(protect = false) ?(hooks = []) passes ctx =
             after;
           }
           :: acc ))
-      (ctx, []) passes
+      (ctx, metrics_of ctx.circuit, []) passes
   in
   final, List.rev rev_trace
 

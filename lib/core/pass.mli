@@ -214,8 +214,9 @@ exception Failed of { pass : string; error : string }
 
 val run : ?protect:bool -> ?hooks:hook list -> t list -> ctx -> ctx * trace
 (** Execute a pipeline: fold the passes over the context, timing each on
-    the monotonic clock, snapshotting boundary metrics, and firing every
-    hook at every boundary.  The options' [budget] is installed
+    the monotonic clock, snapshotting boundary metrics (each boundary
+    once: a pass's [after] is the next pass's [before]), and firing
+    every hook at every boundary.  The options' [budget] is installed
     ambiently around each pass; an unabsorbed {!Budget.Interrupted}
     re-raises as {!Interrupted}.  With [protect] (default [false]),
     every other exception re-raises as {!Failed} instead of leaking. *)

@@ -1,10 +1,10 @@
 module Circuit = Phoenix_circuit.Circuit
 module Peephole = Phoenix_circuit.Peephole
 module Rebase = Phoenix_circuit.Rebase
-module Group = Phoenix.Group
+module Pass = Phoenix.Pass
 module Synthesis = Phoenix.Synthesis
-module Order = Phoenix.Order
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Sabre = Phoenix_router.Sabre
 
 type variant =
@@ -26,27 +26,32 @@ let variant_name = function
 let all_variants =
   [ Full; No_ordering; No_lookahead; No_compression; No_peephole; Exact ]
 
-(* Hand-assembled logical pipeline with per-variant knobs. *)
+(* The PHOENIX pipeline ([Compiler.passes]) with one component switched
+   off; [Full] is exactly what the registry's phoenix entry runs. *)
 let compile_variant variant n blocks =
-  let exact = variant = Exact in
-  let compress = variant <> No_compression in
-  let groups = Group.of_blocks n blocks in
-  let blocks' =
-    List.map
-      (fun g -> { Order.group = g; circuit = Synthesis.group_circuit ~exact ~compress g })
-      groups
-  in
-  let ordered =
+  let d = Compiler.default_options in
+  let options =
     match variant with
-    | No_ordering | Exact -> blocks'
-    | No_lookahead -> Order.order ~lookahead:1 blocks'
-    | Full | No_compression | No_peephole -> Order.order blocks'
+    | Exact -> { d with exact = true }
+    | No_peephole -> { d with peephole = false }
+    | No_lookahead -> { d with lookahead = 1 }
+    | Full | No_ordering | No_compression -> d
   in
-  let abstract =
-    Circuit.concat_list n (List.map (fun b -> b.Order.circuit) ordered)
+  let synthesize =
+    match variant with
+    | No_compression ->
+      Some (fun g -> Synthesis.group_circuit ~compress:false g)
+    | Full | No_ordering | No_lookahead | No_peephole | Exact -> None
   in
-  let maybe_peephole c = if variant = No_peephole then c else Peephole.optimize c in
-  maybe_peephole (Rebase.to_cnot_basis (maybe_peephole abstract))
+  let passes = Compiler.passes ?synthesize options in
+  let passes =
+    if variant = No_ordering then
+      List.filter (fun (p : Pass.t) -> p.Pass.name <> "order") passes
+    else passes
+  in
+  (Compiler.run_passes passes
+     (Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n))
+    .Compiler.circuit
 
 let run_uccsd ?labels () =
   let cases = Workloads.uccsd_suite ?labels () in
@@ -56,8 +61,9 @@ let run_uccsd ?labels () =
         List.fold_left
           (fun (cs, ds) (case : Workloads.uccsd_case) ->
             let original =
-              Phoenix_baselines.Naive.compile case.Workloads.n
-                (Workloads.gadgets case)
+              (Registry.compile_gadgets Registry.naive case.Workloads.n
+                 (Workloads.gadgets case))
+                .Compiler.circuit
             in
             let c =
               compile_variant variant case.Workloads.n case.Workloads.gadget_blocks
@@ -78,12 +84,14 @@ let run_qaoa_router () =
         { Compiler.default_options with target = Compiler.Hardware topo }
       in
       let with_commuting =
-        Compiler.compile_gadgets ~options case.Workloads.qn case.Workloads.qgadgets
+        Registry.compile_gadgets ~options Registry.phoenix case.Workloads.qn
+          case.Workloads.qgadgets
       in
       (* plain SABRE: bypass the commuting-aware path by compiling the
          logical circuit first, then routing it order-respectingly *)
       let logical =
-        Compiler.compile_gadgets case.Workloads.qn case.Workloads.qgadgets
+        Registry.compile_gadgets Registry.phoenix case.Workloads.qn
+          case.Workloads.qgadgets
       in
       let routed = Sabre.route_with_refinement topo logical.Compiler.circuit in
       let lowered =

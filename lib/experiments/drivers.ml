@@ -1,6 +1,6 @@
 module Circuit = Phoenix_circuit.Circuit
 module Compiler = Phoenix.Compiler
-module Pipelines = Phoenix_pipeline.Registry
+module Registry = Phoenix_pipeline.Registry
 
 type compiler = Naive | Tket | Paulihedral | Tetris | Phoenix_c
 
@@ -11,17 +11,12 @@ let compiler_name = function
   | Tetris -> "Tetris-like"
   | Phoenix_c -> "PHOENIX"
 
-let registry_name = function
-  | Naive -> "naive"
-  | Tket -> "tket"
-  | Paulihedral -> "paulihedral"
-  | Tetris -> "tetris"
-  | Phoenix_c -> "phoenix"
-
-let entry compiler =
-  match Pipelines.find (registry_name compiler) with
-  | Some e -> e
-  | None -> assert false
+let entry = function
+  | Naive -> Registry.naive
+  | Tket -> Registry.tket
+  | Paulihedral -> Registry.paulihedral
+  | Tetris -> Registry.tetris
+  | Phoenix_c -> Registry.phoenix
 
 type isa = Cnot | Su4
 
@@ -44,7 +39,7 @@ let options ?(o3 = true) ~isa ~target () =
    routing + ISA lowering tail on hardware targets, which is exactly the
    treatment the paper's baseline columns get. *)
 let run ~options ~logical compiler n blocks =
-  let r = Pipelines.compile_blocks ~options (entry compiler) n blocks in
+  let r = Registry.compile_blocks ~options (entry compiler) n blocks in
   {
     counts =
       {

@@ -10,6 +10,9 @@ type compiler = Naive | Tket | Paulihedral | Tetris | Phoenix_c
 
 val compiler_name : compiler -> string
 
+val entry : compiler -> Phoenix_pipeline.Registry.entry
+(** The registry pipeline that compiles the column. *)
+
 type isa = Cnot | Su4
 
 type outcome = {

@@ -1,5 +1,5 @@
 module Noise = Phoenix_circuit.Noise
-module B = Phoenix_baselines
+module Registry = Phoenix_pipeline.Registry
 
 type row = {
   label : string;
@@ -15,15 +15,10 @@ let compilers =
     Drivers.Phoenix_c;
   ]
 
+(* Naive and TKET-like ignore the blocks and compile the flat program. *)
 let circuit_for compiler n blocks =
-  match compiler with
-  | Drivers.Phoenix_c ->
-    let r = Phoenix.Compiler.compile_blocks n blocks in
-    r.Phoenix.Compiler.circuit
-  | Drivers.Naive -> B.Naive.compile n (List.concat blocks)
-  | Drivers.Tket -> B.Tket_like.compile n (List.concat blocks)
-  | Drivers.Paulihedral -> B.Paulihedral_like.compile_blocks n blocks
-  | Drivers.Tetris -> B.Tetris_like.compile_blocks n blocks
+  (Registry.compile_blocks (Drivers.entry compiler) n blocks)
+    .Phoenix.Compiler.circuit
 
 let run ?labels () =
   List.map

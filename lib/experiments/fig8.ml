@@ -5,6 +5,7 @@ module Unitary = Phoenix_linalg.Unitary
 module Herm = Phoenix_linalg.Herm
 module Fidelity = Phoenix_linalg.Fidelity
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 
 type point = { scale : float; tket : float; phoenix : float }
 
@@ -36,9 +37,11 @@ let series_for ~scales spec enc =
     let h = Hamiltonian.scale scale base in
     let exact = Herm.evolution decomposition scale in
     let gadgets = Hamiltonian.trotter_gadgets h in
-    let tket_circuit = Phoenix_baselines.Tket_like.compile n gadgets in
+    let tket_circuit =
+      (Registry.compile_gadgets Registry.tket n gadgets).Compiler.circuit
+    in
     let tket = Fidelity.infidelity exact (Unitary.circuit_unitary tket_circuit) in
-    let r = Compiler.compile h in
+    let r = Registry.compile Registry.phoenix h in
     let phoenix =
       Fidelity.infidelity exact (Unitary.circuit_unitary r.Compiler.circuit)
     in

@@ -1,4 +1,5 @@
 module Circuit = Phoenix_circuit.Circuit
+module Registry = Phoenix_pipeline.Registry
 
 type row = {
   label : string;
@@ -35,7 +36,10 @@ let run ?labels () =
   List.map
     (fun (case : Workloads.uccsd_case) ->
       let gadgets = Workloads.gadgets case in
-      let circuit = Phoenix_baselines.Naive.compile case.Workloads.n gadgets in
+      let circuit =
+        (Registry.compile_gadgets Registry.naive case.Workloads.n gadgets)
+          .Phoenix.Compiler.circuit
+      in
       let w_max =
         List.fold_left
           (fun acc (p, _) -> max acc (Phoenix_pauli.Pauli_string.weight p))

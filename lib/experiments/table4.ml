@@ -1,35 +1,25 @@
-module Circuit = Phoenix_circuit.Circuit
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 
 type side = { cnots : int; depth_2q : int; swaps : int; overhead : float }
 
 type row = { label : string; pauli : int; qan2 : side; phoenix : side }
 
 let run () =
-  let topo = Workloads.heavy_hex () in
+  let options =
+    {
+      Compiler.default_options with
+      target = Compiler.Hardware (Workloads.heavy_hex ());
+    }
+  in
   List.map
     (fun (case : Workloads.qaoa_case) ->
       let logical_cnots = 2 * List.length case.Workloads.qgadgets in
-      let q =
-        Phoenix_baselines.Qan2_like.compile topo case.Workloads.qn
-          case.Workloads.qgadgets
-      in
-      let qan2 =
-        {
-          cnots = Circuit.count_2q q.Phoenix_baselines.Qan2_like.circuit;
-          depth_2q = Circuit.depth_2q q.Phoenix_baselines.Qan2_like.circuit;
-          swaps = q.Phoenix_baselines.Qan2_like.num_swaps;
-          overhead =
-            Metrics.ratio
-              (Circuit.count_2q q.Phoenix_baselines.Qan2_like.circuit)
-              logical_cnots;
-        }
-      in
-      let options =
-        { Compiler.default_options with target = Compiler.Hardware topo }
-      in
-      let r = Compiler.compile_gadgets ~options case.Workloads.qn case.Workloads.qgadgets in
-      let phoenix =
+      let side entry =
+        let r =
+          Registry.compile_gadgets ~options entry case.Workloads.qn
+            case.Workloads.qgadgets
+        in
         {
           cnots = r.Compiler.two_q_count;
           depth_2q = r.Compiler.depth_2q;
@@ -37,6 +27,8 @@ let run () =
           overhead = Metrics.ratio r.Compiler.two_q_count logical_cnots;
         }
       in
+      let qan2 = side Registry.qan2 in
+      let phoenix = side Registry.phoenix in
       {
         label = case.Workloads.qlabel;
         pauli = List.length case.Workloads.qgadgets;

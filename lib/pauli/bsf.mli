@@ -101,8 +101,8 @@ val audit : t -> string list
     at their introduction site. *)
 
 (** Deliberate corruption of the redundant cache state (never the bit
-    vectors), for fault-injection tests of {!audit} and the
-    [Phoenix_analysis] tableau auditor. *)
+    vectors), for fault-injection tests of {!audit}, and of one sign
+    bit, for tests of {!canonical_digest}. *)
 module Testing : sig
   val corrupt_column_count : t -> int -> unit
   (** Bump the cached support count of one column. *)
@@ -114,7 +114,8 @@ module Testing : sig
   (** Bump the cached nonlocal-row counter. *)
 
   val corrupt_sign : t -> int -> unit
-  (** Flip one row's sign bit (caught by the replay audit, not {!audit}). *)
+  (** Flip one row's sign bit (invisible to {!audit}: signs are not
+      cached state). *)
 end
 
 val apply_h : t -> int -> unit

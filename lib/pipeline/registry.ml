@@ -54,8 +54,7 @@ let paulihedral =
        block-local ladder synthesis, peephole";
     passes =
       (fun options ->
-        Phoenix_baselines.Paulihedral_like.passes ~with_grouping:true
-        @ baseline_tail options);
+        Phoenix_baselines.Paulihedral_like.passes @ baseline_tail options);
     requires_topology = false;
     two_local_only = false;
     uses_blocks = false;
@@ -69,8 +68,7 @@ let tetris =
        compatibility, Z-first ladders, peephole";
     passes =
       (fun options ->
-        Phoenix_baselines.Tetris_like.passes ~with_grouping:true
-        @ baseline_tail options);
+        Phoenix_baselines.Tetris_like.passes @ baseline_tail options);
     requires_topology = false;
     two_local_only = false;
     uses_blocks = false;

@@ -3,11 +3,13 @@
     compilation context, all returning the common
     {!Phoenix.Compiler.report}.
 
-    The CLI and the serve daemon look pipelines up through {!Job.resolve}
-    (which uses {!find}), the experiment drivers compile through
-    {!compile_blocks}, and
-    [phoenix passes] prints {!catalog} — so adding a pipeline here
-    surfaces it everywhere at once. *)
+    This is the one way to compile: every caller names an entry and runs
+    it through {!compile}, {!compile_gadgets}, {!compile_blocks},
+    {!compile_stream} or {!compile_template}.  The CLI and the serve
+    daemon look pipelines up by name through {!Job.resolve} (which uses
+    {!find}), library callers name an entry directly ({!phoenix},
+    {!tket}, …), and [phoenix passes] prints {!catalog} — so adding a
+    pipeline here surfaces it everywhere at once. *)
 
 type entry = {
   name : string;  (** stable CLI identifier ("phoenix", "tket", ...) *)
@@ -23,6 +25,27 @@ type entry = {
           Hamiltonian records them (PHOENIX does; the baselines consume
           the flat Trotter gadget program, as their references do) *)
 }
+
+val phoenix : entry
+(** The canonical PHOENIX pipeline ({!Phoenix.Compiler.passes}). *)
+
+val tket : entry
+(** TKET-like ({!Phoenix_baselines.Tket_like}). *)
+
+val paulihedral : entry
+(** Paulihedral-like ({!Phoenix_baselines.Paulihedral_like}). *)
+
+val tetris : entry
+(** Tetris-like ({!Phoenix_baselines.Tetris_like}). *)
+
+val qan2 : entry
+(** 2QAN-like ({!Phoenix_baselines.Qan2_like}); CLI name ["2qan"].
+    Hardware targets and 2-local programs only. *)
+
+val naive : entry
+(** Textbook per-gadget ladders in program order
+    ({!Phoenix_baselines.Naive}): the "original circuit" of the paper's
+    tables. *)
 
 val all : entry list
 (** Registry order is the CLI listing order. *)

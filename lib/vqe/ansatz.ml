@@ -27,8 +27,11 @@ let gadgets t theta =
       List.map (fun (p, base) -> p, theta.(k) *. base) block)
     t.blocks
 
-let circuit ?(options = Compiler.default_options) t theta =
-  let report = Compiler.compile_blocks ~options t.n (gadgets t theta) in
+let circuit ?options t theta =
+  let report =
+    Phoenix_pipeline.Registry.compile_blocks ?options
+      Phoenix_pipeline.Registry.phoenix t.n (gadgets t theta)
+  in
   report.Compiler.circuit
 
 let param_names t = Array.init (num_parameters t) (Printf.sprintf "theta%d")

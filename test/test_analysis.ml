@@ -12,10 +12,10 @@ module Circuit = Helpers.Circuit
 module Topology = Phoenix_topology.Topology
 module Sabre = Phoenix_router.Sabre
 module Compiler = Phoenix.Compiler
+module Pipelines = Phoenix_pipeline.Registry
 module Structural = Phoenix_verify.Structural
 module Finding = Phoenix_analysis.Finding
 module Circuit_lint = Phoenix_analysis.Circuit_lint
-module Tableau_audit = Phoenix_analysis.Tableau_audit
 module Determinism = Phoenix_analysis.Determinism
 module Registry = Phoenix_analysis.Registry
 module Cache = Phoenix_cache.Cache
@@ -51,7 +51,7 @@ let test_phoenix_logical_clean () =
   List.iter
     (fun (isa, lint_isa, tag) ->
       let options = { Compiler.default_options with isa } in
-      let r = Compiler.compile ~options h in
+      let r = Pipelines.compile ~options Pipelines.phoenix h in
       check_no_errors tag
         (lint ~isa:lint_isa ~declared:(declared_of r) r.Compiler.circuit))
     [
@@ -64,7 +64,7 @@ let test_phoenix_routed_clean () =
   let options =
     { Compiler.default_options with target = Compiler.Hardware topo }
   in
-  let r = Compiler.compile ~options (heisenberg 8) in
+  let r = Pipelines.compile ~options Pipelines.phoenix (heisenberg 8) in
   check_no_errors "routed phoenix"
     (lint ~isa:Circuit_lint.Cnot_basis ~topology:topo
        ~declared:(declared_of r) r.Compiler.circuit)
@@ -74,13 +74,13 @@ let test_baselines_clean () =
   let n = 8 in
   let gadgets = Phoenix_ham.Hamiltonian.trotter_gadgets h in
   let topo = Topology.line n in
+  let compile ?options entry =
+    (Pipelines.compile_gadgets ?options entry n gadgets).Compiler.circuit
+  in
   let logical =
-    [
-      "tket", Phoenix_baselines.Tket_like.compile n gadgets;
-      "paulihedral", Phoenix_baselines.Paulihedral_like.compile n gadgets;
-      "tetris", Phoenix_baselines.Tetris_like.compile n gadgets;
-      "naive", Phoenix_baselines.Naive.compile n gadgets;
-    ]
+    List.map
+      (fun (e : Pipelines.entry) -> e.Pipelines.name, compile e)
+      Pipelines.[ tket; paulihedral; tetris; naive ]
   in
   List.iter
     (fun (name, c) ->
@@ -94,15 +94,17 @@ let test_baselines_clean () =
       check_no_errors (name ^ " routed")
         (lint ~isa:Circuit_lint.Cnot_basis ~topology:topo final))
     logical;
-  let r = Phoenix_baselines.Qan2_like.compile topo n gadgets in
+  let options =
+    { Compiler.default_options with target = Compiler.Hardware topo }
+  in
   check_no_errors "2qan routed"
     (lint ~isa:Circuit_lint.Cnot_basis ~topology:topo
-       r.Phoenix_baselines.Qan2_like.circuit)
+       (compile ~options Pipelines.qan2))
 
 (* --- fault injection: circuit-level analyses ---------------------------- *)
 
 let compiled_heisenberg () =
-  let r = Compiler.compile (heisenberg 6) in
+  let r = Pipelines.compile Pipelines.phoenix (heisenberg 6) in
   r.Compiler.circuit, declared_of r
 
 let test_catches_out_of_isa_gate () =
@@ -271,9 +273,7 @@ let prop_audit_clean =
     random_conjugated_bsf
     (fun (terms, gates) ->
       let t = build_bsf 4 terms gates in
-      Bsf.audit t = []
-      && Tableau_audit.cache_audit t = []
-      && Tableau_audit.replay_audit ~n:4 ~terms ~gates t = [])
+      Bsf.audit t = [])
 
 let fixed_bsf () =
   let terms = [ ps "XYZI", 0.3; ps "ZZII", 0.5; ps "IXXY", 0.7 ] in
@@ -283,40 +283,17 @@ let fixed_bsf () =
 let test_catches_corrupt_column_count () =
   let _, _, t = fixed_bsf () in
   Bsf.Testing.corrupt_column_count t 1;
-  let findings = Tableau_audit.cache_audit t in
-  Alcotest.(check bool) "caught" true (Finding.has_errors findings)
+  Alcotest.(check bool) "caught" true (Bsf.audit t <> [])
 
 let test_catches_stale_row_weight () =
   let _, _, t = fixed_bsf () in
   Bsf.Testing.corrupt_row_weight t 0;
-  Alcotest.(check bool)
-    "caught" true
-    (Finding.has_errors (Tableau_audit.cache_audit t))
+  Alcotest.(check bool) "caught" true (Bsf.audit t <> [])
 
 let test_catches_corrupt_nonlocal_count () =
   let _, _, t = fixed_bsf () in
   Bsf.Testing.corrupt_nonlocal_count t;
-  Alcotest.(check bool)
-    "caught" true
-    (Finding.has_errors (Tableau_audit.cache_audit t))
-
-let test_replay_catches_sign_flip () =
-  let terms, gates, t = fixed_bsf () in
-  check_no_errors "clean before"
-    (Tableau_audit.replay_audit ~n:4 ~terms ~gates t);
-  Bsf.Testing.corrupt_sign t 1;
-  (* invisible to the cache audit, which cannot derive signs... *)
-  Alcotest.(check (list string))
-    "cache audit blind to signs" []
-    (List.map Finding.to_string (Tableau_audit.cache_audit t));
-  (* ...but the replay oracle pins it to the row *)
-  let findings = Tableau_audit.replay_audit ~n:4 ~terms ~gates t in
-  Alcotest.(check bool)
-    "caught at row 1" true
-    (List.exists
-       (fun (f : Finding.t) ->
-         f.Finding.severity = Finding.Error && f.Finding.location = Finding.Row 1)
-       findings)
+  Alcotest.(check bool) "caught" true (Bsf.audit t <> [])
 
 let test_debug_audit_mode_traps_mutators () =
   (* PHOENIX_BSF_AUDIT=1 is set binary-wide above: a corrupted cache must
@@ -374,7 +351,7 @@ let with_populated_cache f =
     (fun () ->
       Cache.clear_memory ();
       let options = { Compiler.default_options with cache = Cache.Disk } in
-      ignore (Compiler.compile ~options (heisenberg 6));
+      ignore (Pipelines.compile ~options Pipelines.phoenix (heisenberg 6));
       f d)
 
 let read_all path =
@@ -486,8 +463,6 @@ let () =
             test_catches_stale_row_weight;
           Alcotest.test_case "corrupt nonlocal count" `Quick
             test_catches_corrupt_nonlocal_count;
-          Alcotest.test_case "sign flip via replay" `Quick
-            test_replay_catches_sign_flip;
           Alcotest.test_case "debug audit traps mutators" `Quick
             test_debug_audit_mode_traps_mutators;
         ] );

@@ -3,15 +3,19 @@ module Circuit = Helpers.Circuit
 module Gate = Helpers.Gate
 module Unitary = Helpers.Unitary
 module Diagonalize = Phoenix_circuit.Diagonalize
-module Naive = Phoenix_baselines.Naive
-module Tket_like = Phoenix_baselines.Tket_like
-module Paulihedral_like = Phoenix_baselines.Paulihedral_like
-module Tetris_like = Phoenix_baselines.Tetris_like
 module Qan2_like = Phoenix_baselines.Qan2_like
+module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Topology = Phoenix_topology.Topology
 module Layout = Phoenix_router.Layout
 
 let ps = Pauli_string.of_string
+
+let compile ?options entry n gadgets =
+  (Registry.compile_gadgets ?options entry n gadgets).Compiler.circuit
+
+let hardware ?(peephole = true) topo =
+  { Compiler.default_options with target = Compiler.Hardware topo; peephole }
 
 (* --- diagonalization --- *)
 
@@ -99,29 +103,24 @@ let qaoa_program n seed =
   let g = Phoenix_ham.Graphs.erdos_renyi ~seed ~p:0.5 n in
   Phoenix_ham.Hamiltonian.trotter_gadgets (Phoenix_ham.Qaoa.maxcut_cost g)
 
-let check_compiler_correct name compile =
+let check_compiler_correct entry =
   let gadgets = qaoa_program 4 11 in
   let reference = Unitary.program_unitary 4 gadgets in
-  let circ = compile 4 gadgets in
-  Helpers.check_equiv ~tol:1e-7 (name ^ " unitary") reference
+  let circ = compile entry 4 gadgets in
+  Helpers.check_equiv ~tol:1e-7 (entry.Registry.name ^ " unitary") reference
     (Unitary.circuit_unitary circ)
 
-let test_naive_correct () = check_compiler_correct "naive" Naive.compile
-let test_tket_correct () =
-  check_compiler_correct "tket" (fun n g -> Tket_like.compile n g)
-
-let test_paulihedral_correct () =
-  check_compiler_correct "paulihedral" (fun n g -> Paulihedral_like.compile n g)
-
-let test_tetris_correct () =
-  check_compiler_correct "tetris" (fun n g -> Tetris_like.compile n g)
+let test_naive_correct () = check_compiler_correct Registry.naive
+let test_tket_correct () = check_compiler_correct Registry.tket
+let test_paulihedral_correct () = check_compiler_correct Registry.paulihedral
+let test_tetris_correct () = check_compiler_correct Registry.tetris
 
 let test_tket_beats_naive_on_uccsd () =
   let b = Phoenix_ham.Molecules.find "LiH_frz_JW" in
   let ham = Phoenix_ham.Uccsd.ansatz b.Phoenix_ham.Molecules.encoding b.Phoenix_ham.Molecules.spec in
   let g = Phoenix_ham.Hamiltonian.trotter_gadgets ham in
-  let naive = Circuit.count_cnot (Naive.compile 10 g) in
-  let tket = Circuit.count_cnot (Tket_like.compile 10 g) in
+  let naive = Circuit.count_cnot (compile Registry.naive 10 g) in
+  let tket = Circuit.count_cnot (compile Registry.tket 10 g) in
   Alcotest.(check bool) "tket < naive/2" true (tket * 2 < naive)
 
 (* --- 2QAN-like --- *)
@@ -130,7 +129,8 @@ let test_qan2_rejects_weight3 () =
   Alcotest.check_raises "weight 3"
     (Invalid_argument "Qan2_like: gadget of weight > 2") (fun () ->
       ignore
-        (Qan2_like.compile (Topology.line 4) 4 [ ps "ZZZI", 0.1 ]))
+        (compile ~options:(hardware (Topology.line 4)) Registry.qan2 4
+           [ ps "ZZZI", 0.1 ]))
 
 let test_qan2_respects_topology () =
   let topo = Topology.heavy_hex ~widths:[ 5; 5 ] in
@@ -138,14 +138,14 @@ let test_qan2_respects_topology () =
   let gadgets =
     Phoenix_ham.Hamiltonian.trotter_gadgets (Phoenix_ham.Qaoa.maxcut_cost g)
   in
-  let r = Qan2_like.compile topo 8 gadgets in
+  let c = compile ~options:(hardware topo) Registry.qan2 8 gadgets in
   List.iter
     (fun gate ->
       match Gate.pair gate with
       | Some (a, b) ->
         Alcotest.(check bool) "adjacent" true (Topology.are_adjacent topo a b)
       | None -> ())
-    (Circuit.gates r.Qan2_like.circuit)
+    (Circuit.gates c)
 
 let test_qan2_place_injective () =
   let topo = Topology.ibm_manhattan () in
@@ -163,12 +163,14 @@ let test_qan2_emits_all_interactions () =
   let gadgets =
     Phoenix_ham.Hamiltonian.trotter_gadgets (Phoenix_ham.Qaoa.maxcut_cost g)
   in
-  let r = Qan2_like.compile ~peephole:false topo 6 gadgets in
+  let c =
+    compile ~options:(hardware ~peephole:false topo) Registry.qan2 6 gadgets
+  in
   (* 6 edges → 6 Rz rotations in the lowered circuit *)
   let rz_count =
     Circuit.count
       (fun gate -> match gate with Gate.G1 (Gate.Rz _, _) -> true | _ -> false)
-      r.Qan2_like.circuit
+      c
   in
   Alcotest.(check int) "all interactions present" 6 rz_count
 

@@ -234,8 +234,8 @@ let prop_warm_equals_cold_random =
       Cache.clear_memory ();
       let run tier =
         digest
-          (Compiler.compile_gadgets
-             ~options:(opts ~cache:tier ()) 5 terms)
+          (Registry.compile_gadgets
+             Registry.phoenix ~options:(opts ~cache:tier ()) 5 terms)
             .Compiler.circuit
       in
       let cold = run Cache.Off in

@@ -11,6 +11,7 @@ module Simplify = Phoenix.Simplify
 module Synthesis = Phoenix.Synthesis
 module Order = Phoenix.Order
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Rebase = Phoenix_circuit.Rebase
 module Peephole = Phoenix_circuit.Peephole
 module Topology = Phoenix_topology.Topology
@@ -334,7 +335,7 @@ let blocks_at_order ?target spec =
       cache = Phoenix_cache.Cache.Off;
     }
   in
-  ignore (Compiler.compile ~options ~hooks:[ hook ] h);
+  ignore (Registry.compile ~options ~hooks:[ hook ] Registry.phoenix h);
   !captured
 
 let test_real_blocks_match_reference () =
@@ -376,7 +377,7 @@ let test_real_blocks_match_reference () =
 let heisenberg4 = Phoenix_ham.Spin_models.heisenberg_chain 4
 
 let test_compile_logical_cnot () =
-  let r = Compiler.compile heisenberg4 in
+  let r = Registry.compile Registry.phoenix heisenberg4 in
   Alcotest.(check bool) "has 2q gates" true (r.Compiler.two_q_count > 0);
   Alcotest.(check bool) "depth ≤ count" true
     (r.Compiler.depth_2q <= r.Compiler.two_q_count);
@@ -391,7 +392,7 @@ let test_compile_logical_cnot () =
 
 let test_compile_exact_unitary () =
   let options = { Compiler.default_options with exact = true } in
-  let r = Compiler.compile ~options heisenberg4 in
+  let r = Registry.compile ~options Registry.phoenix heisenberg4 in
   let reference =
     Unitary.program_unitary 4 (Phoenix_ham.Hamiltonian.trotter_gadgets heisenberg4)
   in
@@ -400,7 +401,7 @@ let test_compile_exact_unitary () =
 
 let test_compile_su4 () =
   let options = { Compiler.default_options with isa = Compiler.Su4_isa } in
-  let r = Compiler.compile ~options heisenberg4 in
+  let r = Registry.compile ~options Registry.phoenix heisenberg4 in
   List.iter
     (fun g ->
       match g with
@@ -408,14 +409,14 @@ let test_compile_su4 () =
       | _ -> Alcotest.fail "non-SU4 2Q gate in SU(4) ISA output")
     (Circuit.gates r.Compiler.circuit);
   (* SU(4) count never exceeds CNOT count *)
-  let r_cnot = Compiler.compile heisenberg4 in
+  let r_cnot = Registry.compile Registry.phoenix heisenberg4 in
   Alcotest.(check bool) "su4 ≤ cnot" true
     (r.Compiler.two_q_count <= r_cnot.Compiler.two_q_count)
 
 let test_compile_hardware () =
   let topo = Topology.line 4 in
   let options = { Compiler.default_options with target = Compiler.Hardware topo } in
-  let r = Compiler.compile ~options heisenberg4 in
+  let r = Registry.compile ~options Registry.phoenix heisenberg4 in
   List.iter
     (fun g ->
       match Gate.pair g with
@@ -429,7 +430,7 @@ let test_compile_hardware_unitary () =
   let options =
     { Compiler.default_options with target = Compiler.Hardware topo; exact = true }
   in
-  let r = Compiler.compile ~options heisenberg4 in
+  let r = Registry.compile ~options Registry.phoenix heisenberg4 in
   (* The routed circuit acts on 4 physical qubits; compare up to the output
      permutation by checking spectra-free metric: the routed circuit must
      implement the logical unitary up to a qubit permutation.  We verify by
@@ -481,7 +482,7 @@ let test_compiler_beats_naive_on_uccsd () =
   let ham = Phoenix_ham.Uccsd.ansatz b.Phoenix_ham.Molecules.encoding b.Phoenix_ham.Molecules.spec in
   let gadgets = Phoenix_ham.Hamiltonian.trotter_gadgets ham in
   let naive = Synthesis.naive_gadget_circuit 10 gadgets in
-  let r = Compiler.compile ham in
+  let r = Registry.compile Registry.phoenix ham in
   Alcotest.(check bool) "at least 2x better" true
     (r.Compiler.two_q_count * 2 < Circuit.count_cnot naive)
 

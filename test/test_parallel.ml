@@ -4,6 +4,7 @@
 
 module Parallel = Phoenix_util.Parallel
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Circuit = Phoenix_circuit.Circuit
 module Pauli_string = Phoenix_pauli.Pauli_string
 module Diag = Phoenix_verify.Diag
@@ -108,7 +109,7 @@ let blocks =
 let test_parallel_serial_identical () =
   let compile domains =
     let options = { Compiler.default_options with domains; verify = true } in
-    Compiler.compile_blocks ~options 6 blocks
+    Registry.compile_blocks ~options Registry.phoenix 6 blocks
   in
   let serial = compile 1 in
   List.iter

@@ -124,8 +124,8 @@ let test_phoenix_golden_at_scale () =
        ~target:(Compiler.Hardware (Topology.ibm_manhattan ()))
        "uccsd:H2O_frz_BK")
 
-(* The baselines, now expressed as registry pipelines, still produce the
-   exact circuits their standalone [compile] entry points did. *)
+(* The baselines' registry pipelines are pinned to the digests of the
+   circuits their original standalone compilers produced. *)
 let test_baseline_golden () =
   let uccsd = Lazy.force uccsd and qaoa = Lazy.force qaoa in
   List.iter
@@ -188,6 +188,42 @@ let test_trace_telescopes_all_pipelines () =
       "paulihedral", uccsd, opts ~target:(Compiler.Hardware hh) ();
       "tetris", uccsd, opts ~isa:Compiler.Su4_isa ();
       "naive", uccsd, opts ();
+      "2qan", qaoa, opts ~target:(Compiler.Hardware (Topology.line 16)) ();
+    ]
+
+(* Each trace entry's snapshots are the metrics of the circuits its pass
+   received and returned, and the report's counts are the last entry's
+   [after]: the pass manager carries each [after] forward as the next
+   [before] instead of recounting the same circuit. *)
+let test_trace_snapshots_match_circuits () =
+  let uccsd = Lazy.force uccsd and qaoa = Lazy.force qaoa in
+  let seen = ref [] in
+  let hook ~pass:_ ~before ~after ~seconds:_ =
+    seen :=
+      ( metrics_list (Pass.metrics_of before.Pass.circuit),
+        metrics_list (Pass.metrics_of after.Pass.circuit) )
+      :: !seen
+  in
+  List.iter
+    (fun (name, h, options) ->
+      seen := [];
+      let r = Registry.compile ~options ~hooks:[ hook ] (entry name) h in
+      Alcotest.(check (list (pair (list int) (list int))))
+        (name ^ " snapshots")
+        (List.rev !seen)
+        (List.map
+           (fun (e : Pass.trace_entry) ->
+             (metrics_list e.Pass.before, metrics_list e.Pass.after))
+           r.Compiler.trace);
+      let final = Pass.metrics_of r.Compiler.circuit in
+      Alcotest.(check (list int))
+        (name ^ " report counts")
+        [ final.Pass.one_q; final.Pass.two_q; final.Pass.depth_2q ]
+        [ r.Compiler.one_q_count; r.Compiler.two_q_count; r.Compiler.depth_2q ])
+    [
+      "phoenix", uccsd, opts ();
+      "phoenix", qaoa, opts ~target:(Compiler.Hardware (Topology.line 16)) ();
+      "tket", uccsd, opts ~isa:Compiler.Su4_isa ();
       "2qan", qaoa, opts ~target:(Compiler.Hardware (Topology.line 16)) ();
     ]
 
@@ -518,6 +554,33 @@ let test_job_program_differential () =
         Registry.all)
     [ "uccsd:LiH_frz_JW"; "heisenberg:6"; "fermi-hubbard:2x2" ]
 
+(* Naive, TKET-like and 2QAN-like read the flat gadget program and
+   ignore block structure, so [compile_blocks] is [compile_gadgets] of
+   the concatenated blocks.  [Fidelity] compiles every column through
+   [compile_blocks] on the strength of this. *)
+let test_block_agnostic_entries () =
+  let module W = Phoenix_experiments.Workloads in
+  let same ?options label (e : Registry.entry) n blocks =
+    let via_blocks = Registry.compile_blocks ?options e n blocks in
+    let flat = Registry.compile_gadgets ?options e n (List.concat blocks) in
+    Alcotest.(check bool)
+      (label ^ " / " ^ e.Registry.name)
+      true
+      (Circuit.equal flat.Compiler.circuit via_blocks.Compiler.circuit)
+  in
+  List.iter
+    (fun (c : W.uccsd_case) ->
+      List.iter
+        (fun e -> same c.W.label e c.W.n c.W.gadget_blocks)
+        [ Registry.naive; Registry.tket ])
+    (W.uccsd_suite ~labels:W.uccsd_quick_labels ());
+  let options = opts ~target:(Compiler.Hardware (W.heavy_hex ())) () in
+  List.iter
+    (fun (c : W.qaoa_case) ->
+      same ~options c.W.qlabel Registry.qan2 c.W.qn
+        (List.map (fun g -> [ g ]) c.W.qgadgets))
+    (W.qaoa_suite ())
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -533,6 +596,8 @@ let () =
           Alcotest.test_case "telescopes (all pipelines)" `Slow
             test_trace_telescopes_all_pipelines;
           prop_trace_telescopes;
+          Alcotest.test_case "snapshots match the circuits" `Quick
+            test_trace_snapshots_match_circuits;
           Alcotest.test_case "order allocation linear in gadgets" `Slow
             test_order_allocation_linear;
           Alcotest.test_case "route allocation per routed gate" `Slow
@@ -544,6 +609,8 @@ let () =
         [
           Alcotest.test_case "names" `Quick test_registry_names;
           Alcotest.test_case "catalog" `Quick test_catalog_covers_all_pipelines;
+          Alcotest.test_case "block-agnostic entries" `Quick
+            test_block_agnostic_entries;
         ] );
       ( "hooks",
         [

@@ -59,6 +59,62 @@ let test_pick () =
   Alcotest.check_raises "empty" (Invalid_argument "Prng.pick: empty list")
     (fun () -> ignore (Prng.pick g ([] : int list)))
 
+(* --- against the record-state reference --------------------------- *)
+
+module Reference = Prng_reference
+
+let reference_seeds = [ 0; 1; 7; 2025; -5; max_int; min_int ]
+
+(* Interleave every entry point on both generators, draw by draw; a
+   split child is drawn from a few times, then dropped. *)
+let test_streams_equal_reference () =
+  List.iter
+    (fun seed ->
+      let a = Prng.create seed and r = Reference.create seed in
+      let fail i what =
+        Alcotest.failf "seed %d, draw %d: %s differs from the reference" seed i
+          what
+      in
+      for i = 0 to 199_999 do
+        match i mod 6 with
+        | 0 ->
+          if Prng.next_int64 a <> Reference.next_int64 r then fail i "next_int64"
+        | 1 ->
+          let bound = 1 + (i mod 1000) in
+          if Prng.int a bound <> Reference.int r bound then fail i "int"
+        | 2 ->
+          if
+            Int64.bits_of_float (Prng.float a 2.5)
+            <> Int64.bits_of_float (Reference.float r 2.5)
+          then fail i "float"
+        | 3 -> if Prng.bool a <> Reference.bool r then fail i "bool"
+        | 4 ->
+          if
+            Int64.bits_of_float (Prng.uniform a (-1.0) 3.0)
+            <> Int64.bits_of_float (Reference.uniform r (-1.0) 3.0)
+          then fail i "uniform"
+        | _ ->
+          let a' = Prng.split a and r' = Reference.split r in
+          for _ = 1 to 3 do
+            if Prng.next_int64 a' <> Reference.next_int64 r' then fail i "split"
+          done
+      done)
+    reference_seeds
+
+let test_float_draw_allocation () =
+  let g = Prng.create 3 in
+  let draws = 100_000 in
+  let sink = ref 0.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    sink := Sys.opaque_identity (Prng.float g 1.0)
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int draws in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 words per draw (%.2f)" words)
+    true (words <= 2.0)
+
 let () =
   Alcotest.run "prng"
     [
@@ -72,5 +128,12 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "split" `Quick test_split_independent;
           Alcotest.test_case "pick" `Quick test_pick;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "streams equal the reference" `Quick
+            test_streams_equal_reference;
+          Alcotest.test_case "float draw allocation" `Quick
+            test_float_draw_allocation;
         ] );
     ]

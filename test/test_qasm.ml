@@ -1,3 +1,4 @@
+module Registry = Phoenix_pipeline.Registry
 module Qasm = Phoenix_circuit.Qasm
 module Gate = Helpers.Gate
 module Circuit = Helpers.Circuit
@@ -105,7 +106,10 @@ let prop_roundtrip_fixed_point =
     (fun gates -> roundtrip_fixed_point (Circuit.create 3 gates))
 
 let test_compiled_roundtrip_fixed_point () =
-  let r = Phoenix.Compiler.compile (Phoenix_ham.Spin_models.heisenberg_chain 5) in
+  let r =
+    Registry.compile Registry.phoenix
+      (Phoenix_ham.Spin_models.heisenberg_chain 5)
+  in
   Alcotest.(check bool) "compiled circuit" true
     (roundtrip_fixed_point r.Phoenix.Compiler.circuit)
 

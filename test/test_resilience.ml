@@ -11,6 +11,7 @@ module Parallel = Phoenix_util.Parallel
 module Resilience = Phoenix.Resilience
 module Pass = Phoenix.Pass
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Cache = Phoenix_cache.Cache
 module Cache_audit = Phoenix_analysis.Cache_audit
 module Resilience_lint = Phoenix_analysis.Resilience_lint
@@ -46,7 +47,7 @@ let compile_with ?(verify = true) ?(cache = Cache.Off) budget =
   let options =
     { Compiler.default_options with verify; cache; budget }
   in
-  Compiler.compile_blocks ~options 6 blocks
+  Registry.compile_blocks ~options Registry.phoenix 6 blocks
 
 (* The undisturbed reference compile; cache off so it never depends on
    what previous tests left behind. *)
@@ -281,7 +282,7 @@ let test_verify_fallback_accepts_folded_circuit () =
           budget = Budget.after_checks k;
         }
       in
-      let r = Compiler.compile ~options h in
+      let r = Registry.compile ~options Registry.phoenix h in
       let what fmt = Printf.sprintf ("after_checks %d: " ^^ fmt) k in
       (match Diag.errors r.Compiler.diagnostics with
       | [] -> ()
@@ -329,7 +330,7 @@ let test_unabsorbed_deadline_names_the_pass () =
       budget = Budget.after_checks 1;
     }
   in
-  match Compiler.compile_blocks ~options 6 blocks with
+  match Registry.compile_blocks ~options Registry.phoenix 6 blocks with
   | _ -> Alcotest.fail "routing has no fallback rung; expected Interrupted"
   | exception Pass.Interrupted { pass; reason = Budget.Deadline } ->
     Alcotest.(check string) "interrupted in the router" "route" pass

@@ -161,10 +161,17 @@ let test_commuting_disconnected () =
       ignore (Sabre.route_commuting split_device (Circuit.create 4 [ zz 0 2 ])))
 
 let test_qan2_disconnected () =
-  Alcotest.check_raises "2QAN router" (disconnected "Qan2_like.compile")
+  let options =
+    {
+      Phoenix.Compiler.default_options with
+      target = Phoenix.Compiler.Hardware split_device;
+    }
+  in
+  Alcotest.check_raises "2QAN router" (disconnected "Qan2_like.route")
     (fun () ->
       ignore
-        (Phoenix_baselines.Qan2_like.compile split_device 4
+        (Phoenix_pipeline.Registry.compile_gadgets ~options
+           Phoenix_pipeline.Registry.qan2 4
            [ (Phoenix_pauli.Pauli_string.of_string "ZIZI", 0.3) ]))
 
 (* --- differentials against the list-based reference router ------------ *)
@@ -343,7 +350,7 @@ let test_hw_route_inputs_match_reference () =
       cache = Phoenix_cache.Cache.Off;
     }
   in
-  let entry = Option.get (Phoenix_pipeline.Registry.find "phoenix") in
+  let entry = Phoenix_pipeline.Registry.phoenix in
   List.iter
     (fun spec ->
       let h =

@@ -158,7 +158,10 @@ let test_rejects_hardware () =
   Alcotest.(check bool)
     "hardware target rejected" true
     (try
-       ignore (Compiler.compile_stream ~options 4 (Seq.return chunk));
+       ignore
+         (Compiler.compile_stream ~options
+            ~pipeline:(fun o -> Compiler.passes o)
+            4 (Seq.return chunk));
        false
      with Invalid_argument _ -> true)
 

@@ -17,6 +17,7 @@ module Gate = Helpers.Gate
 module Circuit = Helpers.Circuit
 module Angle = Phoenix_pauli.Angle
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Template = Phoenix.Template
 module Pass = Phoenix.Pass
 module Cache = Phoenix_cache.Cache
@@ -112,7 +113,8 @@ let bind_equals_compile ~what ~options n base_blocks theta =
       (symbolic_blocks base_blocks)
   in
   let direct =
-    Compiler.compile_blocks ~options n (concrete_blocks base_blocks theta)
+    Registry.compile_blocks ~options Registry.phoenix n
+      (concrete_blocks base_blocks theta)
   in
   let bound, trace = Template.bind_with_trace tmpl theta in
   Alcotest.(check (list string))
@@ -155,7 +157,7 @@ let test_rebind_many () =
   for seed = 1 to 5 do
     let theta = generic_theta ~seed (List.length base) in
     let direct =
-      Compiler.compile_blocks ~options case.Workloads.n
+      Registry.compile_blocks ~options Registry.phoenix case.Workloads.n
         (concrete_blocks base theta)
     in
     check_bit_identical
@@ -242,7 +244,8 @@ let qcheck_differential =
           (symbolic_blocks base_blocks)
       in
       let direct =
-        Compiler.compile_blocks n (concrete_blocks base_blocks theta)
+        Registry.compile_blocks Registry.phoenix n
+          (concrete_blocks base_blocks theta)
       in
       List.equal String.equal
         (circuit_bits direct.Compiler.circuit)
@@ -306,7 +309,8 @@ let test_cache_no_cross_contamination () =
   let theta = generic_theta ~seed:4 (List.length base) in
   let cold =
     let () = fresh_cache () in
-    Compiler.compile_blocks case.Workloads.n (concrete_blocks base theta)
+    Registry.compile_blocks Registry.phoenix case.Workloads.n
+      (concrete_blocks base theta)
   in
   fresh_cache ();
   let tmpl =
@@ -314,7 +318,8 @@ let test_cache_no_cross_contamination () =
       (symbolic_blocks base)
   in
   let direct =
-    Compiler.compile_blocks case.Workloads.n (concrete_blocks base theta)
+    Registry.compile_blocks Registry.phoenix case.Workloads.n
+      (concrete_blocks base theta)
   in
   check_bit_identical "concrete compile unchanged by template traffic"
     cold.Compiler.circuit direct.Compiler.circuit;
@@ -367,7 +372,8 @@ let test_budget_interrupt () =
   in
   let theta = generic_theta (List.length base) in
   let direct =
-    Compiler.compile_blocks case.Workloads.n (concrete_blocks base theta)
+    Registry.compile_blocks Registry.phoenix case.Workloads.n
+      (concrete_blocks base theta)
   in
   check_bit_identical "clean re-run after interrupts"
     direct.Compiler.circuit (Template.bind tmpl theta)

@@ -256,11 +256,7 @@ let test_all_pipelines_certify () =
 
 let test_phoenix_option_combos () =
   let case = Lazy.force lih in
-  let entry =
-    match Registry.find "phoenix" with
-    | Some e -> e
-    | None -> Alcotest.fail "phoenix pipeline not registered"
-  in
+  let entry = Registry.phoenix in
   let heavy_hex = Workloads.heavy_hex () in
   List.iter
     (fun (what, options) ->
@@ -341,13 +337,9 @@ let qcheck_rewrites_preserve_polynomial =
               program))
        (Helpers.terms_gen 4 8)
        (fun program ->
-         let entry =
-           match Registry.find "naive" with
-           | Some e -> e
-           | None -> Alcotest.fail "naive pipeline not registered"
-         in
          let report =
-           Registry.compile_gadgets ~options:base_options entry 4 program
+           Registry.compile_gadgets ~options:base_options Registry.naive 4
+             program
          in
          let rewritten =
            Phase_folding.fold (Peephole.optimize report.Compiler.circuit)
@@ -378,7 +370,8 @@ let captured =
        }
      in
      ignore
-       (Compiler.compile_blocks ~options ~hooks:[ hook ] case.Workloads.n
+       (Registry.compile_blocks ~options ~hooks:[ hook ] Registry.phoenix
+          case.Workloads.n
           case.Workloads.gadget_blocks);
      match !routing with
      | Some r -> r
@@ -397,8 +390,8 @@ let captured_lower =
          lower := Some (pass.Pass.certify ~before ~after, before, after)
      in
      ignore
-       (Compiler.compile_blocks ~options:base_options ~hooks:[ hook ]
-          case.Workloads.n case.Workloads.gadget_blocks);
+       (Registry.compile_blocks ~options:base_options ~hooks:[ hook ]
+          Registry.phoenix case.Workloads.n case.Workloads.gadget_blocks);
      match !lower with
      | Some l -> l
      | None -> Alcotest.fail "logical compile exposed no lower boundary")
@@ -451,7 +444,9 @@ let test_unchanged_claim_on_changed_boundary () =
 let test_program_mutations_rejected () =
   let ham = Spin.tfim_chain 4 in
   let program = Hamiltonian.trotter_gadgets ham in
-  let report = Compiler.compile_gadgets ~options:base_options 4 program in
+  let report =
+    Registry.compile_gadgets ~options:base_options Registry.phoenix 4 program
+  in
   let circuit = report.Compiler.circuit in
   check_verdict "sanity: unmutated program proves" Checker.Proved
     (Checker.check_program 4 program circuit);

@@ -19,6 +19,7 @@ module Group = Phoenix.Group
 module Simplify = Phoenix.Simplify
 module Synthesis = Phoenix.Synthesis
 module Compiler = Phoenix.Compiler
+module Registry = Phoenix_pipeline.Registry
 module Pass = Phoenix.Pass
 module Sabre = Phoenix_router.Sabre
 module Topology = Phoenix_topology.Topology
@@ -27,6 +28,10 @@ module Phase_folding = Phoenix_circuit.Phase_folding
 module Cache = Phoenix_cache.Cache
 
 let ps = Pauli_string.of_string
+
+(* A baseline's circuit for a flat gadget program, at default options. *)
+let baseline entry n terms =
+  (Registry.compile_gadgets entry n terms).Compiler.circuit
 
 (* The checker's program check with its verdict mapped the way the
    compiler reads it: only [Proved] is [Ok]. *)
@@ -244,13 +249,13 @@ let prop_proved_implies_dense_equal =
      return (n, terms, salt))
     (fun (n, terms, salt) ->
       let phoenix =
-        (Compiler.compile_gadgets
+        (Registry.compile_gadgets
            ~options:
              { Compiler.default_options with exact = true; cache = Cache.Off }
-           n terms)
+           Registry.phoenix n terms)
           .Compiler.circuit
       in
-      let naive = Phoenix_baselines.Naive.compile n terms in
+      let naive = baseline Registry.naive n terms in
       let rewrite c = Phase_folding.fold (Peephole.optimize c) in
       let bases = [ phoenix; naive; rewrite phoenix; rewrite naive ] in
       let proved c = Checker.check_program ~exact:true n terms c = Checker.Proved in
@@ -318,7 +323,11 @@ let test_fault_injected_group_recovers () =
         (flip_one_angle (Simplify.run ~exact:true 4 g.Group.terms))
     else Synthesis.group_circuit ~exact:true g
   in
-  let r = Compiler.compile_groups ~options:verified_options ~synthesize 4 groups in
+  let r =
+    Compiler.run_passes
+      (Compiler.passes ~synthesize ~with_grouping:false verified_options)
+      (Pass.init ~groups verified_options 4)
+  in
   (* the fault was caught and recovered, not silently shipped *)
   Alcotest.(check bool) "recovery warning recorded" true
     (List.exists
@@ -334,14 +343,16 @@ let test_fault_injected_group_recovers () =
     (Unitary.circuit_unitary r.Compiler.circuit)
 
 let test_unfaulted_compile_verifies () =
-  let r = Compiler.compile ~options:verified_options heisenberg4 in
+  let r =
+    Registry.compile ~options:verified_options Registry.phoenix heisenberg4
+  in
   Alcotest.(check bool) "no errors" false
     (Diag.has_errors r.Compiler.diagnostics);
   Alcotest.(check bool) "end-to-end check ran" true
     (List.exists (fun d -> d.Diag.pass = "verify") r.Compiler.diagnostics)
 
 let test_pass_times_reported () =
-  let r = Compiler.compile heisenberg4 in
+  let r = Registry.compile Registry.phoenix heisenberg4 in
   let keys =
     List.map (fun (e : Pass.trace_entry) -> e.Pass.pass) r.Compiler.trace
   in
@@ -363,7 +374,7 @@ let test_pass_times_reported () =
     (sum <= r.Compiler.wall_time +. 1e-3)
 
 let test_verify_off_no_diagnostics () =
-  let r = Compiler.compile heisenberg4 in
+  let r = Registry.compile Registry.phoenix heisenberg4 in
   Alcotest.(check int) "no diagnostics without verify" 0
     (List.length r.Compiler.diagnostics)
 
@@ -384,19 +395,21 @@ let test_molecules_verify () =
       in
       let options = { Compiler.default_options with verify = true } in
       check_zero_errors b.Phoenix_ham.Molecules.label
-        (Compiler.compile ~options h))
+        (Registry.compile ~options Registry.phoenix h))
     Phoenix_ham.Molecules.table1_suite
 
 let test_qaoa12_verify () =
   let graph = Phoenix_ham.Graphs.random_regular ~seed:7 ~degree:3 12 in
   let h = Phoenix_ham.Qaoa.maxcut_cost graph in
   let logical = { Compiler.default_options with verify = true } in
-  check_zero_errors "qaoa12 logical" (Compiler.compile ~options:logical h);
+  check_zero_errors "qaoa12 logical"
+    (Registry.compile ~options:logical Registry.phoenix h);
   let topo = Topology.grid ~rows:3 ~cols:4 in
   let routed =
     { Compiler.default_options with verify = true; target = Compiler.Hardware topo }
   in
-  check_zero_errors "qaoa12 routed" (Compiler.compile ~options:routed h)
+  check_zero_errors "qaoa12 routed"
+    (Registry.compile ~options:routed Registry.phoenix h)
 
 (* --- differential harness: PHOENIX vs naive vs tket-like --- *)
 
@@ -406,11 +419,11 @@ let prop_differential_exact =
     (fun terms ->
       let reference = Unitary.program_unitary 3 terms in
       let r =
-        Compiler.compile_gadgets
+        Registry.compile_gadgets
           ~options:{ Compiler.default_options with exact = true; verify = true }
-          3 terms
+          Registry.phoenix 3 terms
       in
-      let naive = Phoenix_baselines.Naive.compile 3 terms in
+      let naive = baseline Registry.naive 3 terms in
       (not (Diag.has_errors r.Compiler.diagnostics))
       && Helpers.unitary_equiv ~tol:1e-7 reference
            (Unitary.circuit_unitary r.Compiler.circuit)
@@ -434,13 +447,13 @@ let prop_differential_commuting =
     (fun terms ->
       let reference = Unitary.program_unitary 3 terms in
       let phoenix =
-        (Compiler.compile_gadgets
+        (Registry.compile_gadgets
            ~options:{ Compiler.default_options with verify = true }
-           3 terms)
+           Registry.phoenix 3 terms)
           .Compiler.circuit
       in
-      let naive = Phoenix_baselines.Naive.compile 3 terms in
-      let tket = Phoenix_baselines.Tket_like.compile 3 terms in
+      let naive = baseline Registry.naive 3 terms in
+      let tket = baseline Registry.tket 3 terms in
       List.for_all
         (fun c ->
           Helpers.unitary_equiv ~tol:1e-7 reference (Unitary.circuit_unitary c))
@@ -469,7 +482,7 @@ let test_local_matches_full_on_compiles () =
       let options =
         { Compiler.default_options with exact; domains = 1; cache = Cache.Off }
       in
-      ignore (Compiler.compile ~options ~hooks:[ hook ] h);
+      ignore (Registry.compile ~options ~hooks:[ hook ] Registry.phoenix h);
       let n = Phoenix_ham.Hamiltonian.num_qubits h in
       Alcotest.(check bool) (spec ^ " has groups") true (!blocks <> []);
       List.iteri

@@ -96,49 +96,6 @@ let test_spsa_deterministic () =
   let x2, _ = Optimize.spsa ~seed:5 ~iterations:50 quadratic [| 0.0 |] in
   Alcotest.(check bool) "same" true (x1 = x2)
 
-(* --- measurement grouping --- *)
-
-module Measurement = Phoenix_vqe.Measurement
-
-let test_qwc_relation () =
-  let ps = Helpers.Pauli_string.of_string in
-  Alcotest.(check bool) "ZI ~ IZ" true
-    (Measurement.qubit_wise_commuting (ps "ZI") (ps "IZ"));
-  Alcotest.(check bool) "ZZ ~ ZI" true
-    (Measurement.qubit_wise_commuting (ps "ZZ") (ps "ZI"));
-  Alcotest.(check bool) "XX !~ ZZ (commuting but not QWC)" false
-    (Measurement.qubit_wise_commuting (ps "XX") (ps "ZZ"))
-
-let test_grouping_reduces_settings () =
-  let h = Es.synthetic ~seed:5 Fermion.Jordan_wigner ~n_spatial:2 in
-  let settings = Measurement.num_measurement_settings h in
-  Alcotest.(check bool) "fewer settings than terms" true
-    (settings < Hamiltonian.num_terms h);
-  (* groups partition the terms *)
-  let groups = Measurement.group_terms h in
-  let total =
-    List.fold_left (fun acc g -> acc + List.length g.Measurement.terms) 0 groups
-  in
-  Alcotest.(check int) "partition" (Hamiltonian.num_terms h) total
-
-let test_sampled_estimate_converges () =
-  let h = Phoenix_ham.Spin_models.tfim_chain ~j:1.0 ~h:0.5 3 in
-  let circuit =
-    Phoenix_circuit.Circuit.create 3
-      [
-        Phoenix_circuit.Gate.G1 (Phoenix_circuit.Gate.Ry 0.7, 0);
-        Phoenix_circuit.Gate.Cnot (0, 1);
-        Phoenix_circuit.Gate.G1 (Phoenix_circuit.Gate.Ry (-0.3), 2);
-      ]
-  in
-  let state = Phoenix_linalg.Statevector.of_circuit circuit in
-  let exact = Phoenix_linalg.Statevector.expectation state h in
-  let sampled = Measurement.estimate ~shots_per_group:20000 ~seed:4 state h in
-  Alcotest.(check bool)
-    (Printf.sprintf "close (exact %.4f, sampled %.4f)" exact sampled)
-    true
-    (Float.abs (exact -. sampled) < 0.08)
-
 (* --- batch evaluation --- *)
 
 (* [Vqe.energies] routes through [Ansatz.bind_batch] (one Angle arena
@@ -206,14 +163,6 @@ let () =
           Alcotest.test_case "nelder-mead" `Quick test_nelder_mead_quadratic;
           Alcotest.test_case "spsa improves" `Quick test_spsa_improves;
           Alcotest.test_case "spsa deterministic" `Quick test_spsa_deterministic;
-        ] );
-      ( "measurement",
-        [
-          Alcotest.test_case "qwc relation" `Quick test_qwc_relation;
-          Alcotest.test_case "grouping partitions" `Quick
-            test_grouping_reduces_settings;
-          Alcotest.test_case "sampled estimate" `Quick
-            test_sampled_estimate_converges;
         ] );
       ( "batch",
         [
