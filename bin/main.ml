@@ -523,7 +523,6 @@ let run_stream_mode f (job : Job.t) ~steps =
   Printf.printf "1q gates:  %d\n" final.Pass.one_q;
   Printf.printf "2q gates:  %d\n" final.Pass.two_q;
   Printf.printf "depth-2q:  %d\n" report.Compiler.depth_2q;
-  Printf.printf "peak heap: %dw\n" sr.Compiler.s_peak_heap_words;
   (* the gates already streamed out through [emit] *)
   finish { f with dump = false } job ~template:false ~report ~diagnostics
     ~findings ~hook_findings ~certificate:(Certify.boundaries cert_acc)

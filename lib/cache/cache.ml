@@ -32,6 +32,7 @@ type key = {
   k_fingerprint : string;
   k_support : int array;
   k_relabel_safe : bool;
+  k_width : int; (* qubits of the local register the entry's gates use *)
   k_slots : float array;
       (* The requester's slot angles in first-use row order — the same
          order the fingerprint's local slot ranks refer to.  Entries are
@@ -40,26 +41,30 @@ type key = {
          compiles hit across parameter values, sessions, and processes. *)
 }
 
-let key_of_tableau ~exact bsf =
-  let support = Array.of_list (Bsf.support_indices bsf) in
+let key_of_terms ~exact ~sites terms =
+  let k = Array.length sites in
+  let bsf = Bsf.of_terms k terms in
+  let support =
+    Array.of_list (List.map (Array.get sites) (Bsf.support_indices bsf))
+  in
   let relabel_safe =
-    (* [Pauli_string.compare] orders by word-wise bit-vector comparison,
-       which is stable under column projection only when every support
-       index lives in the first word — outside that, relabelled replay
-       could pick a different compressed core. *)
+    (* Replay onto another support is bit-identical only when the core
+       order is: [Pauli_string.compare] reads bit-vector words from word
+       0, so it is stable under relabelling only when every support
+       index lives in the first word. *)
     Array.length support = 0
     || support.(Array.length support - 1) < Bitvec.bits_per_word
   in
+  let form = Bsf.canonical_form bsf in
   {
-    k_digest = Bsf.canonical_digest bsf;
-    k_fingerprint =
-      (if exact then "exact;" else "trot;") ^ Bsf.canonical_form bsf;
+    k_digest = Bsf.digest_of_canonical_form form;
+    k_fingerprint = (if exact then "exact;" else "trot;") ^ form;
     k_support = support;
     k_relabel_safe = relabel_safe;
+    k_width = k;
     k_slots = Bsf.slots bsf;
   }
 
-let key_of_terms ~exact n terms = key_of_tableau ~exact (Bsf.of_terms n terms)
 let digest k = k.k_digest
 let relabel_safe k = k.k_relabel_safe
 
@@ -72,17 +77,18 @@ let compatible ~fingerprint ~support ~safe key =
   && (support = key.k_support || (safe && key.k_relabel_safe))
 
 (* ------------------------------------------------------------------ *)
-(* Relabelling between absolute and canonical (rank) coordinates      *)
+(* Slot angles in canonical (rank) form                               *)
 (* ------------------------------------------------------------------ *)
 
 exception Unmappable
 
-(* Stored entries are doubly canonical: qubits become support ranks, and
-   slot angles become their first-use rank in [k_slots] (each occurrence
-   keeping its own sign bit).  Synthesis only ever negates or passes row
-   angles through, and a fingerprint hit implies the requester's rows
-   carry the same occurrence signs as the storer's, so replaying the
-   stored sign bit onto the requester's slot id is exact. *)
+(* Stored entries are doubly canonical: qubits are the group's local
+   ones (support ranks), and slot angles become their first-use rank in
+   [k_slots] (each occurrence keeping its own sign bit).  Synthesis only
+   ever negates or passes row angles through, and a fingerprint hit
+   implies the requester's rows carry the same occurrence signs as the
+   storer's, so replaying the stored sign bit onto the requester's slot
+   id is exact. *)
 let canonical_angle key =
   let ranks = Hashtbl.create 8 in
   Array.iteri
@@ -103,24 +109,24 @@ let expand_angle key theta =
       if j >= Array.length key.k_slots then raise Unmappable;
       Angle.with_id ~negated (Angle.slot_id key.k_slots.(j))
 
+(* Every gate is copied (the identity relabel) before it is stored:
+   synthesis shares gate values between a ladder and its mirror, and
+   [Marshal] would encode those as back-references.  Copied, an entry
+   marshals to the bytes a relabel from register coordinates gave, so
+   file contents and the [bytes] gauge do not depend on that sharing. *)
 let canonical_gates key circuit =
-  let ranks = Hashtbl.create 16 in
-  Array.iteri (fun i q -> Hashtbl.replace ranks q i) key.k_support;
-  let rank q =
-    match Hashtbl.find_opt ranks q with Some i -> i | None -> raise Unmappable
-  in
   match
     Circuit.gates
       (Circuit.map_angles (canonical_angle key)
-         (Circuit.map_qubits rank circuit))
+         (Circuit.map_qubits Fun.id circuit))
   with
   | gates -> Some gates
-  | exception _ -> None
+  | exception Unmappable -> None
 
-let expand ~n key gates =
-  let support = key.k_support in
-  Circuit.map_angles (expand_angle key)
-    (Circuit.map_qubits (fun i -> support.(i)) (Circuit.create n gates))
+(* Raises when a gate leaves the key's local register or a slot rank
+   has no requester slot. *)
+let expand key gates =
+  Circuit.map_angles (expand_angle key) (Circuit.create key.k_width gates)
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                           *)
@@ -172,8 +178,23 @@ let stats_to_json s =
 (* In-memory LRU tier                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The memory table's buckets: the digest alone for relabel-safe keys,
+   the digest and the absolute support otherwise.  A hit needs equal
+   supports or two safe keys, and safety is a function of the support,
+   so every compatible entry shares the requester's bucket; groups that
+   can only hit their own support no longer pile into one bucket. *)
+module Bucket = Hashtbl.Make (struct
+  type t = string * int array
+
+  let equal (d, s) (d', s') = String.equal d d' && s = s'
+  let hash b = Hashtbl.hash_param 256 256 b
+end)
+
+let bucket_of key =
+  (key.k_digest, if key.k_relabel_safe then [||] else key.k_support)
+
 type entry = {
-  e_digest : string;
+  e_bucket : Bucket.key;
   e_fingerprint : string;
   e_support : int array;
   e_relabel_safe : bool;
@@ -184,7 +205,7 @@ type entry = {
 }
 
 let lock = Mutex.create ()
-let table : (string, entry list ref) Hashtbl.t = Hashtbl.create 256
+let table : entry list ref Bucket.t = Bucket.create 256
 let lru_head : entry option ref = ref None
 let lru_tail : entry option ref = ref None
 let total_bytes = ref 0
@@ -251,11 +272,11 @@ let touch e =
   push_front e
 
 let drop_from_table e =
-  match Hashtbl.find_opt table e.e_digest with
+  match Bucket.find_opt table e.e_bucket with
   | None -> ()
   | Some cell ->
       cell := List.filter (fun x -> x != e) !cell;
-      if !cell = [] then Hashtbl.remove table e.e_digest
+      if !cell = [] then Bucket.remove table e.e_bucket
 
 let evict_to_budget () =
   let continue = ref true in
@@ -270,8 +291,9 @@ let evict_to_budget () =
     | _ -> continue := false
   done
 
-let find_entry key =
-  match Hashtbl.find_opt table key.k_digest with
+(* Caller holds the lock. *)
+let find_entry bucket key =
+  match Bucket.find_opt table bucket with
   | None -> None
   | Some cell ->
       List.find_opt
@@ -282,12 +304,13 @@ let find_entry key =
 
 (* Caller holds the lock. *)
 let insert_entry key gates bytes =
-  match find_entry key with
+  let bucket = bucket_of key in
+  match find_entry bucket key with
   | Some _ -> false
   | None ->
       let e =
         {
-          e_digest = key.k_digest;
+          e_bucket = bucket;
           e_fingerprint = key.k_fingerprint;
           e_support = key.k_support;
           e_relabel_safe = key.k_relabel_safe;
@@ -298,11 +321,11 @@ let insert_entry key gates bytes =
         }
       in
       let cell =
-        match Hashtbl.find_opt table key.k_digest with
+        match Bucket.find_opt table bucket with
         | Some c -> c
         | None ->
             let c = ref [] in
-            Hashtbl.add table key.k_digest c;
+            Bucket.add table bucket c;
             c
       in
       cell := e :: !cell;
@@ -351,7 +374,7 @@ let set_budget b =
 
 let clear_memory () =
   with_lock (fun () ->
-      Hashtbl.reset table;
+      Bucket.reset table;
       lru_head := None;
       lru_tail := None;
       total_bytes := 0;
@@ -583,13 +606,13 @@ let warn record fmt =
       | None -> ())
     fmt
 
-let lookup ?record ~tier ~n key =
+let lookup ?record ~tier key =
   match effective_tier tier (health ()) with
   | Off -> None
   | (Mem | Disk) as tier -> (
       let mem_hit =
         with_lock (fun () ->
-            match find_entry key with
+            match find_entry (bucket_of key) key with
             | Some e ->
                 touch e;
                 incr c_hits;
@@ -597,7 +620,7 @@ let lookup ?record ~tier ~n key =
             | None -> None)
       in
       match mem_hit with
-      | Some gates -> Some (expand ~n key gates)
+      | Some gates -> Some (expand key gates)
       | None when tier = Mem ->
           with_lock (fun () -> incr c_misses);
           None
@@ -628,7 +651,7 @@ let lookup ?record ~tier ~n key =
                     note_disk_ok_locked ());
                 None
             | Ok info -> (
-                match expand ~n key info.Persist.gates with
+                match expand key info.Persist.gates with
                 | circuit ->
                     with_lock (fun () ->
                         ignore
@@ -689,4 +712,10 @@ module Testing = struct
 
   let set_force_exdev b = Persist.force_exdev := b
   let disk_error_threshold = disk_error_threshold
+
+  let bucket_length key =
+    with_lock (fun () ->
+        match Bucket.find_opt table (bucket_of key) with
+        | Some cell -> List.length !cell
+        | None -> 0)
 end

@@ -5,10 +5,20 @@
     symmetric excitation blocks, and across experiment-harness runs over
     the same presets.  This cache memoizes the synthesized circuit of a
     group keyed by a canonical digest of its tableau
-    ({!Phoenix_pauli.Bsf.canonical_digest}): the row-sorted binary
-    symplectic matrix with sign bits and phase angles, projected onto the
-    group's support so the address is invariant under the qubit
+    ({!Phoenix_pauli.Bsf.digest_of_canonical_form}): the row-sorted
+    binary symplectic matrix with sign bits and phase angles, projected
+    onto the group's support so the address is invariant under the qubit
     relabelling used at synthesis time.
+
+    {b Local coordinates.}  The simplify pass relabels each group once
+    onto its support — local qubit [i] is register qubit [sites.(i)],
+    ascending — and keys, looks up, synthesizes and stores on those k
+    qubits; it embeds the circuit into the register afterwards.  So a
+    key costs the group's k qubits and rows, not the register width.
+    Keys built this way equal the register-wide ones byte for byte
+    (digest, fingerprint, absolute support and relabel-safety), and the
+    stored gates are the same rank-coordinate gates, so disk entries
+    keep their names and contents.
 
     {b Bit-identity.}  The digest is reorder- and relabel-invariant, but
     synthesis is order-sensitive, so a digest match alone is not enough to
@@ -16,16 +26,19 @@
     {e ordered} fingerprint (program-order rows + exact-mode flag) and a
     hit requires it to match exactly.  Relabelled replay (same fingerprint,
     different absolute support) is additionally gated on both supports
-    fitting in a single {!Phoenix_util.Bitvec} word, because
-    [Pauli_string.compare] — used by synthesis when ranking compressed
-    cores — orders strings by word-wise comparison and is only stable
-    under column projection within one word.  Under these two conditions
+    fitting in a single {!Phoenix_util.Bitvec} word, because compressed
+    cores are ranked in the order [Pauli_string.compare] gives the
+    terms' register images, a word-wise comparison that is stable under
+    relabelling only within one word.  Under these two conditions
     synthesis is equivariant, so a cached replay is bit-identical to a
     cold synthesis.
 
     {b Tiers.}  [Mem] is an in-process LRU with a byte budget
-    ([PHOENIX_CACHE_BUDGET], default 64 MiB).  [Disk] adds a persistent
-    tier under {!dir} ([PHOENIX_CACHE_DIR]) with versioned, checksummed
+    ([PHOENIX_CACHE_BUDGET], default 64 MiB), bucketed by digest for
+    relabel-safe keys and by digest and absolute support otherwise: a
+    lookup scans only entries it could hit, however many same-shape
+    groups sit beyond the first word.  [Disk] adds a persistent tier
+    under {!dir} ([PHOENIX_CACHE_DIR]) with versioned, checksummed
     entries; corrupt or mismatched entries are skipped with a [Warning]
     diagnostic and recompilation proceeds — never a crash.
 
@@ -64,15 +77,21 @@ type key
     stored entries carry rank-relative slots that are rewritten to the
     requester's slots on replay. *)
 
-val key_of_tableau : exact:bool -> Phoenix_pauli.Bsf.t -> key
-
 val key_of_terms :
-  exact:bool -> int -> (Phoenix_pauli.Pauli_string.t * float) list -> key
-(** [key_of_terms ~exact n terms] builds the tableau with
-    [Bsf.of_terms n terms] and addresses it. *)
+  exact:bool ->
+  sites:int array ->
+  (Phoenix_pauli.Pauli_string.t * float) list ->
+  key
+(** [key_of_terms ~exact ~sites terms] addresses a group given on its
+    support: [terms] act on [k = Array.length sites] qubits, local
+    qubit [i] standing for register qubit [sites.(i)] (strictly
+    ascending; the terms' union support, so local qubits are the
+    support ranks the stored gates use).  Builds one k-qubit tableau
+    and one canonical form. *)
 
 val digest : key -> string
-(** Hex content digest (the LRU bucket and the disk file prefix). *)
+(** Hex content digest (the disk file prefix, and the memory bucket of
+    relabel-safe keys). *)
 
 val relabel_safe : key -> bool
 (** Whether entries for this key may be replayed onto a different absolute
@@ -81,14 +100,14 @@ val relabel_safe : key -> bool
 val lookup :
   ?record:(Phoenix_verify.Diag.t -> unit) ->
   tier:tier ->
-  n:int ->
   key ->
   Phoenix_circuit.Circuit.t option
 (** Consult the cache before synthesis.  A hit returns the stored circuit
-    relabelled onto the key's absolute support, over [n] qubits.  Disk
-    faults (truncated, bit-flipped, or version-mismatched entries) are
-    reported through [record] as [Warning] diagnostics and counted in
-    {!stats}, and the lookup degrades to a miss. *)
+    on the key's k local qubits, its slot angles rewritten to the
+    requester's.  Disk faults (truncated, bit-flipped, or
+    version-mismatched entries, and entries whose gates do not fit the k
+    qubits) are reported through [record] as [Warning] diagnostics and
+    counted in {!stats}, and the lookup degrades to a miss. *)
 
 val store :
   ?record:(Phoenix_verify.Diag.t -> unit) ->
@@ -96,12 +115,13 @@ val store :
   key ->
   Phoenix_circuit.Circuit.t ->
   unit
-(** Commit a freshly synthesized circuit.  Idempotent: a key already
-    resident is left untouched.  With [tier = Disk] the entry is also
-    persisted: staged in a temp file and published with an atomic
-    rename, falling back to copy+fsync+rename-within-directory when the
-    staging file lands on a different filesystem (EXDEV).  Write
-    failures are reported through [record] and otherwise ignored. *)
+(** Commit a freshly synthesized circuit on the key's k local qubits.
+    Idempotent: a key already resident is left untouched.  With
+    [tier = Disk] the entry is also persisted: staged in a temp file
+    and published with an atomic rename, falling back to
+    copy+fsync+rename-within-directory when the staging file lands on
+    a different filesystem (EXDEV).  Write failures are reported
+    through [record] and otherwise ignored. *)
 
 (** {1 Counters} *)
 
@@ -188,4 +208,7 @@ module Testing : sig
 
   val disk_error_threshold : int
   (** Consecutive disk faults that park the persistent tier. *)
+
+  val bucket_length : key -> int
+  (** Entries in the memory bucket a lookup of this key scans. *)
 end

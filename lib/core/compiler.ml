@@ -10,6 +10,8 @@ module Equiv = Phoenix_verify.Equiv
 module Checker = Phoenix_verify.Checker
 module Structural = Phoenix_verify.Structural
 module Cache = Phoenix_cache.Cache
+module Bitvec = Phoenix_util.Bitvec
+module Pauli_string = Phoenix_pauli.Pauli_string
 
 (* The option records are defined by the pass-manager core and re-exported
    here so every pipeline — PHOENIX and baselines alike — shares them. *)
@@ -61,25 +63,26 @@ let group_unitary_max_qubits = 8
 let final_unitary_max_qubits = 10
 
 (* Per-group translation validation: the symbolic checker's scalable
-   Pauli-propagation check always runs, on the group's support (an
-   undecided verdict fails closed, like a refuted one); for small
+   Pauli-propagation check always runs, on the group's local register
+   (an undecided verdict fails closed, like a refuted one); for small
    registers (≤ 8 qubits, whatever the group's width) the dense unitary
-   comparison backs it up.  The dense comparison is the degradable
-   rung: when the budget expires inside it, the group keeps its
-   propagation certificate and a ladder event records the step.  The
-   propagation check itself carries no checkpoints — the terminal rung
-   always completes. *)
-let check_group_circuit (options : options) n terms circuit =
+   comparison of the register-wide group and embedded circuit backs it
+   up.  The dense comparison is the degradable rung: when the budget
+   expires inside it, the group keeps its propagation certificate and a
+   ladder event records the step.  The propagation check itself carries
+   no checkpoints — the terminal rung always completes. *)
+let check_group_circuit (options : options) ~k ~terms ~n ~register_terms
+    ~embed circuit =
   match
-    Checker.to_result
-      (Checker.check_on_support ~exact:options.exact n terms circuit)
+    Checker.to_result (Checker.check_program ~exact:options.exact k terms circuit)
   with
   | Error _ as e -> (e, [])
   | Ok () ->
     if n > group_unitary_max_qubits then (Ok (), [])
     else (
       match
-        Resilience.attempt (fun () -> Equiv.unitary_check n terms circuit)
+        Resilience.attempt (fun () ->
+            Equiv.unitary_check n register_terms (embed circuit))
       with
       | Ok r -> (r, [])
       | Error _ ->
@@ -102,6 +105,16 @@ let check_group_circuit (options : options) n terms circuit =
    serial run whatever the scheduling.  A caller-supplied [synthesize]
    closure is not assumed to be thread-safe and keeps the serial path.
 
+   Per-group work runs on the group's support: each group is relabelled
+   once onto its qubits in ascending order ([sites]; local qubit [i] is
+   register qubit [sites.(i)]), and the cache key, lookup, synthesis,
+   store, check and naive fallback all work on those k qubits; the
+   circuit is embedded into the register once at the end.  So a group
+   costs its k qubits and rows, not the register width.  A caller's
+   [synthesize] closure receives the register-wide group, and a group
+   without support (identity terms only) keeps the register: for both,
+   [sites] is every qubit and the embedding is the identity.
+
    The content-addressed synthesis cache wraps the synthesis closure:
    consulted before simplification, populated after.  A hit replays a
    previously synthesized circuit that is bit-identical to what a cold
@@ -122,11 +135,6 @@ let simplify_pass ?synthesize () =
     (fun ctx ->
       let options = ctx.Pass.options in
       let n = ctx.Pass.n in
-      let synth =
-        match synthesize with
-        | Some f -> f
-        | None -> fun g -> Synthesis.group_circuit ~exact:options.exact g
-      in
       let tier =
         match synthesize with Some _ -> Cache.Off | None -> options.cache
       in
@@ -137,6 +145,28 @@ let simplify_pass ?synthesize () =
           local := Diag.make ~group:idx ~pass:"simplify" severity msg :: !local
         in
         let cache_record d = local := { d with Diag.group = Some idx } :: !local in
+        let sites =
+          match (synthesize, Bitvec.indices g.Group.support) with
+          | None, (_ :: _ as support) -> Array.of_list support
+          | Some _, _ | None, [] -> Array.init n Fun.id
+        in
+        let k = Array.length sites in
+        let terms =
+          List.map
+            (fun (p, theta) -> (Pauli_string.restrict p sites, theta))
+            g.Group.terms
+        in
+        let embed c =
+          if k = n then c
+          else
+            Circuit.of_validated n
+              (List.map (Gate.map_qubits (Array.get sites)) (Circuit.gates c))
+        in
+        let synth () =
+          match synthesize with
+          | Some f -> f g
+          | None -> Synthesis.support_circuit ~exact:options.exact ~sites terms
+        in
         (* Greedy synthesis is the top rung; a budget expiry inside it
            degrades this group to the naive ladder (trusted, bounded
            time, no search).  Degraded results are never stored in the
@@ -149,29 +179,30 @@ let simplify_pass ?synthesize () =
             Resilience.event ~group:idx ~subject:"synthesis"
               ~from_rung:"greedy" ~to_rung:"naive-ladder" ()
             :: !events;
-          Synthesis.naive_gadget_circuit n g.Group.terms
+          Synthesis.naive_gadget_circuit k terms
         in
         let c =
           match tier with
           | Cache.Off -> (
-            match Resilience.attempt (fun () -> synth g) with
+            match Resilience.attempt synth with
             | Ok c -> c
             | Error _ -> degrade_synth ())
           | Cache.Mem | Cache.Disk -> (
-            let key =
-              Cache.key_of_terms ~exact:options.exact n g.Group.terms
-            in
-            match Cache.lookup ~record:cache_record ~tier ~n key with
+            let key = Cache.key_of_terms ~exact:options.exact ~sites terms in
+            match Cache.lookup ~record:cache_record ~tier key with
             | Some cached -> cached
             | None -> (
-              match Resilience.attempt (fun () -> synth g) with
+              match Resilience.attempt synth with
               | Ok c ->
                 Cache.store ~record:cache_record ~tier key c;
                 c
               | Error _ -> degrade_synth ()))
         in
-        let check terms circuit =
-          let r, evs = check_group_circuit options n terms circuit in
+        let check circuit =
+          let r, evs =
+            check_group_circuit options ~k ~terms ~n
+              ~register_terms:g.Group.terms ~embed circuit
+          in
           if evs <> [] then
             record Diag.Warning
               "equivalence-check budget exhausted; degraded dense-unitary -> \
@@ -182,29 +213,30 @@ let simplify_pass ?synthesize () =
               !events;
           r
         in
-        if not options.verify then
-          ({ Order.group = g; circuit = c }, List.rev !local, false,
-           List.rev !events)
-        else
-          match check g.Group.terms c with
-          | Ok () ->
-            ({ Order.group = g; circuit = c }, List.rev !local, false,
-             List.rev !events)
-          | Error msg ->
-            record Diag.Warning
-              (Printf.sprintf
-                 "synthesis failed verification (%s); recovered with the \
-                  naive ladder"
-                 msg);
-            let fb = Synthesis.naive_gadget_circuit n g.Group.terms in
-            (match check g.Group.terms fb with
-            | Ok () -> ()
-            | Error msg2 ->
-              record Diag.Error
-                (Printf.sprintf "naive fallback also failed verification (%s)"
-                   msg2));
-            ({ Order.group = g; circuit = fb }, List.rev !local, true,
-             List.rev !events)
+        let shipped, recovered =
+          if not options.verify then (c, false)
+          else
+            match check c with
+            | Ok () -> (c, false)
+            | Error msg ->
+              record Diag.Warning
+                (Printf.sprintf
+                   "synthesis failed verification (%s); recovered with the \
+                    naive ladder"
+                   msg);
+              let fb = Synthesis.naive_gadget_circuit k terms in
+              (match check fb with
+              | Ok () -> ()
+              | Error msg2 ->
+                record Diag.Error
+                  (Printf.sprintf
+                     "naive fallback also failed verification (%s)" msg2));
+              (fb, true)
+        in
+        ( { Order.group = g; circuit = embed shipped },
+          List.rev !local,
+          recovered,
+          List.rev !events )
       in
       let domains =
         match synthesize with
@@ -517,7 +549,6 @@ type stream_report = {
   s_report : report;
   s_chunks : int;
   s_gadgets : int;
-  s_peak_heap_words : int;
   s_chunk_two_q : int list;
 }
 
@@ -571,7 +602,6 @@ let compile_stream ?(options = default_options) ?protect ?hooks
   let traces = ref [] in
   let chunks_n = ref 0 in
   let gadgets_n = ref 0 in
-  let peak = ref 0 in
   let two_q_rev = ref [] in
   let diags_rev = ref [] in
   let degr_rev = ref [] in
@@ -596,12 +626,7 @@ let compile_stream ?(options = default_options) ?protect ?hooks
       groups_n := !groups_n + r.num_groups;
       logical2q := !logical2q + r.logical_two_q;
       (match emit with Some f -> f c | None -> ());
-      if keep_circuit then circuits := c :: !circuits;
-      (* Peak working set: the major heap size at every chunk boundary.
-         With [keep_circuit = false] all per-chunk state is dead here,
-         so this tracks the streaming mode's bounded footprint. *)
-      let st = Gc.quick_stat () in
-      if st.Gc.heap_words > !peak then peak := st.Gc.heap_words)
+      if keep_circuit then circuits := c :: !circuits)
     chunks;
   let circuit =
     if keep_circuit then Circuit.concat_list n (List.rev !circuits)
@@ -634,7 +659,6 @@ let compile_stream ?(options = default_options) ?protect ?hooks
     s_report = report;
     s_chunks = !chunks_n;
     s_gadgets = !gadgets_n;
-    s_peak_heap_words = !peak;
     s_chunk_two_q = List.rev !two_q_rev;
   }
 

@@ -119,8 +119,11 @@ val passes :
     mode), assembly, peephole, ISA lowering, routing (hardware targets
     only), and final verification (when [options.verify]).
 
-    [synthesize] overrides per-group circuit synthesis (default
-    {!Synthesis.group_circuit}); it exists for experimentation and fault
+    By default each group is synthesized on its support
+    ({!Synthesis.support_circuit}, which embeds to
+    {!Synthesis.group_circuit}) and embedded into the register.
+    [synthesize] overrides per-group circuit synthesis with a function
+    of the register-wide group; it exists for experimentation and fault
     injection — with [verify = true] a synthesizer that produces a wrong
     circuit is caught per group and recovered via the naive ladder.
     Supplying [synthesize] bypasses the synthesis cache and forces
@@ -168,9 +171,6 @@ type stream_report = {
           diagnostics and degradations, [layout = None] *)
   s_chunks : int;  (** chunks consumed *)
   s_gadgets : int;  (** total gadgets consumed across all chunks *)
-  s_peak_heap_words : int;
-      (** max [Gc.quick_stat].heap_words observed at chunk boundaries —
-          the bounded-footprint signal the scaling bench asserts on *)
   s_chunk_two_q : int list;  (** per-chunk 2Q counts, in stream order *)
 }
 

@@ -9,16 +9,20 @@ type t = {
 
 let weight g = Bitvec.popcount g.support
 
+(* Groups are keyed by their support bit vector, which becomes the
+   group's [support]: hashing mixes every word, so the table stays
+   linear on wide registers. *)
+module Support_table = Hashtbl.Make (struct
+  type t = Bitvec.t
+
+  let equal = Bitvec.equal
+  let hash = Bitvec.hash
+end)
+
+(* [newest_first] holds (support, reversed terms) cells. *)
 let finish_groups n newest_first =
   List.rev_map
-    (fun cell ->
-      let terms = List.rev !cell in
-      let support =
-        match terms with
-        | (p, _) :: _ -> Pauli_string.support p
-        | [] -> assert false
-      in
-      { n; terms; support })
+    (fun (support, cell) -> { n; terms = List.rev !cell; support })
     newest_first
 
 (* Exact-mode grouping must be an exact program transformation: a gadget
@@ -27,15 +31,14 @@ let finish_groups n newest_first =
    Trotter-level reordering and the gadget starts a fresh group. *)
 let group_gadgets_ordered n gadgets =
   let groups = ref [] in
-  (* newest first: (support key, reversed terms) *)
   List.iter
     (fun ((p, _) as gadget) ->
-      if not (Pauli_string.is_identity p) then begin
-        let key = Bitvec.to_string (Pauli_string.support p) in
+      let key = Pauli_string.support p in
+      if not (Bitvec.is_zero key) then begin
         let rec find = function
           | [] -> None
           | (k, cell) :: rest ->
-            if k = key then Some cell
+            if Bitvec.equal k key then Some cell
             else if
               List.for_all (fun (q, _) -> Pauli_string.commutes p q) !cell
             then find rest
@@ -46,28 +49,25 @@ let group_gadgets_ordered n gadgets =
         | None -> groups := (key, ref [ gadget ]) :: !groups
       end)
     gadgets;
-  finish_groups n (List.map snd !groups)
+  finish_groups n !groups
 
 let group_gadgets ?(exact = false) n gadgets =
   if exact then group_gadgets_ordered n gadgets
   else begin
-    let table : (string, (Pauli_string.t * float) list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
+    let table = Support_table.create 64 in
     let order = ref [] in
     List.iter
       (fun ((p, _) as gadget) ->
-        if not (Pauli_string.is_identity p) then begin
-          let key = Bitvec.to_string (Pauli_string.support p) in
-          match Hashtbl.find_opt table key with
+        let key = Pauli_string.support p in
+        if not (Bitvec.is_zero key) then
+          match Support_table.find_opt table key with
           | Some cell -> cell := gadget :: !cell
           | None ->
             let cell = ref [ gadget ] in
-            Hashtbl.add table key cell;
-            order := key :: !order
-        end)
+            Support_table.add table key cell;
+            order := (key, cell) :: !order)
       gadgets;
-    finish_groups n (List.map (Hashtbl.find table) !order)
+    finish_groups n !order
   end
 
 let of_blocks n blocks =

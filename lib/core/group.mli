@@ -7,6 +7,7 @@ type t = {
   n : int;
   terms : (Phoenix_pauli.Pauli_string.t * float) list;  (** program order *)
   support : Phoenix_util.Bitvec.t;
+      (** the union of the terms' supports; never mutated *)
 }
 
 val weight : t -> int

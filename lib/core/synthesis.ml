@@ -63,8 +63,11 @@ and ladder_gadget (p, theta) =
 
 (* A core of k ≥ 3 commuting rotations on one qubit pair costs 2k CNOTs
    when lowered row by row, but only a bounded Clifford sandwich around
-   merged phase rotations when diagonalized first. *)
-let compressed_core n ts =
+   merged phase rotations when diagonalized first.  The diagonal terms
+   are lowered in the order [Pauli_string.compare] gives their register
+   images, so a group synthesized on its support ([sites]) emits the
+   register-wide gate order. *)
+let compressed_core ?sites n ts =
   let plain = core_gates n ts in
   let commuting =
     List.for_all
@@ -75,9 +78,14 @@ let compressed_core n ts =
   if List.length ts < 3 || not commuting then plain
   else begin
     let d = Phoenix_circuit.Diagonalize.run n ts in
+    let compare =
+      match sites with
+      | None -> Pauli_string.compare
+      | Some sites -> Pauli_string.compare_on_sites sites
+    in
     let sorted =
       List.sort
-        (fun (p, _) (q, _) -> Pauli_string.compare p q)
+        (fun (p, _) (q, _) -> compare p q)
         d.Phoenix_circuit.Diagonalize.diagonal
     in
     let undo =
@@ -93,20 +101,24 @@ let compressed_core n ts =
     if cost diag < cost plain then diag else plain
   end
 
-let cfg_to_circuit ?(compress = true) n cfg =
+let cfg_to_circuit ?(compress = true) ?sites n cfg =
   let gates =
     List.concat_map
       (function
         | Simplify.Cliff c -> [ Gate.Cliff2 c ]
         | Simplify.Rotations rs -> rotation_gates rs
         | Simplify.Core ts ->
-          if compress then compressed_core n ts else core_gates n ts)
+          if compress then compressed_core ?sites n ts else core_gates n ts)
       cfg
   in
   Circuit.create n gates
 
 let group_circuit ?exact ?compress (g : Group.t) =
   cfg_to_circuit ?compress g.Group.n (Simplify.run ?exact g.Group.n g.Group.terms)
+
+let support_circuit ?exact ~sites terms =
+  let k = Array.length sites in
+  cfg_to_circuit ~sites k (Simplify.run ?exact k terms)
 
 (* Fig. 1(a)-style reference synthesis: 1Q basis conjugation into Z,
    a CNOT ladder onto the last support qubit, Rz, and the mirror. *)

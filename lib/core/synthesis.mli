@@ -13,15 +13,36 @@ val rotation_gates :
     Raises [Invalid_argument] on weight > 2 strings. *)
 
 val cfg_to_circuit :
-  ?compress:bool -> int -> Simplify.t -> Phoenix_circuit.Circuit.t
+  ?compress:bool ->
+  ?sites:int array ->
+  int ->
+  Simplify.t ->
+  Phoenix_circuit.Circuit.t
 (** Lower one simplified IR group over an [n]-qubit register.
     [compress] (default true) enables core compression: a core of ≥ 3
     commuting rotations is simultaneously diagonalized when that lowers
-    its CNOT cost. *)
+    its CNOT cost, and its diagonal terms are lowered in
+    {!Phoenix_pauli.Pauli_string.compare} order — of their images at
+    [sites] ({!Phoenix_pauli.Pauli_string.compare_on_sites}) when the
+    [n] qubits stand for the register qubits [sites]. *)
 
 val group_circuit :
   ?exact:bool -> ?compress:bool -> Group.t -> Phoenix_circuit.Circuit.t
-(** Simplify and lower one IR group. *)
+(** Simplify and lower one IR group on its whole register. *)
+
+val support_circuit :
+  ?exact:bool ->
+  sites:int array ->
+  (Phoenix_pauli.Pauli_string.t * float) list ->
+  Phoenix_circuit.Circuit.t
+(** Simplify and lower one IR group relabelled onto its support: the
+    [terms] act on [k = Array.length sites] qubits, local qubit [i]
+    standing for register qubit [sites.(i)] (strictly ascending).  The
+    k-qubit circuit, with each qubit [i] mapped to [sites.(i)], is the
+    {!group_circuit} of the register-wide group: the BSF search is
+    equivariant under an order-preserving relabel, and compressed cores
+    keep the register-wide order.  The cost follows k, not the
+    register. *)
 
 val naive_gadget_circuit :
   ?chain:[ `Support_order | `Z_first ] ->

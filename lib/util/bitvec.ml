@@ -90,7 +90,17 @@ let compare a b =
   let c = Stdlib.compare a.len b.len in
   if c <> 0 then c else Stdlib.compare a.words b.words
 
-let hash v = Hashtbl.hash (v.len, v.words)
+(* Every word goes through a multiply/xor-shift mix, so the low bits a
+   hash table indexes by depend on the whole vector; [Hashtbl.hash]
+   would read only the first few words, and a plain polynomial would
+   leave those low bits nearly constant across wide vectors. *)
+let hash v =
+  let h = ref v.len in
+  for i = 0 to Array.length v.words - 1 do
+    let x = (!h lxor Array.unsafe_get v.words i) * 0x1f3d5b79a3c2e7b5 in
+    h := x lxor (x lsr 29)
+  done;
+  !h land max_int
 
 let check_same_length a b =
   if a.len <> b.len then invalid_arg "Bitvec: length mismatch"

@@ -79,6 +79,8 @@ val is_zero : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** Non-allocating hash that mixes every word, for hash tables keyed by
+    wide vectors (a qubit-support set, say). *)
 
 val xor_into : t -> t -> unit
 (** [xor_into dst src] sets [dst <- dst lxor src]. *)

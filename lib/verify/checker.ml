@@ -1,9 +1,6 @@
 module Pauli = Phoenix_pauli.Pauli
 module Pauli_string = Phoenix_pauli.Pauli_string
 module Angle = Phoenix_pauli.Angle
-module Bitvec = Phoenix_util.Bitvec
-module Gate = Phoenix_circuit.Gate
-module Circuit = Phoenix_circuit.Circuit
 
 type claim =
   | Unchanged
@@ -508,43 +505,3 @@ let check_program ?(exact = false) ?l2p n program circuit =
               if not (Frame.equal x.Domain.frame y.Domain.frame) then
                 frame_mismatch
               else relation x.Domain.terms y.Domain.terms))
-
-(* The relabelling keeps the qubits the program touches in ascending
-   order and drops the rest; a circuit confined to those qubits touches
-   nothing else either, so both sides shrink by the same bijection and
-   the check needs a k-qubit frame instead of an n-qubit one. *)
-let check_on_support ?exact n program circuit =
-  let support = Bitvec.create n in
-  List.iter
-    (fun (p, _) -> Bitvec.or_into support (Pauli_string.support p))
-    program;
-  let sites = Array.of_list (Bitvec.indices support) in
-  let k = Array.length sites in
-  (* rank of qubit [q] among [sites], or -1 *)
-  let rank q =
-    let rec search lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        if sites.(mid) = q then mid
-        else if sites.(mid) < q then search (mid + 1) hi
-        else search lo mid
-    in
-    search 0 k
-  in
-  let gates = Circuit.gates circuit in
-  let inside g = List.for_all (fun q -> rank q >= 0) (Gate.qubits g) in
-  if
-    k = 0 || k = n
-    || Circuit.num_qubits circuit <> n
-    || not (List.for_all inside gates)
-  then check_program ?exact n program circuit
-  else
-    check_program ?exact k
-      (List.map
-         (fun (p, theta) ->
-           ( Pauli_string.of_list
-               (Array.to_list (Array.map (Pauli_string.get p) sites)),
-             theta ))
-         program)
-      (Circuit.create k (List.map (Gate.map_qubits rank) gates))

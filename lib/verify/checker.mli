@@ -74,20 +74,6 @@ val check_program :
     A check that proves on the raw attempt allocates one n-qubit frame
     (the circuit scan's). *)
 
-val check_on_support :
-  ?exact:bool ->
-  int ->
-  (Phoenix_pauli.Pauli_string.t * float) list ->
-  Phoenix_circuit.Circuit.t ->
-  verdict
-(** {!check_program} without a placement, on the program's support:
-    the terms and an [n]-qubit circuit are relabelled onto the k qubits
-    the terms touch (ranks in ascending qubit order) and checked on that
-    k-qubit register, so the cost follows the support, not the register.
-    The verdict is the full-register one; reasons print k-wide Pauli
-    strings.  A circuit with a gate outside the support, or on another
-    register width, takes the full-register check. *)
-
 (** {1 Exposed for tests} *)
 
 val normal_form : Domain.term list -> Domain.term list

@@ -42,6 +42,27 @@ let terms_gen n max_terms =
   let* len = int_range 1 max_terms in
   list_size (return len) (pair (nontrivial_pauli_string_gen n) angle_gen)
 
+(* A group relabelled onto its support, as the simplify pass does it:
+   the ascending qubits the terms touch, and the terms restricted to
+   them (local qubit [i] is register qubit [sites.(i)]). *)
+let on_support n terms =
+  let support = Phoenix_util.Bitvec.create n in
+  List.iter
+    (fun (p, _) -> Phoenix_util.Bitvec.or_into support (Pauli_string.support p))
+    terms;
+  let sites = Array.of_list (Phoenix_util.Bitvec.indices support) in
+  (sites, List.map (fun (p, a) -> (Pauli_string.restrict p sites, a)) terms)
+
+(* The inverse direction: a local string or circuit placed on an
+   [n]-qubit register at [sites]. *)
+let embed_string n sites p =
+  let out = ref (Pauli_string.identity n) in
+  Array.iteri (fun i q -> out := Pauli_string.set !out q (Pauli_string.get p i)) sites;
+  !out
+
+let embed_circuit n sites c =
+  Circuit.create n (List.map (Gate.map_qubits (Array.get sites)) (Circuit.gates c))
+
 (* Dense unitary of a Clifford2q gate embedded in n qubits. *)
 let clifford2q_unitary n (c : Clifford2q.t) =
   let u = Cmat.identity (1 lsl n) in

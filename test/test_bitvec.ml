@@ -176,6 +176,20 @@ let prop_fold_ascending =
       let idx = Bitvec.indices v in
       List.sort compare idx = idx)
 
+(* Group tables key wide supports by [hash]: the bucket index (its low
+   bits) must depend on words far past the first few.  300 adjacent
+   qubit pairs beyond qubit 600 of a 1000-qubit register, into 256
+   buckets, fill about 177 of them at random; a hash that reads only
+   the leading words puts them all in one. *)
+let test_hash_mixes_every_word () =
+  let buckets = Hashtbl.create 256 in
+  for q = 600 to 899 do
+    Hashtbl.replace buckets (Bitvec.hash (Bitvec.of_indices 1000 [ q; q + 1 ]) land 255) ()
+  done;
+  let used = Hashtbl.length buckets in
+  if used < 128 then
+    Alcotest.failf "300 wide supports used %d of 256 buckets; want at least 128" used
+
 let () =
   Alcotest.run "bitvec"
     [
@@ -193,6 +207,8 @@ let () =
           Alcotest.test_case "blit" `Quick test_blit;
           Alcotest.test_case "word access" `Quick test_word_access;
           Alcotest.test_case "popcount/ctz kernels" `Quick test_word_kernels;
+          Alcotest.test_case "hash mixes every word" `Quick
+            test_hash_mixes_every_word;
         ] );
       ( "props",
         [

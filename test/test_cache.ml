@@ -11,6 +11,7 @@
    with a Warning diagnostic and self-heal), and LRU byte-budget
    enforcement under a seeded random workload. *)
 
+module Pauli = Helpers.Pauli
 module Pauli_string = Helpers.Pauli_string
 module Bsf = Helpers.Bsf
 module Gate = Helpers.Gate
@@ -225,6 +226,142 @@ let prop_relabel_equivariance =
       in
       String.equal d d' && Circuit.equal c' mapped)
 
+(* --- keys and synthesis on the group's support ------------------------ *)
+
+(* Ascending sites on a register of at most 200 qubits, often
+   straddling the bit-vector word boundaries 61/62 and 123/124. *)
+let sites_gen k =
+  let open QCheck2.Gen in
+  let* straddle = oneofl [ []; [ 61; 62 ]; [ 123; 124 ]; [ 60; 61; 62; 63 ] ] in
+  let* extra = list_size (return k) (int_range 0 199) in
+  let sites =
+    match List.sort_uniq compare (straddle @ extra) with
+    | l when List.length l >= k -> l
+    | _ -> List.init k (fun i -> 60 + i)
+  in
+  let* start = int_range 0 (List.length sites - k) in
+  return (Array.of_list (List.filteri (fun i _ -> i >= start && i < start + k) sites))
+
+(* Groups on k ≤ 4 local qubits, half of them pairwise commuting (Z
+   strings under one basis change per qubit), so compressed cores of
+   three or more rotations are common. *)
+let local_group_gen =
+  let open QCheck2.Gen in
+  let* k = int_range 2 4 in
+  let* sites = sites_gen k in
+  let* commuting = bool in
+  let* terms =
+    if not commuting then Helpers.terms_gen k 6
+    else
+      let* basis = list_size (return k) (oneofl [ Pauli.X; Pauli.Y; Pauli.Z ]) in
+      let* masks = list_size (int_range 3 6) (int_range 1 ((1 lsl k) - 1)) in
+      let* angles = list_size (return (List.length masks)) Helpers.angle_gen in
+      return
+        (List.map2
+           (fun m a ->
+             ( Pauli_string.of_list
+                 (List.mapi
+                    (fun q b -> if (m lsr q) land 1 = 1 then b else Pauli.I)
+                    basis),
+               a ))
+           masks angles)
+  in
+  let* exact = bool in
+  return (sites, terms, exact)
+
+(* The simplify pass keys and synthesizes each group on its support and
+   embeds the circuit; that must be the register-wide synthesis bit for
+   bit, and the key the register-wide tableau's address. *)
+let prop_support_synthesis_is_register_synthesis =
+  Helpers.qtest ~count:300 "support synthesis = register synthesis across words"
+    local_group_gen
+    (fun (sites0, terms0, exact) ->
+      let n = 200 in
+      let register =
+        List.map (fun (p, a) -> (Helpers.embed_string n sites0 p, a)) terms0
+      in
+      let sites, local = Helpers.on_support n register in
+      let key = Cache.key_of_terms ~exact ~sites local in
+      let full = Bsf.of_terms n register in
+      Circuit.equal
+        (Helpers.embed_circuit n sites (Synthesis.support_circuit ~exact ~sites local))
+        (Synthesis.group_circuit ~exact (Group.of_terms n register))
+      && String.equal (Cache.digest key) (Bsf.canonical_digest full)
+      && Cache.relabel_safe key = (sites.(Array.length sites - 1) < 62))
+
+(* Disk compatibility: on every group of three wide presets, the k-qubit
+   tableau the cache key is built from has the canonical form of the
+   register-wide one, so keys and file names are unchanged; and the
+   entries' marshalled sizes sum to the bytes that register-wide keying
+   stored, so their contents are too. *)
+let test_local_canonical_forms () =
+  List.iter
+    (fun (spec, entries, bytes) ->
+      let h =
+        match Phoenix_serve.Workload.of_spec spec with
+        | Ok h -> h
+        | Error msg -> Alcotest.failf "%s: %s" spec msg
+      in
+      let n = Phoenix_ham.Hamiltonian.num_qubits h in
+      let groups = ref [] in
+      let hook ~pass ~before:_ ~after ~seconds:_ =
+        if pass.Phoenix.Pass.name = "group" then groups := after.Phoenix.Pass.groups
+      in
+      Cache.clear_memory ();
+      let r =
+        Registry.compile ~options:(opts ~cache:Cache.Mem ()) ~hooks:[ hook ]
+          Registry.phoenix h
+      in
+      Alcotest.(check (pair int int))
+        (spec ^ " entries and bytes")
+        (entries, bytes)
+        (r.Compiler.cache_stats.Cache.entries, r.Compiler.cache_stats.Cache.bytes);
+      Alcotest.(check bool) (spec ^ " has groups") true (!groups <> []);
+      List.iteri
+        (fun i (g : Group.t) ->
+          let sites, local = Helpers.on_support n g.Group.terms in
+          let k = Array.length sites in
+          if
+            Bsf.canonical_form (Bsf.of_terms k local)
+            <> Bsf.canonical_form (Bsf.of_terms n g.Group.terms)
+          then Alcotest.failf "%s: group %d canonical forms differ" spec i)
+        !groups)
+    [
+      ("heisenberg:100", 39, 6116);
+      ("qaoa:Reg3-250", 354, 26412);
+      ("tfim:200", 278, 20082);
+    ]
+
+(* Same-shape groups beyond the first word (one digest, distinct
+   supports, so none can hit another) each get their own memory bucket:
+   a lookup scans at most one entry, however many were stored. *)
+let test_buckets_per_support () =
+  Cache.clear_memory ();
+  Cache.reset_stats ();
+  let local = [ (Pauli_string.of_string "ZZ", 0.3) ] in
+  let circuit = Synthesis.support_circuit ~sites:[| 0; 1 |] local in
+  let keys =
+    List.init 1000 (fun i ->
+        Cache.key_of_terms ~exact:false ~sites:[| 62 + i; 63 + i |] local)
+  in
+  List.iter (fun key -> Cache.store ~tier:Cache.Mem key circuit) keys;
+  Alcotest.(check int) "one digest" 1
+    (List.length (List.sort_uniq String.compare (List.map Cache.digest keys)));
+  Alcotest.(check int) "insertions" 1000 (Cache.stats ()).Cache.insertions;
+  Alcotest.(check int) "largest bucket scanned" 1
+    (List.fold_left (fun m key -> max m (Cache.Testing.bucket_length key)) 0 keys);
+  Alcotest.(check bool) "every key hits its own entry" true
+    (List.for_all (fun key -> Cache.lookup ~tier:Cache.Mem key <> None) keys);
+  (* relabel-safe keys still share one bucket and replay across supports *)
+  Cache.store ~tier:Cache.Mem
+    (Cache.key_of_terms ~exact:false ~sites:[| 0; 1 |] local)
+    circuit;
+  let safe = Cache.key_of_terms ~exact:false ~sites:[| 5; 9 |] local in
+  Alcotest.(check int) "safe bucket" 1 (Cache.Testing.bucket_length safe);
+  Alcotest.(check bool) "safe replay" true
+    (Cache.lookup ~tier:Cache.Mem safe = Some circuit);
+  Cache.clear_memory ()
+
 (* --- qcheck: cold = warm = re-warm on random gadget programs --------- *)
 
 let prop_warm_equals_cold_random =
@@ -347,10 +484,10 @@ let test_lru_budget () =
          generator repeats a string *)
       |> List.map (fun (p, a) -> (p, a +. (0.001 *. float_of_int i)))
     in
-    let key = Cache.key_of_terms ~exact:false n terms in
+    let sites, local = Helpers.on_support n terms in
+    let key = Cache.key_of_terms ~exact:false ~sites local in
     if !first_key = None then first_key := Some key;
-    Cache.store ~tier:Cache.Mem key
-      (Synthesis.group_circuit (Group.of_terms n terms));
+    Cache.store ~tier:Cache.Mem key (Synthesis.support_circuit ~sites local);
     Alcotest.(check bool)
       (Printf.sprintf "bytes within budget after store %d" i)
       true
@@ -363,7 +500,7 @@ let test_lru_budget () =
   (match !first_key with
   | Some key ->
     Alcotest.(check bool) "oldest entry evicted" true
-      (Cache.lookup ~tier:Cache.Mem ~n key = None)
+      (Cache.lookup ~tier:Cache.Mem key = None)
   | None -> Alcotest.fail "no key stored");
   Cache.set_budget old_budget;
   Cache.clear_memory ()
@@ -430,6 +567,11 @@ let () =
           prop_digest_reorder_invariant;
           prop_digest_sign_flip_distinct;
           prop_relabel_equivariance;
+          prop_support_synthesis_is_register_synthesis;
+          Alcotest.test_case "local canonical forms on wide presets" `Quick
+            test_local_canonical_forms;
+          Alcotest.test_case "one bucket per support past the first word"
+            `Quick test_buckets_per_support;
         ] );
       ( "faults",
         [

@@ -136,6 +136,63 @@ let prop_self_commutes =
   Helpers.qtest "every string commutes with itself" (Helpers.pauli_string_gen 6)
     (fun p -> Pauli_string.commutes p p)
 
+(* Ascending sites on a register of at most 200 qubits, often
+   straddling the bit-vector word boundaries 61/62 and 123/124. *)
+let sites_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 2 200 in
+  let* straddle =
+    oneofl [ []; [ 61; 62 ]; [ 123; 124 ]; [ 61; 62; 123; 124 ]; [ 0; 199 ] ]
+  in
+  let* extra = list_size (int_range 0 5) (int_range 0 (n - 1)) in
+  let sites =
+    List.sort_uniq compare (List.filter (fun q -> q < n) straddle @ extra)
+  in
+  return (n, Array.of_list (if sites = [] then [ n - 1 ] else sites))
+
+(* Two strings on [k] qubits that often agree on most of them, so that
+   equal strings and late first differences are drawn. *)
+let near_pair_gen k =
+  let open QCheck2.Gen in
+  let* a = list_size (return k) Helpers.pauli_gen in
+  let* b =
+    flatten_l
+      (List.map (fun p -> oneof [ return p; return p; Helpers.pauli_gen ]) a)
+  in
+  return (Pauli_string.of_list a, Pauli_string.of_list b)
+
+let sign c = Int.compare c 0
+
+(* The absolute-order comparator is what lets synthesis on a group's
+   support emit the register-wide core order: on local strings it must
+   be [compare] on their embeddings, and plain [compare] on identity
+   sites. *)
+let prop_compare_on_sites =
+  Helpers.qtest ~count:1000 "compare_on_sites = compare of the embeddings"
+    (let open QCheck2.Gen in
+     let* n, sites = sites_gen in
+     let* a, b = near_pair_gen (Array.length sites) in
+     return (n, sites, a, b))
+    (fun (n, sites, a, b) ->
+      let k = Array.length sites in
+      sign (Pauli_string.compare_on_sites sites a b)
+      = sign
+          (Pauli_string.compare
+             (Helpers.embed_string n sites a)
+             (Helpers.embed_string n sites b))
+      && sign (Pauli_string.compare_on_sites (Array.init k Fun.id) a b)
+         = sign (Pauli_string.compare a b))
+
+let prop_restrict_inverts_embed =
+  Helpers.qtest ~count:300 "restrict inverts embedding at sites"
+    (let open QCheck2.Gen in
+     let* n, sites = sites_gen in
+     let* a, _ = near_pair_gen (Array.length sites) in
+     return (n, sites, a))
+    (fun (n, sites, a) ->
+      Pauli_string.equal a
+        (Pauli_string.restrict (Helpers.embed_string n sites a) sites))
+
 let () =
   Alcotest.run "pauli"
     [
@@ -160,4 +217,5 @@ let () =
           prop_weight_support;
           prop_self_commutes;
         ] );
+      ("sites", [ prop_compare_on_sites; prop_restrict_inverts_embed ]);
     ]

@@ -106,7 +106,10 @@ let test_phoenix_golden_qaoa () =
    ordering cost's register-wide terms (untouched qubits' endian entries,
    untouched rows of the Eq. 7 distance matrices) carry most of the
    weight: a 250-qubit QAOA graph, a 5×5 Hubbard lattice and a routed
-   water molecule. *)
+   water molecule; and a 100-qubit Heisenberg chain, whose group on
+   qubits 61 and 62 straddles two bit-vector words, so synthesis on the
+   group's support must keep the register-wide order of its compressed
+   core. *)
 let test_phoenix_golden_at_scale () =
   let phoenix = entry "phoenix" in
   let go ?target spec =
@@ -122,7 +125,10 @@ let test_phoenix_golden_at_scale () =
     ~two_q:8127 ~depth_2q:5692 ~one_q:6443 ~swaps:2003 ~logical_two_q:2158
     (go
        ~target:(Compiler.Hardware (Topology.ibm_manhattan ()))
-       "uccsd:H2O_frz_BK")
+       "uccsd:H2O_frz_BK");
+  check_report "heisenberg:100" ~md5:"2648d107940d2f01905d4849416413ab"
+    ~two_q:396 ~depth_2q:396 ~one_q:495 ~swaps:0 ~logical_two_q:396
+    (go "heisenberg:100")
 
 (* The baselines' registry pipelines are pinned to the digests of the
    circuits their original standalone compilers produced. *)
@@ -265,6 +271,47 @@ let test_order_allocation_linear () =
       "order words per gadget grew %.2f× from Reg3-250 (%.0f) to Reg3-1000 \
        (%.0f); linear-time ordering keeps it within 1.5×"
       ratio small large
+
+(* --- group and simplify cost the group, not the register --------------- *)
+
+(* Words the [pass] allocates per unit (gadget or group) on one domain,
+   with the memory cache emptied first.  Every QAOA group is a two-qubit
+   ZZ rotation, so work that follows the group's support keeps the
+   ratio between a 1000- and a 250-qubit graph near one; work that
+   builds register-wide tableaux, keys or strings per group grows with
+   the register. *)
+let words_per spec ~pass ~per ~cache =
+  let h = workload spec in
+  let options = { (opts ()) with Compiler.domains = 1; cache } in
+  Phoenix_cache.Cache.clear_memory ();
+  let r = Registry.compile ~options (entry "phoenix") h in
+  let units =
+    match per with
+    | `Gadget -> List.length (Phoenix_ham.Hamiltonian.trotter_gadgets h)
+    | `Group -> r.Compiler.num_groups
+  in
+  match List.find_opt (fun e -> e.Pass.pass = pass) r.Compiler.trace with
+  | Some e -> e.Pass.alloc_words /. float_of_int units
+  | None -> Alcotest.failf "%s: no %s entry in the trace" spec pass
+
+let test_group_work_flat_in_register () =
+  List.iter
+    (fun (label, pass, per, cache) ->
+      let small = words_per "qaoa:Reg3-250" ~pass ~per ~cache in
+      let large = words_per "qaoa:Reg3-1000" ~pass ~per ~cache in
+      let ratio = large /. small in
+      if ratio > 1.5 then
+        Alcotest.failf
+          "%s grew %.2f× from Reg3-250 (%.0f) to Reg3-1000 (%.0f); work on \
+           the group's support keeps it within 1.5×"
+          label ratio small large)
+    [
+      ("simplify words per group (memory cache)", "simplify", `Group,
+        Phoenix_cache.Cache.Mem);
+      ("simplify words per group (cache off)", "simplify", `Group,
+        Phoenix_cache.Cache.Off);
+      ("group words per gadget", "group", `Gadget, Phoenix_cache.Cache.Off);
+    ]
 
 (* --- per-group --verify costs the group, not the register -------------- *)
 
@@ -598,6 +645,8 @@ let () =
           prop_trace_telescopes;
           Alcotest.test_case "snapshots match the circuits" `Quick
             test_trace_snapshots_match_circuits;
+          Alcotest.test_case "group and simplify allocation flat in the register"
+            `Slow test_group_work_flat_in_register;
           Alcotest.test_case "order allocation linear in gadgets" `Slow
             test_order_allocation_linear;
           Alcotest.test_case "route allocation per routed gate" `Slow

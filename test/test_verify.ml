@@ -461,12 +461,19 @@ let prop_differential_commuting =
 
 (* --- per-group checks on the group's support -------------------------- *)
 
-(* [Checker.check_on_support] relabels a group onto the qubits its terms
-   touch; its verdict must be the full-register one. *)
-let same_label ?exact n terms c =
-  Checker.verdict_label (Checker.check_program ?exact n terms c)
-  = Checker.verdict_label (Checker.check_on_support ?exact n terms c)
+(* The simplify pass checks each group's k-qubit circuit against its
+   k-qubit terms (local qubit [i] is register qubit [sites.(i)]); that
+   verdict must be the register-wide one for the embedded pair. *)
+let same_label ?exact ~sites n terms c =
+  Checker.verdict_label
+    (Checker.check_program ?exact (Array.length sites) terms c)
+  = Checker.verdict_label
+      (Checker.check_program ?exact n
+         (List.map (fun (p, a) -> (Helpers.embed_string n sites p, a)) terms)
+         (Helpers.embed_circuit n sites c))
 
+(* Every compiled group: the support synthesis embeds to the shipped
+   circuit, and its local verdict is the register-wide one. *)
 let test_local_matches_full_on_compiles () =
   List.iter
     (fun (spec, exact) ->
@@ -488,7 +495,15 @@ let test_local_matches_full_on_compiles () =
       List.iteri
         (fun i (b : Phoenix.Order.block) ->
           let g = b.Phoenix.Order.group in
-          if not (same_label ~exact n g.Group.terms b.Phoenix.Order.circuit) then
+          let sites, terms = Helpers.on_support n g.Group.terms in
+          let local = Synthesis.support_circuit ~exact ~sites terms in
+          if
+            not
+              (Circuit.equal
+                 (Helpers.embed_circuit n sites local)
+                 b.Phoenix.Order.circuit)
+          then Alcotest.failf "%s (exact %b): group %d embeds differently" spec exact i;
+          if not (same_label ~exact ~sites n terms local) then
             Alcotest.failf "%s (exact %b): group %d verdicts differ" spec exact i)
         !blocks)
     [
@@ -498,13 +513,9 @@ let test_local_matches_full_on_compiles () =
       ("fermi-hubbard:2x2", false);
     ]
 
-(* The fault injections above, on terms embedded into qubits 1, 3 and 4
-   of a 6-qubit register, so the local check really shrinks the frame. *)
-let embed p =
-  let sites = [| 1; 3; 4 |] in
-  let out = Array.make 6 Pauli.I in
-  List.iteri (fun i x -> out.(sites.(i)) <- x) (Pauli_string.to_list p);
-  Pauli_string.of_list (Array.to_list out)
+(* The fault injections above, on 3-qubit groups placed at qubits 1, 3
+   and 4 of a 6-qubit register. *)
+let sites = [| 1; 3; 4 |]
 
 let prop_local_matches_full_on_faults =
   Helpers.qtest ~count:80 "local = full verdicts on clean and sign-flipped groups"
@@ -512,32 +523,33 @@ let prop_local_matches_full_on_faults =
     (fun terms ->
       let terms =
         List.map
-          (fun (p, a) -> embed p, 0.2 +. (Float.abs a *. (Float.pi -. 0.4) /. 3.0))
+          (fun (p, a) -> p, 0.2 +. (Float.abs a *. (Float.pi -. 0.4) /. 3.0))
           terms
       in
-      let cfg = Simplify.run ~exact:true 6 terms in
-      let good = Synthesis.cfg_to_circuit 6 cfg in
-      let bad = Synthesis.cfg_to_circuit 6 (flip_one_angle cfg) in
+      let cfg = Simplify.run ~exact:true 3 terms in
+      let good = Synthesis.cfg_to_circuit ~sites 3 cfg in
+      let bad = Synthesis.cfg_to_circuit ~sites 3 (flip_one_angle cfg) in
       let stray = Circuit.append good (Gate.G1 (Gate.H, 0)) in
-      Checker.check_on_support ~exact:true 6 terms good = Checker.Proved
-      && program_check ~exact:true 6 terms bad <> Ok ()
+      Checker.check_program ~exact:true 3 terms good = Checker.Proved
+      && program_check ~exact:true 3 terms bad <> Ok ()
       && List.for_all
-           (fun c -> same_label ~exact:true 6 terms c && same_label 6 terms c)
+           (fun c ->
+             same_label ~exact:true ~sites 6 terms c && same_label ~sites 6 terms c)
            [ good; bad; stray ])
 
 let test_local_matches_full_on_frame_and_order () =
-  let frame = Circuit.create 6 [ Gate.G1 (Gate.H, 3); Gate.G1 (Gate.Rz 0.5, 3) ] in
-  let terms = [ embed (ps "XII"), 0.5 ] in
+  let frame = Circuit.create 3 [ Gate.G1 (Gate.H, 1); Gate.G1 (Gate.Rz 0.5, 1) ] in
+  let terms = [ ps "XII", 0.5 ] in
   Alcotest.(check bool) "residual frame refuted locally" true
-    (Checker.check_on_support 6 terms frame <> Checker.Proved);
+    (Checker.check_program 3 terms frame <> Checker.Proved);
   Alcotest.(check bool) "residual frame: same verdict" true
-    (same_label 6 terms frame);
-  let terms = [ embed (ps "XXI"), 0.4; embed (ps "ZII"), 0.7 ] in
+    (same_label ~sites 6 terms frame);
+  let terms = [ ps "XXI", 0.4; ps "ZII", 0.7 ] in
   let swapped =
-    Circuit.create 6
+    Circuit.create 3
       [
-        Gate.G1 (Gate.Rz 0.7, 1);
-        Gate.Rpp { p0 = Pauli.X; p1 = Pauli.X; a = 1; b = 3; theta = 0.4 };
+        Gate.G1 (Gate.Rz 0.7, 0);
+        Gate.Rpp { p0 = Pauli.X; p1 = Pauli.X; a = 0; b = 1; theta = 0.4 };
       ]
   in
   List.iter
@@ -545,7 +557,7 @@ let test_local_matches_full_on_frame_and_order () =
       Alcotest.(check bool)
         (Printf.sprintf "exact order %b: same verdict" exact)
         true
-        (same_label ~exact 6 terms swapped))
+        (same_label ~exact ~sites 6 terms swapped))
     [ false; true ]
 
 let () =
