@@ -1,6 +1,6 @@
 module Circuit = Phoenix_circuit.Circuit
 module Gate = Phoenix_circuit.Gate
-module Peephole = Phoenix_circuit.Peephole
+module Lowering = Phoenix_circuit.Lowering
 module Topology = Phoenix_topology.Topology
 module Structural = Phoenix_verify.Structural
 
@@ -241,14 +241,14 @@ let angle_sanity t =
         Finding.error ~location:(Finding.Gate i) ~analysis
           "%s has non-finite angle %h" what theta
         :: !fs
-    else if Peephole.is_zero_angle theta then
+    else if Lowering.is_zero_angle theta then
       fs :=
         Finding.warning ~location:(Finding.Gate i) ~analysis
           "%s rotation by ≈0 survived peephole folding (missed optimization)"
           what
         :: !fs
     else begin
-      let canon = Peephole.normalize_angle theta in
+      let canon = Lowering.normalize_angle theta in
       if Float.abs (canon -. theta) > 1e-9 then
         fs :=
           Finding.warning ~location:(Finding.Gate i) ~analysis

@@ -1,7 +1,7 @@
 module Bitvec = Phoenix_util.Bitvec
 module Pauli_string = Phoenix_pauli.Pauli_string
 module Circuit = Phoenix_circuit.Circuit
-module Peephole = Phoenix_circuit.Peephole
+module Lowering = Phoenix_circuit.Lowering
 module Pass = Phoenix.Pass
 module Passes = Phoenix.Passes
 module Group = Phoenix.Group
@@ -60,7 +60,7 @@ let block_circuit n (g : Group.t) =
     let diag_version =
       Circuit.create n (d.Phoenix_circuit.Diagonalize.clifford @ ladders @ undo)
     in
-    let cost c = Circuit.count_cnot (Peephole.optimize c) in
+    let cost c = Lowering.count_cnot [ Lowering.Peephole ] c in
     if cost diag_version <= cost ladder_version then diag_version
     else ladder_version
   end

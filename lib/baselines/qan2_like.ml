@@ -1,7 +1,7 @@
 module Pauli_string = Phoenix_pauli.Pauli_string
 module Gate = Phoenix_circuit.Gate
 module Circuit = Phoenix_circuit.Circuit
-module Rebase = Phoenix_circuit.Rebase
+module Lowering = Phoenix_circuit.Lowering
 module Topology = Phoenix_topology.Topology
 module Layout = Phoenix_router.Layout
 module Pass = Phoenix.Pass
@@ -246,6 +246,9 @@ let lower_pass =
   Pass.make ~certify:Phoenix.Passes.certify_preserving ~name:"lower"
     ~description:"expand SWAPs and rebase to the CNOT basis"
     (fun ctx ->
-      { ctx with Pass.circuit = Rebase.to_cnot_basis ctx.Pass.circuit })
+      {
+        ctx with
+        Pass.circuit = Lowering.run [ Lowering.Rebase ] ctx.Pass.circuit;
+      })
 
 let passes = [ place_pass; route_pass; lower_pass; Passes.peephole ]

@@ -48,12 +48,14 @@ val count : (Gate.t -> bool) -> t -> int
 val count_1q : t -> int
 val count_2q : t -> int
 (** Number of 2Q gates, counting [Su4] blocks as one and [Swap] as one;
-    use {!Rebase.to_cnot_basis} first for CNOT-ISA accounting. *)
+    lower with {!Lowering.run} [[Rebase]] first for CNOT-ISA accounting. *)
+
+val cnot_cost : Gate.t -> int
+(** CNOT-equivalent cost of one gate: 0 for 1Q gates, 1 for [Cnot] and
+    [Cliff2], 2 for [Rpp], 3 for [Swap], the sum of its parts for [Su4]. *)
 
 val count_cnot : t -> int
-(** CNOT-equivalent count: expands [Cliff2]/[Rpp]/[Swap]/[Su4] to their
-    CNOT costs (1, 2, 3, and per-content respectively) without rewriting
-    the circuit. *)
+(** Sum of {!cnot_cost} over the gates, without rewriting the circuit. *)
 
 val depth : t -> int
 (** Depth over all gates. *)

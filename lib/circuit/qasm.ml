@@ -24,7 +24,7 @@ let gate_line register g =
     assert false
 
 let to_string circuit =
-  let lowered = Rebase.to_cnot_basis circuit in
+  let lowered = Lowering.run [ Lowering.Rebase ] circuit in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "OPENQASM 2.0;\n";
   Buffer.add_string buf "include \"qelib1.inc\";\n";

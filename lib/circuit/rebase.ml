@@ -1,34 +1,3 @@
-module Pauli = Phoenix_pauli.Pauli
-module Clifford2q = Phoenix_pauli.Clifford2q
-
-(* Per-qubit basis change u with u·σ·u† = Z, as (pre, post) time-ordered
-   circuits: gadget(σ, θ) = [pre; gadget(Z, θ); post]. *)
-let to_z_basis sigma q =
-  match sigma with
-  | Pauli.Z -> [], []
-  | Pauli.X -> [ Gate.G1 (Gate.H, q) ], [ Gate.G1 (Gate.H, q) ]
-  | Pauli.Y ->
-    ( [ Gate.G1 (Gate.Sdg, q); Gate.G1 (Gate.H, q) ],
-      [ Gate.G1 (Gate.H, q); Gate.G1 (Gate.S, q) ] )
-  | Pauli.I -> invalid_arg "Rebase.to_z_basis: identity"
-
-let rec lower_gate g =
-  match g with
-  | Gate.G1 _ | Gate.Cnot _ -> [ g ]
-  | Gate.Cliff2 c -> List.map Gate.of_clifford_basis (Clifford2q.decompose c)
-  | Gate.Rpp { p0; p1; a; b; theta } ->
-    let pre_a, post_a = to_z_basis p0 a in
-    let pre_b, post_b = to_z_basis p1 b in
-    pre_a @ pre_b
-    @ [ Gate.Cnot (a, b); Gate.G1 (Gate.Rz theta, b); Gate.Cnot (a, b) ]
-    @ post_b @ post_a
-  | Gate.Swap (a, b) -> [ Gate.Cnot (a, b); Gate.Cnot (b, a); Gate.Cnot (a, b) ]
-  | Gate.Su4 { parts; _ } -> List.concat_map lower_gate parts
-
-let to_cnot_basis c =
-  Circuit.create (Circuit.num_qubits c)
-    (List.concat_map lower_gate (Circuit.gates c))
-
 type block = { ba : int; bb : int; mutable parts_rev : Gate.t list }
 
 (* Greedy fusion: a block stays open on its two qubits until another 2Q

@@ -1,16 +1,10 @@
-(** ISA rebasing passes.
+(** SU(4) rebasing.
 
-    [to_cnot_basis] lowers every abstract gate to the conventional
-    {H, S, S†, 1Q rotations, CNOT} alphabet.  [to_su4] fuses maximal runs
-    of two-qubit operations on the same qubit pair — together with the 1Q
-    gates trapped between them — into single [Su4] blocks, modelling the
-    continuous SU(4) ISA of Chen et al. (each block is one native 2Q
-    instruction). *)
-
-val to_cnot_basis : Circuit.t -> Circuit.t
-(** Expand [Cliff2] (1 CNOT + local Cliffords), [Rpp] (2 CNOTs + basis
-    conjugation + Rz), [Swap] (3 CNOTs) and [Su4] (its parts, recursively).
-    The result contains only [G1] and [Cnot] gates. *)
+    [to_su4] fuses maximal runs of two-qubit operations on the same qubit
+    pair — together with the 1Q gates trapped between them — into single
+    [Su4] blocks, modelling the continuous SU(4) ISA of Chen et al. (each
+    block is one native 2Q instruction).  The CNOT ISA is reached with
+    {!Lowering.run} [[Rebase]]. *)
 
 val to_su4 : Circuit.t -> Circuit.t
 (** Fuse into [Su4] blocks.  Every 2Q gate of the result is an [Su4];

@@ -1,5 +1,6 @@
 module Circuit = Phoenix_circuit.Circuit
 module Gate = Phoenix_circuit.Gate
+module Lowering = Phoenix_circuit.Lowering
 module Rebase = Phoenix_circuit.Rebase
 module Topology = Phoenix_topology.Topology
 module Sabre = Phoenix_router.Sabre
@@ -328,7 +329,7 @@ let lower_pass =
       let options = ctx.Pass.options in
       match (options.target, options.isa) with
       | Logical, Cnot_isa ->
-        let c = Passes.lower_cnot options ctx.Pass.circuit in
+        let c = Lowering.run (Passes.cnot_lowering options) ctx.Pass.circuit in
         { ctx with Pass.circuit = c; Pass.logical_two_q = Circuit.count_2q c }
       | Logical, Su4_isa ->
         let logical_two_q = Rebase.count_su4 ctx.Pass.circuit in
@@ -341,7 +342,7 @@ let lower_pass =
         {
           ctx with
           Pass.logical_two_q =
-            Circuit.count_2q (Passes.lower_cnot options ctx.Pass.circuit);
+            Lowering.count_2q (Passes.cnot_lowering options) ctx.Pass.circuit;
         }
       | Hardware _, Su4_isa ->
         { ctx with Pass.logical_two_q = Rebase.count_su4 ctx.Pass.circuit })
@@ -403,7 +404,8 @@ let route_pass =
         in
         let physical =
           match options.isa with
-          | Cnot_isa -> Passes.lower_cnot options routed.Sabre.circuit
+          | Cnot_isa ->
+            Lowering.run (Passes.cnot_lowering options) routed.Sabre.circuit
           | Su4_isa ->
             Rebase.to_su4 (Passes.maybe_peephole options routed.Sabre.circuit)
         in

@@ -189,26 +189,26 @@ let run ?(protect = false) ?(hooks = []) passes ctx =
   let final, _, rev_trace =
     List.fold_left
       (fun (ctx, before, acc) pass ->
+        let _, promoted0, major0 = Gc.counters () in
         let m0 = Gc.minor_words () in
-        let g0 = Gc.quick_stat () in
         let t0 = Clock.monotonic_s () in
         let ctx' = exec pass ctx in
         let seconds = Clock.monotonic_s () -. t0 in
         let m1 = Gc.minor_words () in
-        let g1 = Gc.quick_stat () in
-        (* Words allocated by the pass: minor (via [Gc.minor_words],
-           which reads the young pointer and so is exact even when no
-           minor collection ran inside the pass — [quick_stat]'s
-           minor counter only flushes at collection boundaries on
-           OCaml 5) plus major − promoted, counting every word exactly
-           once.  [top_heap_words] is the process high-water mark at
-           pass exit — the peak-memory signal the streaming mode's
-           bounded-footprint claim is checked against. *)
+        let _, promoted1, major1 = Gc.counters () in
+        (* Words allocated by the pass on this domain: minor words plus
+           major − promoted words, each word counted once.  Both reads
+           are exact at any moment ([Gc.quick_stat]'s major count moves
+           only when a collection flushes it on OCaml 5), so the count
+           does not depend on when collections run.  The counters are
+           read outside the minor-words window, so their own result is
+           not charged.  [top_heap_words] is the process high-water
+           mark at pass exit — the peak-memory signal the streaming
+           mode's bounded-footprint claim is checked against. *)
         let alloc_words =
-          m1 -. m0
-          +. (g1.Gc.major_words -. g1.Gc.promoted_words)
-          -. (g0.Gc.major_words -. g0.Gc.promoted_words)
+          m1 -. m0 +. (major1 -. promoted1) -. (major0 -. promoted0)
         in
+        let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
         let after = metrics_of ctx'.circuit in
         List.iter
           (fun h -> h ~pass ~before:ctx ~after:ctx' ~seconds)
@@ -219,7 +219,7 @@ let run ?(protect = false) ?(hooks = []) passes ctx =
             pass = pass.name;
             seconds;
             alloc_words;
-            top_heap_words = g1.Gc.top_heap_words;
+            top_heap_words;
             before;
             after;
           }

@@ -175,9 +175,14 @@ type trace_entry = {
   pass : string;
   seconds : float;  (** wall-clock time spent in the pass *)
   alloc_words : float;
-      (** words allocated during the pass ([Gc.minor_words] delta plus
-          major − promoted counter deltas) — the checkable form of any
-          "allocation-free" claim about a pass's inner loops *)
+      (** words the calling domain allocated during the pass: the
+          [Gc.minor_words] delta plus the major − promoted delta of
+          [Gc.counters], which counts direct major-heap allocations at
+          once.  The count does not depend on the minor heap size or on
+          when collections run — the checkable form of any
+          "allocation-free" claim about a pass's inner loops.  Words
+          allocated on pool domains (synthesis with [domains > 1]) are
+          not included. *)
   top_heap_words : int;
       (** [Gc.top_heap_words] at pass exit: the process-wide major-heap
           high-water mark, monotone across a run *)

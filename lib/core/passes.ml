@@ -1,12 +1,12 @@
 module Circuit = Phoenix_circuit.Circuit
-module Peephole = Phoenix_circuit.Peephole
+module Lowering = Phoenix_circuit.Lowering
 module Rebase = Phoenix_circuit.Rebase
 module Sabre = Phoenix_router.Sabre
 module Structural = Phoenix_verify.Structural
 module Diag = Phoenix_verify.Diag
 
 let maybe_peephole (options : Pass.options) c =
-  if options.peephole then Peephole.optimize c else c
+  if options.peephole then Lowering.run [ Lowering.Peephole ] c else c
 
 (* Certificate helpers shared with the baseline pipelines.  A pass that
    installed a layout claims the routing permutation it chose; a routing
@@ -26,11 +26,9 @@ let certify_routing ~before:_ ~(after : Pass.ctx) =
       }
   | None -> Pass.Reordering
 
-let lower_cnot options c =
-  let lowered = Rebase.to_cnot_basis (maybe_peephole options c) in
-  if options.peephole then
-    Peephole.optimize (Phoenix_circuit.Phase_folding.fold lowered)
-  else lowered
+let cnot_lowering (options : Pass.options) =
+  if options.peephole then Lowering.[ Peephole; Rebase; Fold; Peephole ]
+  else [ Lowering.Rebase ]
 
 let group =
   Pass.make
@@ -128,8 +126,11 @@ let lower_routed =
     (fun ctx ->
       match ctx.Pass.options.isa with
       | Pass.Cnot_isa ->
-        let c = Rebase.to_cnot_basis ctx.Pass.circuit in
-        { ctx with Pass.circuit = maybe_peephole ctx.Pass.options c }
+        let stages =
+          if ctx.Pass.options.peephole then Lowering.[ Rebase; Peephole ]
+          else [ Lowering.Rebase ]
+        in
+        { ctx with Pass.circuit = Lowering.run stages ctx.Pass.circuit }
       | Pass.Su4_isa ->
         {
           ctx with

@@ -7,10 +7,10 @@ val maybe_peephole :
   Pass.options -> Phoenix_circuit.Circuit.t -> Phoenix_circuit.Circuit.t
 (** The O3-style cleanup, gated on [options.peephole]. *)
 
-val lower_cnot :
-  Pass.options -> Phoenix_circuit.Circuit.t -> Phoenix_circuit.Circuit.t
-(** Full CNOT-basis lowering: peephole, rebase, phase folding, peephole
-    (each cleanup gated on [options.peephole]). *)
+val cnot_lowering : Pass.options -> Phoenix_circuit.Lowering.stage list
+(** The CNOT-ISA back end's {!Phoenix_circuit.Lowering} stages: peephole,
+    rebase, phase folding, peephole — or the rebase alone without
+    [options.peephole]. *)
 
 val logical_isa_count : Pass.options -> Phoenix_circuit.Circuit.t -> int
 (** 2Q count of a logical circuit under the target ISA (CNOTs, or fused

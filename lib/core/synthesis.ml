@@ -95,8 +95,8 @@ let compressed_core ?sites n ts =
       d.Phoenix_circuit.Diagonalize.clifford @ core_gates n sorted @ undo
     in
     let cost gates =
-      Circuit.count_cnot
-        (Phoenix_circuit.Peephole.optimize (Circuit.create n gates))
+      Phoenix_circuit.Lowering.(count_cnot [ Peephole ])
+        (Circuit.create n gates)
     in
     if cost diag < cost plain then diag else plain
   end

@@ -2,7 +2,7 @@
 
     The emitted circuit stays ISA-abstract: Clifford2Q conjugations are
     [Cliff2] gates and two-qubit Pauli rotations are [Rpp] gates.  The
-    CNOT ISA is reached with {!Phoenix_circuit.Rebase.to_cnot_basis}; the
+    CNOT ISA is reached with {!Phoenix_circuit.Lowering}'s rebase; the
     SU(4) ISA with {!Phoenix_circuit.Rebase.to_su4}, which fuses each
     group's Clifford sandwich and core into native 2Q blocks. *)
 

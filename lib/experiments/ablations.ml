@@ -1,6 +1,5 @@
 module Circuit = Phoenix_circuit.Circuit
-module Peephole = Phoenix_circuit.Peephole
-module Rebase = Phoenix_circuit.Rebase
+module Lowering = Phoenix_circuit.Lowering
 module Pass = Phoenix.Pass
 module Synthesis = Phoenix.Synthesis
 module Compiler = Phoenix.Compiler
@@ -95,7 +94,7 @@ let run_qaoa_router () =
       in
       let routed = Sabre.route_with_refinement topo logical.Compiler.circuit in
       let lowered =
-        Peephole.optimize (Rebase.to_cnot_basis routed.Sabre.circuit)
+        Lowering.run Lowering.[ Rebase; Peephole ] routed.Sabre.circuit
       in
       ( case.Workloads.qlabel,
         (with_commuting.Compiler.num_swaps, with_commuting.Compiler.depth_2q),

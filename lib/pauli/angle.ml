@@ -14,7 +14,7 @@ type view = Const of float | Slot of { id : int; negated : bool }
 let hi_mask = 0x7FFF_FFFF_0000_0000L
 let hi_tag = 0x7FFD_1C75_0000_0000L
 
-let is_slot f = Int64.equal (Int64.logand (Int64.bits_of_float f) hi_mask) hi_tag
+let[@inline] is_slot f = Int64.equal (Int64.logand (Int64.bits_of_float f) hi_mask) hi_tag
 
 let with_id ~negated id =
   if id < 0 || id > 0xFFFF_FFFF then
@@ -116,7 +116,7 @@ let add a b =
 let two_pi = 2.0 *. Float.pi
 let four_pi = 4.0 *. Float.pi
 
-let normalize_const t =
+let[@inline] normalize_const t =
   let t = Float.rem t four_pi in
   let t = if t > two_pi then t -. four_pi else t in
   if t <= -.two_pi then t +. four_pi else t

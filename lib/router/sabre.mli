@@ -4,8 +4,8 @@
     SWAP gates chosen by a front-layer + lookahead distance heuristic with
     a decay factor that spreads consecutive swaps across qubits.  Any 2Q
     gate type in the circuit IR is routed (Cliff2/Rpp/Su4 included); the
-    result contains explicit [Swap] gates, which a later
-    {!Phoenix_circuit.Rebase.to_cnot_basis} pass expands into 3 CNOTs.
+    result contains explicit [Swap] gates, which the CNOT rebase of
+    {!Phoenix_circuit.Lowering} expands into 3 CNOTs.
 
     Both routers keep their state in flat int arrays, score each
     candidate SWAP in place, and are deterministic: equal inputs (seed

@@ -4,7 +4,7 @@ module Template = Phoenix.Template
 module Budget = Phoenix_util.Budget
 module Circuit = Phoenix_circuit.Circuit
 module Qasm = Phoenix_circuit.Qasm
-module Peephole = Phoenix_circuit.Peephole
+module Lowering = Phoenix_circuit.Lowering
 module Diag = Phoenix_verify.Diag
 module Structural = Phoenix_verify.Structural
 module Finding = Phoenix_analysis.Finding
@@ -50,7 +50,7 @@ let execute_qasm spec text =
   match Qasm.of_string text with
   | exception Invalid_argument msg -> bad_request msg
   | parsed ->
-    let circuit = Peephole.optimize parsed in
+    let circuit = Lowering.run [ Lowering.Peephole ] parsed in
     let diagnostics =
       if spec.verify then
         (* imports are restricted to the CNOT alphabet by construction *)

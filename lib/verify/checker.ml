@@ -147,7 +147,7 @@ let normal_form terms =
 (* --- canonicalization: quarter-turns migrate into the frame ---
 
    Passes rewrite freely between the Clifford-gate spelling and the
-   rotation spelling of the same operation: [Phase_folding.fold] turns
+   rotation spelling of the same operation: phase folding turns
    [S]/[Sdg]/[Z] into [Rz] phases and fuses them into neighbouring
    cells, peephole merges can sum two rotations to a quarter-turn.
    Comparing raw abstractions would then see content shift between the

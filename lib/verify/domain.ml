@@ -19,7 +19,7 @@ let term_to_string t =
 (* Quarter-turn extraction: a rotation whose constant part is a
    multiple of π/2 is (up to global phase) a Clifford, and passes
    rewrite freely between the gate spelling and the rotation spelling
-   — [Phase_folding.fold] turns [S]/[Sdg]/[Z] into [Rz (±π/2)]/[Rz π]
+   — phase folding turns [S]/[Sdg]/[Z] into [Rz (±π/2)]/[Rz π]
    and fuses them into neighbouring cells, peephole merges can sum two
    rotations to a quarter-turn.  [split_quarter_turns] peels the
    largest quarter-turn multiple out of the const, leaving a remainder

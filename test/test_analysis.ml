@@ -88,8 +88,8 @@ let test_baselines_clean () =
         (lint ~isa:Circuit_lint.Cnot_basis c);
       let routed = Sabre.route_with_refinement topo c in
       let final =
-        Phoenix_circuit.Peephole.optimize
-          (Phoenix_circuit.Rebase.to_cnot_basis routed.Sabre.circuit)
+        Phoenix_circuit.Lowering.(run [ Rebase; Peephole ])
+          routed.Sabre.circuit
       in
       check_no_errors (name ^ " routed")
         (lint ~isa:Circuit_lint.Cnot_basis ~topology:topo final))

@@ -13,7 +13,6 @@ module Order = Phoenix.Order
 module Compiler = Phoenix.Compiler
 module Registry = Phoenix_pipeline.Registry
 module Rebase = Phoenix_circuit.Rebase
-module Peephole = Phoenix_circuit.Peephole
 module Topology = Phoenix_topology.Topology
 
 let ps = Pauli_string.of_string

@@ -1,6 +1,6 @@
 module Gate = Helpers.Gate
 module Circuit = Helpers.Circuit
-module Peephole = Phoenix_circuit.Peephole
+module Lowering = Phoenix_circuit.Lowering
 module Clifford2q = Helpers.Clifford2q
 module Pauli = Helpers.Pauli
 module Unitary = Helpers.Unitary
@@ -12,7 +12,8 @@ let sdg q = Gate.G1 (Gate.Sdg, q)
 let rz t q = Gate.G1 (Gate.Rz t, q)
 let rx t q = Gate.G1 (Gate.Rx t, q)
 
-let opt c = Peephole.optimize c
+let opt c = Lowering.run [ Lowering.Peephole ] c
+let fold c = Lowering.run [ Lowering.Fold ] c
 
 let test_hh_cancels () =
   let c = opt (Circuit.create 1 [ h 0; h 0 ]) in
@@ -85,7 +86,9 @@ let test_zero_rotation_dropped () =
   let c = opt (Circuit.create 1 [ rz 0.0 0 ]) in
   Alcotest.(check int) "dropped" 0 (Circuit.length c)
 
-let random_gate_gen n =
+(* Every gate kind but [Su4].  [~y:false] leaves out [Y], which phase
+   folding rewrites as a phase and an [X]. *)
+let random_gate_gen ?(y = true) n =
   let open QCheck2.Gen in
   let pairs =
     map
@@ -94,13 +97,22 @@ let random_gate_gen n =
         a, b)
       (pair (int_range 0 (n - 1)) (int_range 0 (n - 2)))
   in
+  let fixed k = map (fun q -> Gate.G1 (k, q)) (int_range 0 (n - 1)) in
   oneof
     [
       map (fun q -> h q) (int_range 0 (n - 1));
       map (fun q -> s q) (int_range 0 (n - 1));
       map (fun q -> sdg q) (int_range 0 (n - 1));
+      fixed Gate.Z;
+      fixed Gate.T;
+      fixed Gate.Tdg;
+      fixed Gate.X;
+      fixed (if y then Gate.Y else Gate.X);
       map (fun (q, t) -> rz t q) (pair (int_range 0 (n - 1)) Helpers.angle_gen);
       map (fun (q, t) -> rx t q) (pair (int_range 0 (n - 1)) Helpers.angle_gen);
+      map
+        (fun (q, t) -> Gate.G1 (Gate.Ry t, q))
+        (pair (int_range 0 (n - 1)) Helpers.angle_gen);
       map (fun (a, b) -> cnot a b) pairs;
       map (fun (a, b) -> Gate.Swap (a, b)) pairs;
       map
@@ -113,7 +125,7 @@ let prop_preserves_unitary =
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 25) (random_gate_gen 3))
     (fun gates ->
       let c = Circuit.create 3 gates in
-      let c' = Peephole.optimize c in
+      let c' = opt c in
       Helpers.unitary_equiv ~tol:1e-7
         (Unitary.circuit_unitary c)
         (Unitary.circuit_unitary c'))
@@ -123,28 +135,30 @@ let prop_never_grows =
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 25) (random_gate_gen 4))
     (fun gates ->
       let c = Circuit.create 4 gates in
-      Circuit.length (Peephole.optimize c) <= Circuit.length c)
+      Circuit.length (opt c) <= Circuit.length c)
 
 let prop_idempotent =
   Helpers.qtest ~count:100 "optimize is idempotent"
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 20) (random_gate_gen 3))
     (fun gates ->
-      let c = Peephole.optimize (Circuit.create 3 gates) in
-      Circuit.length (Peephole.optimize c) = Circuit.length c)
+      let c = opt (Circuit.create 3 gates) in
+      Circuit.length (opt c) = Circuit.length c)
 
 let test_normalize_angle () =
   let pi = 4.0 *. Float.atan 1.0 in
-  Alcotest.(check (float 1e-9)) "0 stays" 0.0 (Peephole.normalize_angle 0.0);
-  Alcotest.(check (float 1e-9)) "4π → 0" 0.0 (Peephole.normalize_angle (4.0 *. pi));
-  Alcotest.(check (float 1e-9)) "within range" 1.5 (Peephole.normalize_angle 1.5);
+  Alcotest.(check (float 1e-9)) "0 stays" 0.0 (Lowering.normalize_angle 0.0);
+  Alcotest.(check (float 1e-9))
+    "4π → 0" 0.0
+    (Lowering.normalize_angle (4.0 *. pi));
+  Alcotest.(check (float 1e-9))
+    "within range" 1.5
+    (Lowering.normalize_angle 1.5);
   Alcotest.(check bool) "zero detection" true
-    (Peephole.is_zero_angle (8.0 *. pi));
+    (Lowering.is_zero_angle (8.0 *. pi));
   Alcotest.(check bool) "2π is not zero (it is -I)" false
-    (Peephole.is_zero_angle (2.0 *. pi))
+    (Lowering.is_zero_angle (2.0 *. pi))
 
 (* --- phase folding --- *)
-
-module Phase_folding = Phoenix_circuit.Phase_folding
 
 let test_fold_through_cnot_sandwich () =
   (* Rz(a) q1; CNOT; Rz(b) q1; CNOT; Rz(c) q1 : a and c share a parity *)
@@ -152,7 +166,7 @@ let test_fold_through_cnot_sandwich () =
     Circuit.create 2
       [ rz 0.3 1; cnot 0 1; rz 0.5 1; cnot 0 1; rz 0.4 1 ]
   in
-  let folded = Phase_folding.fold c in
+  let folded = fold c in
   let rz_count =
     Circuit.count
       (fun g -> match g with Gate.G1 (Gate.Rz _, _) -> true | _ -> false)
@@ -166,22 +180,30 @@ let test_fold_through_cnot_sandwich () =
 
 let test_fold_cancels_inverse_pair () =
   let c = Circuit.create 2 [ rz 0.7 1; cnot 0 1; cnot 0 1; rz (-0.7) 1 ] in
-  let folded = Phase_folding.fold c in
+  let folded = fold c in
   Alcotest.(check int) "rotations vanish" 0 (Circuit.count_1q folded)
 
 let test_fold_respects_barriers () =
   let c = Circuit.create 1 [ rz 0.3 0; Gate.G1 (Gate.H, 0); rz (-0.3) 0 ] in
-  let folded = Phase_folding.fold c in
+  let folded = fold c in
   (* H is a barrier: nothing may fold *)
   Alcotest.(check int) "kept" 3 (Circuit.length folded)
 
 let test_fold_diagonal_cliffords () =
   (* S · S on the same wire = Z: folds to one Rz(π) *)
   let c = Circuit.create 1 [ Gate.G1 (Gate.S, 0); Gate.G1 (Gate.S, 0) ] in
-  match Circuit.gates (Phase_folding.fold c) with
+  match Circuit.gates (fold c) with
   | [ Gate.G1 (Gate.Rz t, 0) ] ->
     Alcotest.(check (float 1e-9)) "π" (4.0 *. Float.atan 1.0) t
   | _ -> Alcotest.fail "expected a single merged rotation"
+
+let test_fold_z () =
+  (* Z folds as Rz(π); H·Z·H is X, not the √X an Rz(π/2) would give *)
+  let c = Circuit.create 1 [ h 0; Gate.G1 (Gate.Z, 0); h 0 ] in
+  Alcotest.(check bool) "unitary preserved" true
+    (Helpers.unitary_equiv ~tol:1e-9
+       (Unitary.circuit_unitary c)
+       (Unitary.circuit_unitary (fold c)))
 
 let prop_fold_preserves_unitary =
   Helpers.qtest ~count:120 "phase folding preserves the unitary"
@@ -190,15 +212,29 @@ let prop_fold_preserves_unitary =
       let c = Circuit.create 3 gates in
       Helpers.unitary_equiv ~tol:1e-7
         (Unitary.circuit_unitary c)
-        (Unitary.circuit_unitary (Phase_folding.fold c)))
+        (Unitary.circuit_unitary (fold c)))
 
 let prop_fold_never_grows =
   Helpers.qtest ~count:100 "phase folding never increases gate count"
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 25)
+       (random_gate_gen ~y:false 4))
+    (fun gates ->
+      let c = Circuit.create 4 gates in
+      Circuit.length (fold c) <= Circuit.length c
+      && Circuit.count_2q (fold c) = Circuit.count_2q c)
+
+let prop_fold_y_bound =
+  Helpers.qtest ~count:100 "phase folding adds at most one gate per Y"
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 25) (random_gate_gen 4))
     (fun gates ->
       let c = Circuit.create 4 gates in
-      Circuit.length (Phase_folding.fold c) <= Circuit.length c
-      && Circuit.count_2q (Phase_folding.fold c) = Circuit.count_2q c)
+      let ys =
+        Circuit.count
+          (fun g -> match g with Gate.G1 (Gate.Y, _) -> true | _ -> false)
+          c
+      in
+      Circuit.length (fold c) <= Circuit.length c + ys
+      && Circuit.count_2q (fold c) = Circuit.count_2q c)
 
 let prop_fold_with_x_negation =
   Helpers.qtest ~count:120 "folding tracks X negation correctly"
@@ -220,7 +256,7 @@ let prop_fold_with_x_negation =
       let c = Circuit.create 3 gates in
       Helpers.unitary_equiv ~tol:1e-7
         (Unitary.circuit_unitary c)
-        (Unitary.circuit_unitary (Phase_folding.fold c)))
+        (Unitary.circuit_unitary (fold c)))
 
 let () =
   Alcotest.run "peephole"
@@ -256,8 +292,10 @@ let () =
           Alcotest.test_case "inverse pair" `Quick test_fold_cancels_inverse_pair;
           Alcotest.test_case "barriers" `Quick test_fold_respects_barriers;
           Alcotest.test_case "diagonal cliffords" `Quick test_fold_diagonal_cliffords;
+          Alcotest.test_case "Z folds as π" `Quick test_fold_z;
           prop_fold_preserves_unitary;
           prop_fold_never_grows;
+          prop_fold_y_bound;
           prop_fold_with_x_negation;
         ] );
     ]

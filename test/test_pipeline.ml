@@ -371,6 +371,69 @@ let test_route_allocation_per_gate () =
         per_gate e.Pass.alloc_words e.Pass.after.Pass.two_q
   | None -> Alcotest.fail "no route entry in the trace"
 
+(* --- per-pass allocation does not depend on the minor heap ------------ *)
+
+(* Per-pass words of a one-domain, cache-off compile run with a minor
+   heap of [words] words; the previous GC settings are restored.  Major
+   words counted only when a collection flushes the domain's counters
+   would move between passes as the minor heap size moves the
+   collections. *)
+let pass_words ~minor_heap spec =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = minor_heap };
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      let options =
+        { (opts ()) with Compiler.domains = 1; cache = Phoenix_cache.Cache.Off }
+      in
+      let r = Registry.compile ~options (entry "phoenix") (workload spec) in
+      List.map (fun e -> e.Pass.pass, e.Pass.alloc_words) r.Compiler.trace)
+
+let test_alloc_independent_of_minor_heap () =
+  List.iter
+    (fun spec ->
+      (* a first compile takes the one-time initializations *)
+      ignore (pass_words ~minor_heap:(Gc.get ()).Gc.minor_heap_size spec);
+      let small = pass_words ~minor_heap:65536 spec in
+      let large = pass_words ~minor_heap:(8 * 1024 * 1024) spec in
+      List.iter2
+        (fun (pass, a) (_, b) ->
+          if a < 0.0 || b < 0.0 then
+            Alcotest.failf "%s: pass %s read %.0f / %.0f words" spec pass a b;
+          if a <> b then
+            Alcotest.failf
+              "%s: pass %s allocated %.0f words with a 64k-word minor heap \
+               and %.0f with an 8M-word one"
+              spec pass a b)
+        small large)
+    [ "qaoa:Reg3-250"; "uccsd:CH2_cmplt_BK" ]
+
+(* --- lowering allocates per output gate, not per stage ------------------ *)
+
+(* Words the [lower] pass allocates per gate it leaves on
+   [uccsd:CH2_cmplt_BK] (one domain, cache off).  Gate lists rebuilt by
+   every stage, history lists and string parity keys cost about 204
+   words per output gate; one flat buffer through peephole, rebase and
+   folding leaves mostly the output gates themselves. *)
+let test_lower_allocation_per_gate () =
+  let options =
+    { (opts ()) with Compiler.domains = 1; cache = Phoenix_cache.Cache.Off }
+  in
+  let r =
+    Registry.compile ~options (entry "phoenix") (workload "uccsd:CH2_cmplt_BK")
+  in
+  match List.find_opt (fun e -> e.Pass.pass = "lower") r.Compiler.trace with
+  | Some e ->
+    let gates = e.Pass.after.Pass.gates in
+    let per_gate = e.Pass.alloc_words /. float_of_int gates in
+    if per_gate > 51.0 then
+      Alcotest.failf
+        "lower allocated %.0f words per output gate (%.0f words, %d gates); \
+         the buffer engine stays within 51"
+        per_gate e.Pass.alloc_words gates
+  | None -> Alcotest.fail "no lower entry in the trace"
+
 (* --- registry surface ------------------------------------------------ *)
 
 let test_registry_names () =
@@ -651,6 +714,10 @@ let () =
             test_order_allocation_linear;
           Alcotest.test_case "route allocation per routed gate" `Slow
             test_route_allocation_per_gate;
+          Alcotest.test_case "lower allocation per output gate" `Slow
+            test_lower_allocation_per_gate;
+          Alcotest.test_case "pass allocation independent of the minor heap"
+            `Slow test_alloc_independent_of_minor_heap;
           Alcotest.test_case "verify allocation per group flat in the register"
             `Slow test_verify_allocation_per_group;
         ] );

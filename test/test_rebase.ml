@@ -1,10 +1,12 @@
 module Gate = Helpers.Gate
 module Circuit = Helpers.Circuit
 module Rebase = Phoenix_circuit.Rebase
+module Lowering = Phoenix_circuit.Lowering
 module Clifford2q = Helpers.Clifford2q
 module Pauli = Helpers.Pauli
 module Unitary = Helpers.Unitary
 
+let to_cnot_basis c = Lowering.run [ Lowering.Rebase ] c
 let cnot a b = Gate.Cnot (a, b)
 let h q = Gate.G1 (Gate.H, q)
 let rz t q = Gate.G1 (Gate.Rz t, q)
@@ -17,7 +19,7 @@ let test_lower_cliff2 () =
   let c =
     Circuit.create 2 [ Gate.Cliff2 (Clifford2q.make Clifford2q.CXY 0 1) ]
   in
-  let c' = Rebase.to_cnot_basis c in
+  let c' = to_cnot_basis c in
   Alcotest.(check bool) "all basis gates" true
     (List.for_all is_basis (Circuit.gates c'));
   Alcotest.(check int) "one cnot" 1 (Circuit.count_2q c')
@@ -27,13 +29,13 @@ let test_lower_rpp_zz () =
     Circuit.create 2
       [ Gate.Rpp { p0 = Pauli.Z; p1 = Pauli.Z; a = 0; b = 1; theta = 0.4 } ]
   in
-  let c' = Rebase.to_cnot_basis c in
+  let c' = to_cnot_basis c in
   Alcotest.(check int) "two cnots" 2 (Circuit.count_2q c');
   Alcotest.(check int) "three gates (no basis conj for ZZ)" 3 (Circuit.length c')
 
 let test_lower_swap () =
   let c = Circuit.create 2 [ Gate.Swap (0, 1) ] in
-  Alcotest.(check int) "three cnots" 3 (Circuit.count_2q (Rebase.to_cnot_basis c))
+  Alcotest.(check int) "three cnots" 3 (Circuit.count_2q (to_cnot_basis c))
 
 let random_gate_gen n =
   let open QCheck2.Gen in
@@ -60,21 +62,28 @@ let random_gate_gen n =
         (triple pairs (pair nontrivial nontrivial) Helpers.angle_gen);
     ]
 
+(* Each property runs on the circuit and on its SU(4) fusion, so the
+   rebase also recurses into [Su4] parts. *)
 let prop_cnot_basis_preserves_unitary =
   Helpers.qtest ~count:150 "to_cnot_basis preserves the unitary"
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 15) (random_gate_gen 3))
     (fun gates ->
       let c = Circuit.create 3 gates in
-      Helpers.unitary_equiv ~tol:1e-7
-        (Unitary.circuit_unitary c)
-        (Unitary.circuit_unitary (Rebase.to_cnot_basis c)))
+      let u = Unitary.circuit_unitary c in
+      List.for_all
+        (fun c ->
+          Helpers.unitary_equiv ~tol:1e-7 u
+            (Unitary.circuit_unitary (to_cnot_basis c)))
+        [ c; Rebase.to_su4 c ])
 
 let prop_cnot_basis_only_basis_gates =
   Helpers.qtest ~count:100 "to_cnot_basis emits only G1/CNOT"
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 15) (random_gate_gen 4))
     (fun gates ->
-      let c = Rebase.to_cnot_basis (Circuit.create 4 gates) in
-      List.for_all is_basis (Circuit.gates c))
+      let c = Circuit.create 4 gates in
+      List.for_all
+        (fun c -> List.for_all is_basis (Circuit.gates (to_cnot_basis c)))
+        [ c; Rebase.to_su4 c ])
 
 let prop_su4_preserves_unitary =
   Helpers.qtest ~count:150 "to_su4 preserves the unitary"

@@ -80,7 +80,7 @@ let routed_equivalent topo circ =
   let r = Sabre.route topo circ in
   let n = Circuit.num_qubits circ in
   let u_logical = Unitary.circuit_unitary circ in
-  let u_routed = Unitary.circuit_unitary (Rebase.to_cnot_basis r.Sabre.circuit) in
+  let u_routed = Unitary.circuit_unitary (Phoenix_circuit.Lowering.(run [ Rebase ]) r.Sabre.circuit) in
   (* U_routed · M_init = M_final · U_logical *)
   let lhs = Cmat.mul u_routed (perm_matrix n r.Sabre.initial_layout) in
   let rhs = Cmat.mul (perm_matrix n r.Sabre.final_layout) u_logical in

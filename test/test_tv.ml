@@ -27,8 +27,7 @@ module Registry = Phoenix_pipeline.Registry
 module Workloads = Phoenix_experiments.Workloads
 module Spin = Phoenix_ham.Spin_models
 module Hamiltonian = Phoenix_ham.Hamiltonian
-module Peephole = Phoenix_circuit.Peephole
-module Phase_folding = Phoenix_circuit.Phase_folding
+module Lowering = Phoenix_circuit.Lowering
 module Cache = Phoenix_cache.Cache
 module Diag = Phoenix_verify.Diag
 
@@ -342,7 +341,7 @@ let qcheck_rewrites_preserve_polynomial =
              program
          in
          let rewritten =
-           Phase_folding.fold (Peephole.optimize report.Compiler.circuit)
+           Lowering.(run [ Peephole; Fold ]) report.Compiler.circuit
          in
          proved (Checker.check_program 4 program rewritten)))
 

@@ -23,8 +23,7 @@ module Registry = Phoenix_pipeline.Registry
 module Pass = Phoenix.Pass
 module Sabre = Phoenix_router.Sabre
 module Topology = Phoenix_topology.Topology
-module Peephole = Phoenix_circuit.Peephole
-module Phase_folding = Phoenix_circuit.Phase_folding
+module Lowering = Phoenix_circuit.Lowering
 module Cache = Phoenix_cache.Cache
 
 let ps = Pauli_string.of_string
@@ -256,7 +255,7 @@ let prop_proved_implies_dense_equal =
           .Compiler.circuit
       in
       let naive = baseline Registry.naive n terms in
-      let rewrite c = Phase_folding.fold (Peephole.optimize c) in
+      let rewrite c = Lowering.(run [ Peephole; Fold ]) c in
       let bases = [ phoenix; naive; rewrite phoenix; rewrite naive ] in
       let proved c = Checker.check_program ~exact:true n terms c = Checker.Proved in
       let sound c = (not (proved c)) || Equiv.unitary_check n terms c = Ok () in
