@@ -215,8 +215,9 @@ let write_file path text =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-(* A JSON artifact goes to FILE, or to stdout for "-". *)
-let write_output path text =
+(* A JSON artifact is one line, written to FILE or, for "-", to stdout. *)
+let write_output path json =
+  let text = Json.to_string json ^ "\n" in
   if path = "-" then print_string text else write_file path text
 
 let write_cert ~pipeline ~workload ~template out boundaries =
@@ -225,15 +226,13 @@ let write_cert ~pipeline ~workload ~template out boundaries =
       write_output path (Certify.to_json ~pipeline ~workload ~template boundaries))
     out
 
-(* One line per executed pass: wall seconds plus the GC counters the
-   trace now carries — words allocated inside the pass and the process
-   heap high-water mark at pass exit. *)
+(* One line per executed pass: wall seconds and the words allocated
+   inside the pass. *)
 let print_timing_entries (entries : Pass.trace) =
   List.iter
     (fun (e : Pass.trace_entry) ->
-      Printf.printf "time %-9s %.4fs  alloc %.0fw  top-heap %dw\n"
-        (e.Pass.pass ^ ":") e.Pass.seconds e.Pass.alloc_words
-        e.Pass.top_heap_words)
+      Printf.printf "time %-9s %.4fs  alloc %.0fw\n" (e.Pass.pass ^ ":")
+        e.Pass.seconds e.Pass.alloc_words)
     entries
 
 let print_cache_stats tier (s : Cache.stats) =
@@ -270,10 +269,9 @@ let write_trace f (job : Job.t) (report : Compiler.report) trace =
   Option.iter
     (fun path ->
       write_output path
-        (Pass.trace_to_json ~compiler:job.Job.entry.Pipelines.name
+        (Pass.trace_json ~compiler:job.Job.entry.Pipelines.name
            ~workload:f.source ~cache:report.Compiler.cache_stats
-           ~degradations:report.Compiler.degradations trace
-        ^ "\n"))
+           ~degradations:report.Compiler.degradations trace))
     f.trace_out
 
 let report_certificate f (job : Job.t) ~template boundaries =
@@ -425,16 +423,17 @@ let run_template_mode f job ~bind_spec =
        prototype.  Linting the prototype demonstrates the unbound-slot
        finding class (and exits 4): templates are certified by linting
        their *bound* circuits.  The certificate prints before any exit
-       so a refuted boundary is visible next to the finding. *)
+       so a refuted boundary is visible next to the finding, and the
+       trace is written last, as in every other mode. *)
     print_string (Template.dump tmpl);
     if f.timings then print_timing_entries report.Compiler.trace;
-    write_trace f job report report.Compiler.trace;
     report_certificate f job ~template:true certificate;
-    if f.lint then begin
-      let findings = Job.lint job report (Template.circuit tmpl) in
-      print_findings findings;
-      if Finding.has_errors findings then exit 4
-    end;
+    let findings =
+      if f.lint then Job.lint job report (Template.circuit tmpl) else []
+    in
+    if f.lint then print_findings findings;
+    write_trace f job report report.Compiler.trace;
+    if Finding.has_errors findings then exit 4;
     if f.certify && not (Certify.all_proved certificate) then exit 4
   | Some spec ->
     let theta = parse_bindings ~params:(Template.params tmpl) spec in
@@ -945,7 +944,8 @@ let analyze_cmd =
       end
       else findings
     in
-    if json then print_endline (Finding.list_to_json findings)
+    if json then
+      write_output "-" (Json.Arr (List.map Finding.to_json findings))
     else begin
       Printf.printf "circuit:   %d qubits, %d gates (%d 2Q, depth-2q %d)\n"
         (Circuit.num_qubits circuit) (Circuit.length circuit)
@@ -1075,10 +1075,16 @@ let cache_cmd =
       let entries = List.length files in
       let bytes = Cache.Persist.disk_bytes ~dir () in
       if json then
-        Printf.printf
-          "{ \"schema\": \"phoenix-cache-stats-v1\", \"dir\": %s, \
-           \"entries\": %d, \"bytes\": %d, \"memory_budget_bytes\": %d }\n"
-          (Json.escape dir) entries bytes (Cache.budget ())
+        write_output "-"
+          (Json.Obj
+             [
+               ("schema", Json.Str "phoenix-cache-stats-v1");
+               ("dir", Json.Str dir);
+               ("entries", Json.Num (Float.of_int entries));
+               ("bytes", Json.Num (Float.of_int bytes));
+               ( "memory_budget_bytes",
+                 Json.Num (Float.of_int (Cache.budget ())) );
+             ])
       else begin
         Printf.printf "dir:       %s\n" dir;
         Printf.printf "entries:   %d\n" entries;
@@ -1124,7 +1130,8 @@ let cache_cmd =
   let audit_sub =
     let run json =
       let findings = Cache_audit.run ~dir:(Cache.dir ()) () in
-      if json then print_endline (Finding.list_to_json findings)
+      if json then
+        write_output "-" (Json.Arr (List.map Finding.to_json findings))
       else begin
         Printf.printf "dir:       %s\n" (Cache.dir ());
         print_findings findings
@@ -1328,32 +1335,34 @@ let chaos_cmd =
         if cls = Violation then
           Printf.printf "  VIOLATION %s seed=%d: %s\n" pipe s detail)
       results;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{ \"schema\": \"phoenix-chaos-v1\", \"workload\": %s, \"plan\": \
-            %s, \"base_seed\": %d, \"runs_per_pipeline\": %d, \"results\": ["
-           (Json.escape workload) (Json.escape plan_str) seed runs);
-      List.iteri
-        (fun i (pipe, s, cls, detail) ->
-          if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{ \"pipeline\": %s, \"seed\": %d, \"class\": %s, \"detail\": \
-                %s }"
-               (Json.escape pipe) s
-               (Json.escape (chaos_class_name cls))
-               (Json.escape detail)))
-        results;
-      Buffer.add_string buf
-        (Printf.sprintf
-           " ], \"identical\": %d, \"degraded\": %d, \"failed_closed\": %d, \
-            \"violations\": %d }\n"
-           identical degraded failed violations);
-      write_output path (Buffer.contents buf));
+    Option.iter
+      (fun path ->
+        write_output path
+          (Json.Obj
+             [
+               ("schema", Json.Str "phoenix-chaos-v1");
+               ("workload", Json.Str workload);
+               ("plan", Json.Str plan_str);
+               ("base_seed", Json.Num (Float.of_int seed));
+               ("runs_per_pipeline", Json.Num (Float.of_int runs));
+               ( "results",
+                 Json.Arr
+                   (List.map
+                      (fun (pipe, s, cls, detail) ->
+                        Json.Obj
+                          [
+                            ("pipeline", Json.Str pipe);
+                            ("seed", Json.Num (Float.of_int s));
+                            ("class", Json.Str (chaos_class_name cls));
+                            ("detail", Json.Str detail);
+                          ])
+                      results) );
+               ("identical", Json.Num (Float.of_int identical));
+               ("degraded", Json.Num (Float.of_int degraded));
+               ("failed_closed", Json.Num (Float.of_int failed));
+               ("violations", Json.Num (Float.of_int violations));
+             ]))
+      json_out;
     if violations > 0 then exit 1
   in
   let doc =

@@ -50,84 +50,29 @@ let liveness t =
     done;
     !fs
 
-(* --- ISA gate-set conformance ------------------------------------------- *)
+(* --- ISA gate-set and coupling-map conformance ----------------------------
 
-let rec su4_parts_on a b parts =
-  List.for_all
-    (fun g ->
-      List.for_all (fun q -> q = a || q = b) (Gate.qubits g)
-      &&
-      match g with
-      | Gate.Su4 { a = a'; b = b'; parts = parts' } -> su4_parts_on a' b' parts'
-      | _ -> true)
-    parts
+   [Structural] owns the rules; these analyses render its violations as
+   findings located at their gate. *)
+
+let conformance_findings ~analysis violations =
+  List.map
+    (fun { Structural.gate; message } ->
+      Finding.make
+        ?location:(Option.map (fun i -> Finding.Gate i) gate)
+        ~analysis Error message)
+    violations
 
 let isa_conformance t =
-  let analysis = "isa-conformance" in
-  let n = Circuit.num_qubits t.circuit in
-  let fs = ref [] in
-  let err i fmt =
-    Printf.ksprintf
-      (fun m ->
-        fs := Finding.make ~location:(Finding.Gate i) ~analysis Error m :: !fs)
-      fmt
-  in
-  List.iteri
-    (fun i g ->
-      let qs = Gate.qubits g in
-      List.iter
-        (fun q ->
-          if q < 0 || q >= n then
-            err i "%s touches qubit %d outside [0, %d)" (Gate.to_string g) q n)
-        qs;
-      (match qs with
-      | [ a; b ] when a = b ->
-        err i "%s has coincident operands" (Gate.to_string g)
-      | _ -> ());
-      (match g with
-      | Gate.Su4 { a; b; parts } when not (su4_parts_on a b parts) ->
-        err i "SU(4) block has parts outside its qubit pair (%d,%d)" a b
-      | _ -> ());
-      match t.isa, g with
-      | Cnot_basis, (Gate.G1 _ | Gate.Cnot _) -> ()
-      | Cnot_basis, _ ->
-        err i "%s is outside the CNOT ISA alphabet" (Gate.to_string g)
-      | Su4_basis, (Gate.G1 _ | Gate.Su4 _) -> ()
-      | Su4_basis, _ ->
-        err i "%s is outside the SU(4) ISA alphabet" (Gate.to_string g)
-      | Any_basis, _ -> ())
-    (Circuit.gates t.circuit);
-  List.rev !fs
-
-(* --- coupling-map conformance ------------------------------------------- *)
+  conformance_findings ~analysis:"isa-conformance"
+    (Structural.isa_violations ~isa:t.isa t.circuit)
 
 let coupling_conformance t =
   match t.topology with
   | None -> []
   | Some topo ->
-    let analysis = "coupling-conformance" in
-    let fs = ref [] in
-    let dev = Topology.num_qubits topo in
-    if Circuit.num_qubits t.circuit > dev then
-      fs :=
-        Finding.error ~analysis "circuit has %d qubits but the device only %d"
-          (Circuit.num_qubits t.circuit)
-          dev
-        :: !fs;
-    List.iteri
-      (fun i g ->
-        match Gate.pair g with
-        | Some (a, b)
-          when a >= 0 && b >= 0 && a < dev && b < dev
-               && not (Topology.are_adjacent topo a b) ->
-          fs :=
-            Finding.error ~location:(Finding.Gate i) ~analysis
-              "%s acts on non-adjacent physical qubits (%d,%d)"
-              (Gate.to_string g) a b
-            :: !fs
-        | _ -> ())
-      (Circuit.gates t.circuit);
-    List.rev !fs
+    conformance_findings ~analysis:"coupling-conformance"
+      (Structural.coupling_violations topo t.circuit)
 
 (* --- declared-vs-recomputed metric certification ------------------------ *)
 

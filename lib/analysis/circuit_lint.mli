@@ -50,14 +50,15 @@ val liveness : target -> Finding.t list
     where idle physical qubits are expected. *)
 
 val isa_conformance : target -> Finding.t list
-(** Gate-alphabet membership for the target ISA, qubit-range checks,
-    coincident 2Q operands, and SU(4)-block well-formedness (parts
-    confined to the block's pair).  All [Error]. *)
+(** {!Phoenix_verify.Structural.isa_violations} for the target ISA —
+    qubit range, coincident 2Q operands, SU(4) parts confined to the
+    block's pair, gate alphabet — as [Error] findings at their gate. *)
 
 val coupling_conformance : target -> Finding.t list
-(** Every 2Q gate of a routed circuit must lie on a coupling-graph edge,
-    and the circuit must fit the device.  [Error] each; empty when the
-    target has no topology. *)
+(** {!Phoenix_verify.Structural.coupling_violations}: every 2Q gate of a
+    routed circuit must lie on a coupling-graph edge, and the circuit
+    must fit the device (a global finding).  [Error] each; empty when
+    the target has no topology. *)
 
 val metrics_certification : target -> Finding.t list
 (** Declared 2Q count / 2Q depth / 1Q count versus recomputation from

@@ -43,31 +43,24 @@ let to_string f =
 
 let pp fmt f = Format.pp_print_string fmt (to_string f)
 
-let to_diag f =
-  let group = match f.location with Group g -> Some g | _ -> None in
-  let message =
-    match f.location, group with
-    | Global, _ | _, Some _ -> f.message
-    | loc, None -> Printf.sprintf "%s: %s" (location_to_string loc) f.message
+let location_json loc =
+  let indexed kind i =
+    Json.Obj [ ("kind", Json.Str kind); ("index", Json.Num (Float.of_int i)) ]
   in
-  Diag.make ?group ~pass:f.analysis f.severity message
-
-let location_to_json = function
-  | Global -> {|{"kind":"global"}|}
-  | Gate i -> Printf.sprintf {|{"kind":"gate","index":%d}|} i
-  | Qubit q -> Printf.sprintf {|{"kind":"qubit","index":%d}|} q
-  | Group g -> Printf.sprintf {|{"kind":"group","index":%d}|} g
+  match loc with
+  | Global -> Json.Obj [ ("kind", Json.Str "global") ]
+  | Gate i -> indexed "gate" i
+  | Qubit q -> indexed "qubit" q
+  | Group g -> indexed "group" g
 
 let to_json f =
-  Printf.sprintf
-    {|{"analysis":%s,"severity":"%s","location":%s,"message":%s}|}
-    (Json.escape f.analysis)
-    (Diag.severity_to_string f.severity)
-    (location_to_json f.location)
-    (Json.escape f.message)
-
-let list_to_json fs =
-  "[" ^ String.concat "," (List.map to_json fs) ^ "]"
+  Json.Obj
+    [
+      ("analysis", Json.Str f.analysis);
+      ("severity", Json.Str (Diag.severity_to_string f.severity));
+      ("location", location_json f.location);
+      ("message", Json.Str f.message);
+    ]
 
 let errors fs = List.filter (fun f -> f.severity = Error) fs
 let warnings fs = List.filter (fun f -> f.severity = Warning) fs

@@ -51,16 +51,11 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val to_diag : t -> Phoenix_verify.Diag.t
-(** Downgrade to the dynamic-diagnostic taxonomy ([Group] maps to the
-    diagnostic's group field; other locations are folded into the
-    message) so findings can join a [Compiler.report]'s stream. *)
-
-val to_json : t -> string
-(** Machine-readable rendering, one JSON object per finding. *)
-
-val list_to_json : t list -> string
-(** JSON array of {!to_json} objects. *)
+val to_json : t -> Phoenix_util.Json.t
+(** Machine-readable rendering: one object with ["analysis"],
+    ["severity"], ["location"] (a ["kind"] plus an ["index"] unless
+    global) and ["message"] — the element of [analyze --json], [cache
+    audit --json] and a serve response's ["findings"]. *)
 
 val errors : t list -> t list
 val warnings : t list -> t list

@@ -2,6 +2,7 @@ module Bsf = Phoenix_pauli.Bsf
 module Angle = Phoenix_pauli.Angle
 module Bitvec = Phoenix_util.Bitvec
 module Chaos = Phoenix_util.Chaos
+module Json = Phoenix_util.Json
 module Circuit = Phoenix_circuit.Circuit
 module Gate = Phoenix_circuit.Gate
 module Diag = Phoenix_verify.Diag
@@ -143,18 +144,6 @@ type stats = {
   bytes : int;
 }
 
-let stats_zero =
-  {
-    hits = 0;
-    misses = 0;
-    disk_hits = 0;
-    disk_errors = 0;
-    evictions = 0;
-    insertions = 0;
-    entries = 0;
-    bytes = 0;
-  }
-
 let diff later earlier =
   {
     hits = later.hits - earlier.hits;
@@ -167,12 +156,18 @@ let diff later earlier =
     bytes = later.bytes;
   }
 
-let stats_to_json s =
-  Printf.sprintf
-    "{ \"hits\": %d, \"misses\": %d, \"disk_hits\": %d, \"disk_errors\": %d, \
-     \"evictions\": %d, \"insertions\": %d, \"entries\": %d, \"bytes\": %d }"
-    s.hits s.misses s.disk_hits s.disk_errors s.evictions s.insertions
-    s.entries s.bytes
+let stats_json s =
+  Json.Obj
+    [
+      ("hits", Json.Num (Float.of_int s.hits));
+      ("misses", Json.Num (Float.of_int s.misses));
+      ("disk_hits", Json.Num (Float.of_int s.disk_hits));
+      ("disk_errors", Json.Num (Float.of_int s.disk_errors));
+      ("evictions", Json.Num (Float.of_int s.evictions));
+      ("insertions", Json.Num (Float.of_int s.insertions));
+      ("entries", Json.Num (Float.of_int s.entries));
+      ("bytes", Json.Num (Float.of_int s.bytes));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* In-memory LRU tier                                                 *)

@@ -137,14 +137,15 @@ type stats = {
 }
 
 val stats : unit -> stats
-val stats_zero : stats
 
 val diff : stats -> stats -> stats
 (** [diff later earlier] subtracts the counters and keeps the gauges
     ([entries], [bytes]) of [later] — the per-run delta used by reports. *)
 
-val stats_to_json : stats -> string
-(** One-line JSON object, keys matching the record fields. *)
+val stats_json : stats -> Phoenix_util.Json.t
+(** The counters as one JSON object, keys matching the record fields in
+    order — the ["cache"] object of a pass trace, a serve report and
+    the serve stats frame. *)
 
 val reset_stats : unit -> unit
 

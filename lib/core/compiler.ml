@@ -556,9 +556,9 @@ type stream_report = {
 
 (* Merge per-chunk traces into one pipeline-shaped trace: one entry per
    pass name in first-appearance order, summing seconds, allocation and
-   metric deltas and maxing the heap high-water mark.  The before/after
-   snapshots are re-telescoped from the summed deltas so the trace keeps
-   the telescoping invariant documented on [Pass.trace]. *)
+   metric deltas.  The before/after snapshots are re-telescoped from the
+   summed deltas so the trace keeps the telescoping invariant documented
+   on [Pass.trace]. *)
 let aggregate_traces traces =
   let order = ref [] in
   let tbl = Hashtbl.create 16 in
@@ -568,13 +568,11 @@ let aggregate_traces traces =
          match Hashtbl.find_opt tbl e.Pass.pass with
          | None ->
            order := e.Pass.pass :: !order;
-           Hashtbl.add tbl e.Pass.pass
-             (e.Pass.seconds, e.Pass.alloc_words, e.Pass.top_heap_words, d)
-         | Some (s, a, th, acc) ->
+           Hashtbl.add tbl e.Pass.pass (e.Pass.seconds, e.Pass.alloc_words, d)
+         | Some (s, a, acc) ->
            Hashtbl.replace tbl e.Pass.pass
              ( s +. e.Pass.seconds,
                a +. e.Pass.alloc_words,
-               max th e.Pass.top_heap_words,
                Pass.metrics_add acc d )))
     traces;
   let running = ref Pass.metrics_zero in
@@ -582,11 +580,11 @@ let aggregate_traces traces =
      re-telescoped snapshots accumulate left to right *)
   List.map
     (fun name ->
-      let seconds, alloc_words, top_heap_words, d = Hashtbl.find tbl name in
+      let seconds, alloc_words, d = Hashtbl.find tbl name in
       let before = !running in
       let after = Pass.metrics_add before d in
       running := after;
-      { Pass.pass = name; seconds; alloc_words; top_heap_words; before; after })
+      { Pass.pass = name; seconds; alloc_words; before; after })
     (List.rev !order)
 
 let compile_stream ?(options = default_options) ?protect ?hooks

@@ -150,7 +150,6 @@ type trace_entry = {
   pass : string;
   seconds : float;
   alloc_words : float;
-  top_heap_words : int;
   before : metrics;
   after : metrics;
 }
@@ -158,6 +157,21 @@ type trace_entry = {
 type trace = trace_entry list
 
 let entry_delta e = metrics_delta ~before:e.before ~after:e.after
+
+(* Minor words plus major − promoted words, each word counted once.
+   Both reads are exact at any moment ([Gc.quick_stat]'s major count
+   moves only when a collection flushes it on OCaml 5).  The counters
+   are read outside the minor-words window, so their own result is not
+   charged. *)
+let measure f =
+  let _, promoted0, major0 = Gc.counters () in
+  let m0 = Gc.minor_words () in
+  let t0 = Clock.monotonic_s () in
+  let x = f () in
+  let seconds = Clock.monotonic_s () -. t0 in
+  let m1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (x, seconds, m1 -. m0 +. (major1 -. promoted1) -. (major0 -. promoted0))
 
 type hook = pass:t -> before:ctx -> after:ctx -> seconds:float -> unit
 
@@ -189,41 +203,14 @@ let run ?(protect = false) ?(hooks = []) passes ctx =
   let final, _, rev_trace =
     List.fold_left
       (fun (ctx, before, acc) pass ->
-        let _, promoted0, major0 = Gc.counters () in
-        let m0 = Gc.minor_words () in
-        let t0 = Clock.monotonic_s () in
-        let ctx' = exec pass ctx in
-        let seconds = Clock.monotonic_s () -. t0 in
-        let m1 = Gc.minor_words () in
-        let _, promoted1, major1 = Gc.counters () in
-        (* Words allocated by the pass on this domain: minor words plus
-           major − promoted words, each word counted once.  Both reads
-           are exact at any moment ([Gc.quick_stat]'s major count moves
-           only when a collection flushes it on OCaml 5), so the count
-           does not depend on when collections run.  The counters are
-           read outside the minor-words window, so their own result is
-           not charged.  [top_heap_words] is the process high-water
-           mark at pass exit — the peak-memory signal the streaming
-           mode's bounded-footprint claim is checked against. *)
-        let alloc_words =
-          m1 -. m0 +. (major1 -. promoted1) -. (major0 -. promoted0)
-        in
-        let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
+        let ctx', seconds, alloc_words = measure (fun () -> exec pass ctx) in
         let after = metrics_of ctx'.circuit in
         List.iter
           (fun h -> h ~pass ~before:ctx ~after:ctx' ~seconds)
           hooks;
         ( ctx',
           after,
-          {
-            pass = pass.name;
-            seconds;
-            alloc_words;
-            top_heap_words;
-            before;
-            after;
-          }
-          :: acc ))
+          { pass = pass.name; seconds; alloc_words; before; after } :: acc ))
       (ctx, metrics_of ctx.circuit, []) passes
   in
   final, List.rev rev_trace
@@ -231,52 +218,53 @@ let run ?(protect = false) ?(hooks = []) passes ctx =
 (* --- machine-readable trace --- *)
 
 let metrics_json m =
-  Printf.sprintf
-    "{ \"gates\": %d, \"one_q\": %d, \"two_q\": %d, \"depth_2q\": %d }"
-    m.gates m.one_q m.two_q m.depth_2q
+  Json.Obj
+    [
+      ("gates", Json.Num (Float.of_int m.gates));
+      ("one_q", Json.Num (Float.of_int m.one_q));
+      ("two_q", Json.Num (Float.of_int m.two_q));
+      ("depth_2q", Json.Num (Float.of_int m.depth_2q));
+    ]
 
-let trace_to_json ?(compiler = "") ?(workload = "") ?cache
-    ?(degradations = []) trace =
-  let buf = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "{\n";
-  p "  \"schema\": \"phoenix-trace-v1\",\n";
-  if compiler <> "" then p "  \"compiler\": %s,\n" (Json.escape compiler);
-  if workload <> "" then p "  \"workload\": %s,\n" (Json.escape workload);
-  (match cache with
-  | Some s -> p "  \"cache\": %s,\n" (Phoenix_cache.Cache.stats_to_json s)
-  | None -> ());
-  (match Resilience.aggregate degradations with
-  | [] -> ()
-  | agg ->
-    p "  \"degradations\": [";
-    List.iteri
-      (fun i (e, count) ->
-        p "%s\n    { \"subject\": %s, \"from\": %s, \"to\": %s, \"count\": %d }"
-          (if i = 0 then "" else ",")
-          (Json.escape e.Resilience.subject)
-          (Json.escape e.Resilience.from_rung)
-          (Json.escape e.Resilience.to_rung)
-          count)
-      agg;
-    p "\n  ],\n");
-  p "  \"total_seconds\": %.6f,\n"
-    (List.fold_left (fun acc e -> acc +. e.seconds) 0.0 trace);
-  p "  \"final\": %s,\n"
-    (metrics_json
-       (match List.rev trace with e :: _ -> e.after | [] -> metrics_zero));
-  p "  \"passes\": [";
-  List.iteri
-    (fun i e ->
-      p
-        "%s\n\
-        \    { \"pass\": %s, \"seconds\": %.6f, \"alloc_words\": %.0f, \
-         \"top_heap_words\": %d,\n"
-        (if i = 0 then "" else ",")
-        (Json.escape e.pass) e.seconds e.alloc_words e.top_heap_words;
-      p "      \"before\": %s,\n" (metrics_json e.before);
-      p "      \"after\": %s,\n" (metrics_json e.after);
-      p "      \"delta\": %s }" (metrics_json (entry_delta e)))
-    trace;
-  p "\n  ]\n}\n";
-  Buffer.contents buf
+let entry_json e =
+  Json.Obj
+    [
+      ("pass", Json.Str e.pass);
+      ("seconds", Json.Num e.seconds);
+      ("alloc_words", Json.Num e.alloc_words);
+      ("before", metrics_json e.before);
+      ("after", metrics_json e.after);
+      ("delta", metrics_json (entry_delta e));
+    ]
+
+let degradation_json ((e : Resilience.event), count) =
+  Json.Obj
+    [
+      ("subject", Json.Str e.subject);
+      ("from", Json.Str e.from_rung);
+      ("to", Json.Str e.to_rung);
+      ("count", Json.Num (Float.of_int count));
+    ]
+
+let trace_json ?(compiler = "") ?(workload = "") ?cache ?(degradations = [])
+    trace =
+  let unless_empty key v = if v = "" then [] else [ (key, Json.Str v) ] in
+  Json.Obj
+    ([ ("schema", Json.Str "phoenix-trace-v1") ]
+    @ unless_empty "compiler" compiler
+    @ unless_empty "workload" workload
+    @ (match cache with
+      | Some s -> [ ("cache", Phoenix_cache.Cache.stats_json s) ]
+      | None -> [])
+    @ (match Resilience.aggregate degradations with
+      | [] -> []
+      | agg -> [ ("degradations", Json.Arr (List.map degradation_json agg)) ])
+    @ [
+        ( "total_seconds",
+          Json.Num (List.fold_left (fun acc e -> acc +. e.seconds) 0.0 trace) );
+        ( "final",
+          metrics_json
+            (match List.rev trace with e :: _ -> e.after | [] -> metrics_zero)
+        );
+        ("passes", Json.Arr (List.map entry_json trace));
+      ])

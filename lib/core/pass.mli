@@ -174,18 +174,7 @@ val make :
 type trace_entry = {
   pass : string;
   seconds : float;  (** wall-clock time spent in the pass *)
-  alloc_words : float;
-      (** words the calling domain allocated during the pass: the
-          [Gc.minor_words] delta plus the major − promoted delta of
-          [Gc.counters], which counts direct major-heap allocations at
-          once.  The count does not depend on the minor heap size or on
-          when collections run — the checkable form of any
-          "allocation-free" claim about a pass's inner loops.  Words
-          allocated on pool domains (synthesis with [domains > 1]) are
-          not included. *)
-  top_heap_words : int;
-      (** [Gc.top_heap_words] at pass exit: the process-wide major-heap
-          high-water mark, monotone across a run *)
+  alloc_words : float;  (** words allocated during the pass, see {!measure} *)
   before : metrics;  (** circuit metrics entering the pass *)
   after : metrics;  (** circuit metrics leaving the pass *)
 }
@@ -198,6 +187,17 @@ type trace = trace_entry list
     circuit's metrics exactly. *)
 
 val entry_delta : trace_entry -> metrics
+
+val measure : (unit -> 'a) -> 'a * float * float
+(** [measure f] runs [f ()] and returns its result, the wall seconds it
+    took on the monotonic clock, and the words the calling domain
+    allocated meanwhile: the [Gc.minor_words] delta plus the major −
+    promoted delta of [Gc.counters], which counts direct major-heap
+    allocations at once.  The count does not depend on the minor heap
+    size or on when collections run — the checkable form of any
+    "allocation-free" claim.  Words allocated on pool domains (synthesis
+    with [domains > 1]) are not included.  Every trace entry, a pass's
+    or a template bind's, is measured by this one window. *)
 
 type hook = pass:t -> before:ctx -> after:ctx -> seconds:float -> unit
 (** Pluggable pass-boundary instrumentation: called after every pass
@@ -218,8 +218,8 @@ exception Failed of { pass : string; error : string }
     serve daemon) report structured failures instead of raw exceptions. *)
 
 val run : ?protect:bool -> ?hooks:hook list -> t list -> ctx -> ctx * trace
-(** Execute a pipeline: fold the passes over the context, timing each on
-    the monotonic clock, snapshotting boundary metrics (each boundary
+(** Execute a pipeline: fold the passes over the context, timing each
+    with {!measure}, snapshotting boundary metrics (each boundary
     once: a pass's [after] is the next pass's [before]), and firing
     every hook at every boundary.  The options' [budget] is installed
     ambiently around each pass; an unabsorbed {!Budget.Interrupted}
@@ -228,15 +228,17 @@ val run : ?protect:bool -> ?hooks:hook list -> t list -> ctx -> ctx * trace
 
 (** {1 Machine-readable trace} *)
 
-val trace_to_json :
+val trace_json :
   ?compiler:string ->
   ?workload:string ->
   ?cache:Phoenix_cache.Cache.stats ->
   ?degradations:Resilience.event list ->
   trace ->
-  string
-(** Schema [phoenix-trace-v1]: per-pass seconds and before/after/delta
-    metric snapshots, plus the final metrics and total seconds.  When
-    [cache] is given, the run's synthesis-cache counters are embedded
-    as a ["cache"] object; when [degradations] is non-empty, the
-    aggregated ladder steps appear as a ["degradations"] array. *)
+  Phoenix_util.Json.t
+(** Schema [phoenix-trace-v1]: per-pass seconds, allocated words and
+    before/after/delta metric snapshots, plus the final metrics and
+    total seconds.  When [cache] is given, the run's synthesis-cache
+    counters are embedded as a ["cache"] object
+    ({!Phoenix_cache.Cache.stats_json}); when [degradations] is
+    non-empty, the aggregated ladder steps appear as a ["degradations"]
+    array.  [compiler] and [workload] are omitted when empty. *)

@@ -1,7 +1,6 @@
 module Circuit = Phoenix_circuit.Circuit
 module Gate = Phoenix_circuit.Gate
 module Angle = Phoenix_pauli.Angle
-module Clock = Phoenix_util.Clock
 
 type t = Compiler.template
 
@@ -47,27 +46,13 @@ let bind_batch (t : t) thetas =
 
 let bind_with_trace (t : t) theta =
   let before = Pass.metrics_of (circuit t) in
-  let m0 = Gc.minor_words () in
-  let g0 = Gc.quick_stat () in
-  let t0 = Clock.monotonic_s () in
-  let c = bind t theta in
-  let seconds = Clock.monotonic_s () -. t0 in
-  let m1 = Gc.minor_words () in
-  let g1 = Gc.quick_stat () in
-  (* [Gc.minor_words] reads the young pointer, so the minor component
-     is exact even when the bind triggers no collection. *)
-  let alloc_words =
-    m1 -. m0
-    +. (g1.Gc.major_words -. g1.Gc.promoted_words)
-    -. (g0.Gc.major_words -. g0.Gc.promoted_words)
-  in
+  let c, seconds, alloc_words = Pass.measure (fun () -> bind t theta) in
   ( c,
     [
       {
         Pass.pass = "bind";
         seconds;
         alloc_words;
-        top_heap_words = g1.Gc.top_heap_words;
         before;
         after = Pass.metrics_of c;
       };

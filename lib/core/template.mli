@@ -58,7 +58,8 @@ val bind_with_trace :
   t -> float array -> Phoenix_circuit.Circuit.t * Pass.trace
 (** {!bind} plus a single-entry pass trace (["bind"]) with before/after
     metric snapshots — the auditable proof that a rebind ran no pipeline
-    passes. *)
+    passes.  Its seconds and words come from {!Pass.measure}, the window
+    every pass is measured by. *)
 
 val dump : t -> string
 (** Human-readable listing: parameter table, slot expressions, and the

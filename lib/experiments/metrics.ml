@@ -1,5 +1,4 @@
 module Circuit = Phoenix_circuit.Circuit
-module Rebase = Phoenix_circuit.Rebase
 
 type counts = { gates : int; two_q : int; depth : int; depth_2q : int }
 
@@ -10,8 +9,6 @@ let of_circuit c =
     depth = Circuit.depth c;
     depth_2q = Circuit.depth_2q c;
   }
-
-let of_su4_circuit c = of_circuit (Rebase.to_su4 c)
 
 let geomean xs =
   match xs with

@@ -11,10 +11,6 @@ val of_circuit : Phoenix_circuit.Circuit.t -> counts
 (** CNOT-ISA accounting (the circuit must already be in CNOT basis;
     [two_q = count_2q]). *)
 
-val of_su4_circuit : Phoenix_circuit.Circuit.t -> counts
-(** SU(4)-ISA accounting: the circuit is fused with
-    {!Phoenix_circuit.Rebase.to_su4} first. *)
-
 val geomean : float list -> float
 (** Geometric mean; raises [Invalid_argument] on empty input or
     non-positive entries. *)

@@ -3,12 +3,6 @@ module Pauli_string = Phoenix_pauli.Pauli_string
 
 type encoding = Jordan_wigner | Bravyi_kitaev
 
-let encoding_of_string s =
-  match String.lowercase_ascii s with
-  | "jw" | "jordan-wigner" | "jordan_wigner" -> Jordan_wigner
-  | "bk" | "bravyi-kitaev" | "bravyi_kitaev" -> Bravyi_kitaev
-  | _ -> invalid_arg (Printf.sprintf "Fermion.encoding_of_string: %S" s)
-
 let encoding_to_string = function
   | Jordan_wigner -> "JW"
   | Bravyi_kitaev -> "BK"

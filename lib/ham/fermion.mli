@@ -8,10 +8,6 @@
 
 type encoding = Jordan_wigner | Bravyi_kitaev
 
-val encoding_of_string : string -> encoding
-(** Accepts ["jw"] / ["bk"] (case-insensitive).
-    Raises [Invalid_argument] otherwise. *)
-
 val encoding_to_string : encoding -> string
 
 val creation : encoding -> int -> int -> Pauli_sum.t

@@ -74,7 +74,6 @@ let dagger t =
   normalize t.n (List.map (fun (c, p) -> Complex.conj c, p) t.terms)
 
 let anticommutator a b = add (mul a b) (mul b a)
-let commutator a b = sub (mul a b) (mul b a)
 
 let is_hermitian t =
   List.for_all (fun ((c : Complex.t), _) -> Float.abs c.Complex.im < tolerance)

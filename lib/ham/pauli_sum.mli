@@ -33,8 +33,6 @@ val dagger : t -> t
 val anticommutator : t -> t -> t
 (** [{a, b} = a·b + b·a]. *)
 
-val commutator : t -> t -> t
-
 val is_hermitian : t -> bool
 val is_anti_hermitian : t -> bool
 

@@ -250,54 +250,6 @@ let support_indices t =
 
 let nonlocal_count t = t.st.n_nl
 
-(* --- Borrowing row views -------------------------------------------------
-
-   Read-only traversal without materializing a [Pauli_string] (two bit
-   vectors and a record) per row: one reusable cursor borrows the
-   arena.  The audit below, the analysis-layer replay lint and
-   [to_terms] all walk the tableau through this window. *)
-
-type rview = { rt : t; mutable ri : int }
-
-let view t i =
-  check_row t i;
-  { rt = t; ri = i }
-
-let iter_views t f =
-  let rows = num_rows t in
-  if rows > 0 then begin
-    let v = { rt = t; ri = 0 } in
-    for i = 0 to rows - 1 do
-      v.ri <- i;
-      f v
-    done
-  end
-
-let view_index v = v.ri
-let view_neg v = is_neg v.rt v.ri
-let view_angle v = v.rt.angles.(v.ri)
-let view_weight v = v.rt.wts.(v.ri)
-
-let view_x v q =
-  if q < 0 || q >= v.rt.n then invalid_arg "Bsf.view_x: qubit out of range";
-  get_bit (Arena.buffer v.rt.ar) (x_base v.rt v.ri) q
-
-let view_z v q =
-  if q < 0 || q >= v.rt.n then invalid_arg "Bsf.view_z: qubit out of range";
-  get_bit (Arena.buffer v.rt.ar) (z_base v.rt v.ri) q
-
-let row_words t = t.wpr
-
-let view_x_word v k =
-  if k < 0 || k >= v.rt.wpr then invalid_arg "Bsf.view_x_word: out of range";
-  (Arena.buffer v.rt.ar).(x_base v.rt v.ri + k)
-
-let view_z_word v k =
-  if k < 0 || k >= v.rt.wpr then invalid_arg "Bsf.view_z_word: out of range";
-  (Arena.buffer v.rt.ar).(z_base v.rt v.ri + k)
-
-let view_pauli v = row_pauli v.rt v.ri
-
 (* --- Cache auditing ------------------------------------------------------
 
    The column-statistics layer is redundant state: every counter is a
@@ -311,16 +263,16 @@ let audit t =
   let add fmt = Printf.ksprintf (fun m -> issues := m :: !issues) fmt in
   let buf = Arena.buffer t.ar in
   let fresh = fresh_stats t.n in
-  iter_views t (fun v ->
-      let i = view_index v in
-      let xo = x_base t i and zo = z_base t i in
-      let w = slice_or_popcount buf xo zo t.wpr in
-      if view_weight v <> w then
-        add "row %d: cached weight %d, bit vectors say %d" i (view_weight v) w;
-      let angle = view_angle v in
-      if not (Float.is_finite angle) && not (Angle.is_slot angle) then
-        add "row %d: non-finite angle %h" i angle;
-      account_slice fresh 1 buf xo zo t.wpr w);
+  for i = 0 to num_rows t - 1 do
+    let xo = x_base t i and zo = z_base t i in
+    let w = slice_or_popcount buf xo zo t.wpr in
+    if t.wts.(i) <> w then
+      add "row %d: cached weight %d, bit vectors say %d" i t.wts.(i) w;
+    let angle = t.angles.(i) in
+    if not (Float.is_finite angle) && not (Angle.is_slot angle) then
+      add "row %d: non-finite angle %h" i angle;
+    account_slice fresh 1 buf xo zo t.wpr w
+  done;
   let st = t.st in
   for q = 0 to t.n - 1 do
     if st.col_c.(q) <> fresh.col_c.(q) then
@@ -1009,8 +961,9 @@ end
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
-  iter_views t (fun v ->
-      Format.fprintf fmt "%c%a (θ=%g)@,"
-        (if view_neg v then '-' else '+')
-        Pauli_string.pp (view_pauli v) (view_angle v));
+  for i = 0 to num_rows t - 1 do
+    Format.fprintf fmt "%c%a (θ=%g)@,"
+      (if is_neg t i then '-' else '+')
+      Pauli_string.pp (row_pauli t i) t.angles.(i)
+  done;
   Format.fprintf fmt "@]"

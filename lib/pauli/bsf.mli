@@ -34,49 +34,6 @@ val rows : t -> row list
 val row_weight : t -> int -> int
 val row_pauli : t -> int -> Pauli_string.t
 
-(** {1 Borrowing row views}
-
-    The tableau stores every row's bits in one flat word arena
-    ({!Phoenix_util.Arena}): row [i]'s x words are followed by its z
-    words at stride [2·row_words].  A {e view} is a borrowing cursor
-    over one row — no per-row [Bitvec] or {!Pauli_string} is
-    materialized, so read-only traversals (audits, lints, term
-    extraction) run allocation-free.  A view borrows the tableau's
-    storage: it is invalidated by any mutation ([apply_*],
-    [pop_local_rows]), and the cursor passed to {!iter_views} is reused
-    across rows — do not retain it past the callback. *)
-
-val row_words : t -> int
-(** Words per x (or z) half-row — [⌈n / 62⌉]. *)
-
-type rview
-(** A borrowing read-only view of one row. *)
-
-val view : t -> int -> rview
-(** A fresh cursor positioned on row [i] (checked). *)
-
-val iter_views : t -> (rview -> unit) -> unit
-(** Apply the callback to every row in program order, reusing one
-    cursor — the allocation-free replacement for traversing {!rows}. *)
-
-val view_index : rview -> int
-val view_neg : rview -> bool
-val view_angle : rview -> float
-val view_weight : rview -> int
-
-val view_x : rview -> int -> bool
-val view_z : rview -> int -> bool
-(** Bit [q] of the row's x / z half (checked). *)
-
-val view_x_word : rview -> int -> int
-val view_z_word : rview -> int -> int
-(** Backing word [k] ([0 ≤ k < row_words]) of the row's x / z half, for
-    word-parallel comparisons. *)
-
-val view_pauli : rview -> Pauli_string.t
-(** Materialize the viewed row's Pauli string (allocates — escape hatch
-    for error reporting). *)
-
 val total_weight : t -> int
 (** Eq. 4: size of the union support of all rows. *)
 

@@ -34,8 +34,6 @@ let of_bits ~x ~z =
     invalid_arg "Pauli_string.of_bits: length mismatch";
   { x = Bitvec.copy x; z = Bitvec.copy z }
 
-let x_bits t = Bitvec.copy t.x
-let z_bits t = Bitvec.copy t.z
 
 let of_bits_owned ~x ~z =
   if Bitvec.length x <> Bitvec.length z then

@@ -23,10 +23,6 @@ val to_string : t -> string
 val of_bits : x:Phoenix_util.Bitvec.t -> z:Phoenix_util.Bitvec.t -> t
 (** Raises [Invalid_argument] if the vectors' lengths differ. *)
 
-val x_bits : t -> Phoenix_util.Bitvec.t
-val z_bits : t -> Phoenix_util.Bitvec.t
-(** Copies of the underlying vectors. *)
-
 val of_bits_owned : x:Phoenix_util.Bitvec.t -> z:Phoenix_util.Bitvec.t -> t
 (** Like {!of_bits} but takes ownership of the vectors without copying.
     The caller must never mutate them afterwards — reserved for
@@ -36,8 +32,8 @@ val of_bits_owned : x:Phoenix_util.Bitvec.t -> z:Phoenix_util.Bitvec.t -> t
 val blit_bits_to :
   t -> x_dst:int array -> x_off:int -> z_dst:int array -> z_off:int -> unit
 (** Copy the backing words of the x (resp. z) vector into [x_dst] at
-    [x_off] (resp. [z_dst] at [z_off]) — flat-arena interop that skips
-    the intermediate {!x_bits}/{!z_bits} copies. *)
+    [x_off] (resp. [z_dst] at [z_off]) — flat-arena interop without an
+    intermediate vector copy. *)
 
 val get : t -> int -> Pauli.t
 val set : t -> int -> Pauli.t -> t

@@ -75,7 +75,7 @@ let execute_qasm spec text =
           ("circuit", circuit_json ~dump:spec.dump circuit);
           ("metrics", metrics_json circuit);
           ("diagnostics", Json.Arr (List.map diag_json diagnostics));
-          ("findings", Json.Arr (List.map finding_json findings));
+          ("findings", Json.Arr (List.map Finding.to_json findings));
         ];
       error = None;
       trace = [];
@@ -144,7 +144,7 @@ let execute_compile spec (job : Job.t) =
         ("circuit", circuit_json ~dump:spec.dump circuit);
         ("report", report_json report);
         ("diagnostics", Json.Arr (List.map diag_json diagnostics));
-        ("findings", Json.Arr (List.map finding_json findings));
+        ("findings", Json.Arr (List.map Finding.to_json findings));
       ];
     error = None;
     trace = report.Compiler.trace;

@@ -4,7 +4,6 @@ module Pass = Phoenix.Pass
 module Circuit = Phoenix_circuit.Circuit
 module Gate = Phoenix_circuit.Gate
 module Diag = Phoenix_verify.Diag
-module Finding = Phoenix_analysis.Finding
 module Cache = Phoenix_cache.Cache
 module Resilience = Phoenix.Resilience
 
@@ -267,27 +266,6 @@ let diag_json (d : Diag.t) =
         ("message", Json.Str d.Diag.message);
       ])
 
-let finding_json (f : Finding.t) =
-  Json.Obj
-    [
-      ("analysis", Json.Str f.Finding.analysis);
-      ("severity", Json.Str (Diag.severity_to_string f.Finding.severity));
-      ("message", Json.Str f.Finding.message);
-    ]
-
-let cache_json (s : Cache.stats) =
-  Json.Obj
-    [
-      ("hits", Json.Num (Float.of_int s.Cache.hits));
-      ("misses", Json.Num (Float.of_int s.Cache.misses));
-      ("disk_hits", Json.Num (Float.of_int s.Cache.disk_hits));
-      ("disk_errors", Json.Num (Float.of_int s.Cache.disk_errors));
-      ("evictions", Json.Num (Float.of_int s.Cache.evictions));
-      ("insertions", Json.Num (Float.of_int s.Cache.insertions));
-      ("entries", Json.Num (Float.of_int s.Cache.entries));
-      ("bytes", Json.Num (Float.of_int s.Cache.bytes));
-    ]
-
 let trace_entry_json (e : Pass.trace_entry) =
   Json.Obj
     [
@@ -310,7 +288,7 @@ let report_json (r : Compiler.report) =
       ("trace", Json.Arr (List.map trace_entry_json r.Compiler.trace));
       ( "diagnostics",
         Json.Arr (List.map diag_json r.Compiler.diagnostics) );
-      ("cache", cache_json r.Compiler.cache_stats);
+      ("cache", Cache.stats_json r.Compiler.cache_stats);
       ( "degradations",
         Json.Arr
           (List.map

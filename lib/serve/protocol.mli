@@ -96,12 +96,12 @@ val circuit_digest : Phoenix_circuit.Circuit.t -> string
 
 val circuit_json : dump:bool -> Phoenix_circuit.Circuit.t -> Json.t
 val diag_json : Phoenix_verify.Diag.t -> Json.t
-val finding_json : Phoenix_analysis.Finding.t -> Json.t
-val cache_json : Phoenix_cache.Cache.stats -> Json.t
 
 val report_json : Phoenix.Compiler.report -> Json.t
 (** The common compiler report: metrics, per-pass trace (seconds +
-    metric deltas), diagnostics, cache-counter deltas, degradations.
+    metric deltas), diagnostics, cache-counter deltas
+    ({!Phoenix_cache.Cache.stats_json}), degradations.  A response's
+    findings are {!Phoenix_analysis.Finding.to_json} objects.
     Wall-clock fields are informational; the differential tests compare
     only the semantic subset (status, circuit digest, diagnostics,
     degradations, metrics). *)

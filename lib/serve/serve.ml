@@ -151,7 +151,7 @@ let stats_response t ~id =
                 ] );
             ("workers", Json.Num (Float.of_int t.config.workers));
             ("draining", Json.Bool t.draining);
-            ("cache", cache_json (Cache.stats ()));
+            ("cache", Cache.stats_json (Cache.stats ()));
             ( "passes",
               Json.Arr
                 (List.map

@@ -92,30 +92,38 @@ let boundary_to_string b =
     | None -> ""
     | Some r -> "  " ^ r)
 
+let boundary_json b =
+  Json.Obj
+    ([
+       ("pass", Json.Str b.pass);
+       ("claim", Json.Str b.claim);
+       ("verdict", Json.Str (Checker.verdict_label b.verdict));
+     ]
+    @ (match Checker.verdict_reason b.verdict with
+      | Some r -> [ ("reason", Json.Str r) ]
+      | None -> [])
+    @ [
+        ("pass_seconds", Json.Num b.pass_seconds);
+        ("check_seconds", Json.Num b.check_seconds);
+      ])
+
 let to_json ?(pipeline = "") ?(workload = "") ?(template = false) bs =
-  let buf = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "{\n";
-  p "  \"schema\": \"%s\",\n" schema_version;
-  if pipeline <> "" then p "  \"pipeline\": %s,\n" (Json.escape pipeline);
-  if workload <> "" then p "  \"workload\": %s,\n" (Json.escape workload);
-  p "  \"template\": %b,\n" template;
   let s = summarize bs in
-  p "  \"summary\": { \"overall\": \"%s\", \"proved\": %d, \"plausible\": %d, \
-     \"refuted\": %d, \"check_seconds\": %.6f },\n"
-    (overall bs) s.proved s.plausible s.refuted (total_check_seconds bs);
-  p "  \"boundaries\": [";
-  List.iteri
-    (fun i b ->
-      p "%s\n    { \"pass\": %s, \"claim\": %s, \"verdict\": \"%s\",\n"
-        (if i = 0 then "" else ",")
-        (Json.escape b.pass) (Json.escape b.claim)
-        (Checker.verdict_label b.verdict);
-      (match Checker.verdict_reason b.verdict with
-      | Some r -> p "      \"reason\": %s,\n" (Json.escape r)
-      | None -> ());
-      p "      \"pass_seconds\": %.6f, \"check_seconds\": %.6f }" b.pass_seconds
-        b.check_seconds)
-    bs;
-  p "\n  ]\n}\n";
-  Buffer.contents buf
+  let unless_empty key v = if v = "" then [] else [ (key, Json.Str v) ] in
+  Json.Obj
+    ([ ("schema", Json.Str schema_version) ]
+    @ unless_empty "pipeline" pipeline
+    @ unless_empty "workload" workload
+    @ [
+        ("template", Json.Bool template);
+        ( "summary",
+          Json.Obj
+            [
+              ("overall", Json.Str (overall bs));
+              ("proved", Json.Num (Float.of_int s.proved));
+              ("plausible", Json.Num (Float.of_int s.plausible));
+              ("refuted", Json.Num (Float.of_int s.refuted));
+              ("check_seconds", Json.Num (total_check_seconds bs));
+            ] );
+        ("boundaries", Json.Arr (List.map boundary_json bs));
+      ])

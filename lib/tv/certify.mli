@@ -54,6 +54,8 @@ val boundary_to_string : boundary -> string
 
 val to_json :
   ?pipeline:string -> ?workload:string -> ?template:bool ->
-  boundary list -> string
+  boundary list -> Phoenix_util.Json.t
 (** The [phoenix-cert-v1] document: summary (overall verdict + counts +
-    checker seconds) and per-boundary records. *)
+    checker seconds) and per-boundary records, each with a ["reason"]
+    when the verdict has one.  [pipeline] and [workload] are omitted
+    when empty. *)

@@ -20,16 +20,6 @@ let base a i =
   check_row a i;
   i * a.stride
 
-let get_word a i k =
-  check_row a i;
-  if k < 0 || k >= a.stride then invalid_arg "Arena: word index out of range";
-  a.buf.((i * a.stride) + k)
-
-let set_word a i k v =
-  check_row a i;
-  if k < 0 || k >= a.stride then invalid_arg "Arena: word index out of range";
-  a.buf.((i * a.stride) + k) <- v
-
 let reserve a extra =
   let need = (a.rows + extra) * a.stride in
   if need > Array.length a.buf then begin

@@ -7,11 +7,11 @@
     in one allocation, so row-major sweeps (the simplify/delta hot
     loops) walk memory linearly and mutators never allocate.
 
-    The backing buffer is deliberately exposed ({!buffer}) for audited
-    hot loops; everything outside such a loop should go through the
-    checked accessors.  The buffer reference is only invalidated by
-    {!push} (which may grow it) — never by {!compact} or the word
-    setters. *)
+    The backing buffer is deliberately exposed ({!buffer}): the
+    tableau's audited hot loops index it directly, at record offsets
+    [i·stride] ({!base} is the checked form).  The buffer reference is
+    only invalidated by {!push} and {!push_n} (which may grow it) —
+    never by {!compact}. *)
 
 type t
 
@@ -29,11 +29,6 @@ val buffer : t -> int array
 val base : t -> int -> int
 (** [base a i] is the word offset of record [i] — [i · stride a], with a
     bounds check on [i]. *)
-
-val get_word : t -> int -> int -> int
-(** [get_word a i k] is word [k] of record [i] (both checked). *)
-
-val set_word : t -> int -> int -> int -> unit
 
 val push : t -> int
 (** Append one zeroed record, growing the buffer geometrically if full;

@@ -1,11 +1,12 @@
 (** Minimal JSON: the serve wire protocol and every JSON artifact the
     CLI writes.
 
-    The container carries no JSON library, so this module implements
-    the subset the repo needs: the full JSON value grammar, strict
-    parsing with positioned errors, deterministic one-line printing
-    (objects keep insertion order; floats render round-trippably), and
-    the one string escaper ({!escape}) that hand-laid-out artifacts use.
+    The repo depends on no JSON library, so this module implements the
+    subset it needs: the full JSON value grammar, strict parsing with
+    positioned errors, and deterministic one-line printing (objects
+    keep insertion order; floats render round-trippably).  Every
+    artifact is built as a {!t} by the module that owns its record and
+    printed by {!to_string}.
 
     Not a general-purpose library: no streaming, no number preservation
     beyond IEEE doubles, no Unicode validation beyond byte-transparent
@@ -51,5 +52,8 @@ val str_field : ?default:string -> string -> t -> string option
     the key is absent (but not when it holds a non-string). *)
 
 val bool_field : default:bool -> string -> t -> bool option
+
 val escape : string -> string
-(** The quoted, escaped rendering of a string (as [to_string] uses). *)
+(** The quoted, escaped rendering of a string, exactly as {!to_string}
+    renders a [Str].  For writers outside the library that lay out
+    their own text around a JSON string. *)

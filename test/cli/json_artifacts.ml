@@ -1,10 +1,11 @@
-(* Every JSON artifact the phoenix CLI writes must parse back with
-   Phoenix_util.Json and carry its schema tag and the keys its schema
-   requires: the --trace and --cert files, analyze --json, chaos --json
-   and cache stats --json.  The strings they embed — a workload path, a
-   cache directory — contain a double quote and a non-ASCII character,
-   which a hand-rolled escaper gets wrong.  Usage: json_artifacts
-   PHOENIX_EXE. *)
+(* Every JSON artifact the phoenix CLI writes must be one line, parse
+   back with Phoenix_util.Json and carry its schema tag and the keys its
+   schema requires: the --trace and --cert files (also on stdout, as its
+   last line), the traces of a template bind and of a stream,
+   analyze --json, chaos --json and cache stats --json.  The strings
+   they embed — a workload path, a cache directory — contain a double
+   quote and a non-ASCII character, which a hand-rolled escaper gets
+   wrong.  Usage: json_artifacts PHOENIX_EXE. *)
 
 module Json = Phoenix_util.Json
 
@@ -101,6 +102,50 @@ let succeeds name (code, text) =
   if code <> 0 then fail "%s -> exit %d (want 0)" name code;
   text
 
+(* An artifact is exactly one newline-terminated line. *)
+let one_line name text =
+  if String.index_opt text '\n' <> Some (String.length text - 1) then
+    fail "%s is not exactly one line" name;
+  text
+
+(* The last line of a command's stdout. *)
+let last_line text =
+  match List.rev (String.split_on_char '\n' (String.trim text)) with
+  | line :: _ -> line
+  | [] -> ""
+
+let trace_keys =
+  [ ("total_seconds", []); ("final", [ "gates"; "one_q"; "two_q"; "depth_2q" ]) ]
+
+let pass_keys =
+  [
+    ( "passes",
+      flat [ "pass"; "seconds"; "alloc_words"; "before"; "after"; "delta" ] );
+  ]
+
+let cert_keys =
+  [
+    ("template", []);
+    ("summary", [ "overall"; "proved"; "plausible"; "refuted"; "check_seconds" ]);
+  ]
+
+let boundary_keys =
+  [
+    ( "boundaries",
+      flat [ "pass"; "claim"; "verdict"; "pass_seconds"; "check_seconds" ] );
+  ]
+
+(* The trace of [compile SOURCE args --trace FILE], checked; returns the
+   pass names in order. *)
+let check_trace bin name ~source ~trace args =
+  ignore (succeeds name (run bin ([ "compile"; source; "--trace"; trace ] @ args)));
+  let text = one_line name (read_file trace) in
+  check name ~schema:"phoenix-trace-v1" ~fields:[ ("workload", source) ]
+    ~keys:trace_keys ~each:pass_keys text;
+  match Result.map (Json.mem "passes") (Json.parse text) with
+  | Ok (Some (Json.Arr ps)) -> List.filter_map (str_field "pass") ps
+  | _ -> []
+
 let () =
   let bin = Sys.argv.(1) in
   let dir = Filename.temp_dir "phoenix-json-\"\xc3\xa9" "" in
@@ -112,49 +157,42 @@ let () =
   and cert = Filename.concat dir "cert.json"
   and chaos = Filename.concat dir "chaos.json"
   and cache_dir = Filename.concat dir "cache\"\xc3\xa9" in
+  ignore (check_trace bin "--trace" ~source:workload ~trace []);
+  let passes =
+    check_trace bin "--template --bind trace" ~source:workload
+      ~trace:(Filename.concat dir "bind.json")
+      [ "--template"; "--bind"; "*=1.0" ]
+  in
+  if not (List.mem "bind" passes) then
+    fail "--template --bind trace has no bind entry";
   ignore
-    (succeeds "compile --trace"
-       (run bin [ "compile"; workload; "--trace"; trace ]));
-  check "--trace" ~schema:"phoenix-trace-v1"
+    (check_trace bin "--stream trace" ~source:workload
+       ~trace:(Filename.concat dir "stream.json")
+       [ "--stream"; "2" ]);
+  check "--trace -" ~schema:"phoenix-trace-v1"
     ~fields:[ ("workload", workload) ]
-    ~keys:
-      [
-        ("total_seconds", []);
-        ("final", [ "gates"; "one_q"; "two_q"; "depth_2q" ]);
-      ]
-    ~each:
-      [
-        ( "passes",
-          flat
-            [
-              "pass"; "seconds"; "alloc_words"; "top_heap_words"; "before";
-              "after"; "delta";
-            ] );
-      ]
-    (read_file trace);
+    ~keys:trace_keys ~each:pass_keys
+    (last_line
+       (succeeds "compile --trace -"
+          (run bin [ "compile"; workload; "--trace"; "-" ])));
   ignore
     (succeeds "compile --cert" (run bin [ "compile"; workload; "--cert"; cert ]));
   check "--cert" ~schema:"phoenix-cert-v1"
     ~fields:[ ("workload", workload) ]
-    ~keys:
-      [
-        ("template", []);
-        ( "summary",
-          [ "overall"; "proved"; "plausible"; "refuted"; "check_seconds" ] );
-      ]
-    ~each:
-      [
-        ( "boundaries",
-          flat [ "pass"; "claim"; "verdict"; "pass_seconds"; "check_seconds" ]
-        );
-      ]
-    (read_file cert);
+    ~keys:cert_keys ~each:boundary_keys
+    (one_line "--cert" (read_file cert));
+  check "certify --json -" ~schema:"phoenix-cert-v1"
+    ~fields:[ ("workload", workload) ]
+    ~keys:cert_keys ~each:boundary_keys
+    (last_line
+       (succeeds "certify --json -"
+          (run bin [ "certify"; workload; "--json"; "-" ])));
   let findings =
     succeeds "analyze --json" (run bin [ "analyze"; workload; "--json" ])
   in
   check "analyze --json"
     ~each:[ ("", flat [ "analysis"; "severity"; "location"; "message" ]) ]
-    findings;
+    (one_line "analyze --json" findings);
   (match Json.parse findings with
   | Ok (Json.Arr fs) ->
     if not (List.for_all (fun f -> str_field "analysis" f <> None) fs) then
@@ -176,7 +214,7 @@ let () =
            "failed_closed"; "violations";
          ])
     ~each:[ ("results", flat [ "pipeline"; "seed"; "class"; "detail" ]) ]
-    (read_file chaos);
+    (one_line "chaos --json" (read_file chaos));
   let stats =
     succeeds "cache stats --json"
       (run bin
@@ -186,6 +224,6 @@ let () =
   check "cache stats --json" ~schema:"phoenix-cache-stats-v1"
     ~fields:[ ("dir", cache_dir) ]
     ~keys:(flat [ "entries"; "bytes"; "memory_budget_bytes" ])
-    stats;
+    (one_line "cache stats --json" stats);
   ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
   exit (if !failures = 0 then 0 else 1)

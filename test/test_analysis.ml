@@ -418,6 +418,93 @@ let test_cache_audit_catches_address_mismatch () =
                   "does not match fingerprint digest")
            findings))
 
+(* --- one structural engine ------------------------------------------------
+
+   [Structural.validate] (the --verify diagnostics) and the two
+   conformance analyses render the same violations: for every injected
+   fault both report the same set, once the findings' gate locations
+   are written the way the diagnostics prefix them. *)
+
+let structural_messages ~isa ?topology c =
+  List.sort compare
+    (List.map
+       (fun (d : Phoenix_verify.Diag.t) -> d.Phoenix_verify.Diag.message)
+       (Structural.validate ~isa ?topology c))
+
+let conformance_messages ~isa ?topology c =
+  Registry.run ~only:[ "isa-conformance"; "coupling-conformance" ]
+    (Circuit_lint.target ~isa ?topology c)
+  |> List.map (fun (f : Finding.t) ->
+         match f.Finding.location with
+         | Finding.Gate i -> Printf.sprintf "gate #%d %s" i f.Finding.message
+         | _ -> f.Finding.message)
+  |> List.sort compare
+
+let test_structural_equals_conformance () =
+  let cnot = Circuit_lint.Cnot_basis and su4 = Circuit_lint.Su4_basis in
+  let cases =
+    [
+      ( "out-of-ISA gate",
+        cnot,
+        None,
+        Circuit.create 3
+          [
+            Gate.Cnot (0, 1);
+            Gate.Rpp { p0 = Pauli.X; p1 = Pauli.Z; a = 0; b = 2; theta = 0.4 };
+          ],
+        "outside the CNOT ISA alphabet" );
+      ( "CNOT on the SU(4) ISA",
+        su4,
+        None,
+        Circuit.create 2 [ Gate.Cnot (0, 1) ],
+        "outside the SU(4) ISA alphabet" );
+      ( "coincident operands",
+        cnot,
+        None,
+        Circuit.create 3 [ Gate.Cnot (1, 1) ],
+        "has coincident operands" );
+      ( "off-pair SU(4) part",
+        su4,
+        None,
+        Circuit.create 3
+          [
+            Gate.Su4
+              { a = 0; b = 1; parts = [ Gate.Cnot (0, 1); Gate.G1 (Gate.H, 2) ] };
+          ],
+        "SU(4) block has parts outside its qubit pair (0,1)" );
+      ( "qubit outside the register",
+        cnot,
+        None,
+        Circuit.of_validated 2 [ Gate.Cnot (0, 3) ],
+        "touches qubit 3 outside [0, 2)" );
+      ( "non-adjacent pair",
+        cnot,
+        Some (Topology.line 4),
+        Circuit.create 4 [ Gate.Cnot (0, 1); Gate.Cnot (0, 2) ],
+        "acts on non-adjacent physical qubits (0,2)" );
+      ( "register wider than the device",
+        cnot,
+        Some (Topology.line 3),
+        Circuit.create 5 [ Gate.Cnot (0, 1); Gate.Cnot (3, 4) ],
+        "circuit has 5 qubits but the device only 3" );
+    ]
+  in
+  List.iter
+    (fun (name, isa, topology, c, expected) ->
+      let diags = structural_messages ~isa ?topology c in
+      Alcotest.(check (list string))
+        (name ^ ": same violations")
+        diags
+        (conformance_messages ~isa ?topology c);
+      if not (List.exists (fun m -> string_contains m expected) diags) then
+        Alcotest.failf "%s: no %S among %s" name expected
+          (String.concat "; " diags))
+    cases;
+  Alcotest.(check (list string))
+    "clean circuit" []
+    (structural_messages ~isa:cnot ~topology:(Topology.line 3)
+       (Circuit.create 3 [ Gate.Cnot (0, 1); Gate.Cnot (1, 2) ]))
+
 (* --- finding rendering --------------------------------------------------- *)
 
 let test_finding_json () =
@@ -428,8 +515,12 @@ let test_finding_json () =
   Alcotest.(check string)
     "json object"
     "{\"analysis\":\"isa-conformance\",\"severity\":\"error\",\"location\":{\"kind\":\"gate\",\"index\":3},\"message\":\"bad \\\"gate\\\"\"}"
-    (Finding.to_json f);
-  Alcotest.(check string) "empty list" "[]" (Finding.list_to_json []);
+    (Phoenix_util.Json.to_string (Finding.to_json f));
+  Alcotest.(check string)
+    "global location"
+    "{\"analysis\":\"liveness\",\"severity\":\"warning\",\"location\":{\"kind\":\"global\"},\"message\":\"m\"}"
+    (Phoenix_util.Json.to_string
+       (Finding.to_json (Finding.warning ~analysis:"liveness" "m")));
   Alcotest.(check string)
     "summary" "1 error, 0 warnings, 0 notes"
     (Finding.summary [ f ])
@@ -453,6 +544,8 @@ let () =
           Alcotest.test_case "metrics drift" `Quick test_catches_metrics_drift;
           Alcotest.test_case "dangling qubit" `Quick test_catches_dangling_qubit;
           Alcotest.test_case "registry selection" `Quick test_registry_selection;
+          Alcotest.test_case "structural = conformance analyses" `Quick
+            test_structural_equals_conformance;
         ] );
       ( "tableau",
         [

@@ -373,30 +373,44 @@ let test_route_allocation_per_gate () =
 
 (* --- per-pass allocation does not depend on the minor heap ------------ *)
 
-(* Per-pass words of a one-domain, cache-off compile run with a minor
-   heap of [words] words; the previous GC settings are restored.  Major
-   words counted only when a collection flushes the domain's counters
-   would move between passes as the minor heap size moves the
-   collections. *)
-let pass_words ~minor_heap spec =
+(* Run [f] with a minor heap of [words] words; the previous GC settings
+   are restored.  Major words counted only when a collection flushes the
+   domain's counters would move between trace entries as the minor heap
+   size moves the collections. *)
+let with_minor_heap words f =
   let saved = Gc.get () in
-  Gc.set { saved with Gc.minor_heap_size = minor_heap };
-  Fun.protect
-    ~finally:(fun () -> Gc.set saved)
-    (fun () ->
-      let options =
-        { (opts ()) with Compiler.domains = 1; cache = Phoenix_cache.Cache.Off }
-      in
+  Gc.set { saved with Gc.minor_heap_size = words };
+  Fun.protect ~finally:(fun () -> Gc.set saved) f
+
+let one_domain_no_cache () =
+  { (opts ()) with Compiler.domains = 1; cache = Phoenix_cache.Cache.Off }
+
+(* Per-entry words of a one-domain, cache-off compile of [spec] plus a
+   bind of its template with every parameter at 1.0. *)
+let entry_words ~minor_heap spec =
+  let options = one_domain_no_cache () in
+  let tmpl =
+    match
+      Registry.compile_template ~options (entry "phoenix") (workload spec)
+    with
+    | Ok t -> t
+    | Error msg -> Alcotest.failf "%s: %s" spec msg
+  in
+  let theta = Array.make (Phoenix.Template.num_parameters tmpl) 1.0 in
+  with_minor_heap minor_heap (fun () ->
       let r = Registry.compile ~options (entry "phoenix") (workload spec) in
-      List.map (fun e -> e.Pass.pass, e.Pass.alloc_words) r.Compiler.trace)
+      let _, bind = Phoenix.Template.bind_with_trace tmpl theta in
+      List.map
+        (fun e -> e.Pass.pass, e.Pass.alloc_words)
+        (r.Compiler.trace @ bind))
 
 let test_alloc_independent_of_minor_heap () =
   List.iter
     (fun spec ->
-      (* a first compile takes the one-time initializations *)
-      ignore (pass_words ~minor_heap:(Gc.get ()).Gc.minor_heap_size spec);
-      let small = pass_words ~minor_heap:65536 spec in
-      let large = pass_words ~minor_heap:(8 * 1024 * 1024) spec in
+      (* a first run takes the one-time initializations *)
+      ignore (entry_words ~minor_heap:(Gc.get ()).Gc.minor_heap_size spec);
+      let small = entry_words ~minor_heap:65536 spec in
+      let large = entry_words ~minor_heap:(8 * 1024 * 1024) spec in
       List.iter2
         (fun (pass, a) (_, b) ->
           if a < 0.0 || b < 0.0 then
@@ -417,9 +431,7 @@ let test_alloc_independent_of_minor_heap () =
    words per output gate; one flat buffer through peephole, rebase and
    folding leaves mostly the output gates themselves. *)
 let test_lower_allocation_per_gate () =
-  let options =
-    { (opts ()) with Compiler.domains = 1; cache = Phoenix_cache.Cache.Off }
-  in
+  let options = one_domain_no_cache () in
   let r =
     Registry.compile ~options (entry "phoenix") (workload "uccsd:CH2_cmplt_BK")
   in

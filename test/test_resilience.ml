@@ -245,7 +245,8 @@ let test_deadline_degrades_and_verifies () =
     >= Circuit.length ref_r.Compiler.circuit);
   (* and the trace carries the aggregated steps *)
   let json =
-    Pass.trace_to_json ~degradations:r.Compiler.degradations r.Compiler.trace
+    Phoenix_util.Json.to_string
+      (Pass.trace_json ~degradations:r.Compiler.degradations r.Compiler.trace)
   in
   let contains s =
     let n = String.length json and m = String.length s in

@@ -715,6 +715,29 @@ let test_json_roundtrip () =
       | Ok _ -> Alcotest.failf "accepted malformed %S" s)
     [ "{"; "[1,]"; "{\"a\":}"; "nul"; "\"unterminated"; "1 2"; "{1:2}" ]
 
+(* --- findings ------------------------------------------------------------ *)
+
+(* A lint response's findings are [Finding.to_json] objects, the same as
+   [phoenix analyze --json] prints: a hamiltonian job and a qasm job. *)
+let test_lint_findings_shape () =
+  List.iter
+    (fun (name, source) ->
+      let resp = reference_response [ source; b "lint" true; b "dump" false ] in
+      match Json.arr (field "findings" resp) with
+      | Some (_ :: _ as findings) ->
+        List.iter
+          (fun f ->
+            Alcotest.(check (list string))
+              (name ^ " finding keys")
+              [ "analysis"; "severity"; "location"; "message" ]
+              (match f with Json.Obj kvs -> List.map fst kvs | _ -> []);
+            if Json.str (field "kind" (field "location" f)) = None then
+              Alcotest.failf "%s: location without a kind: %s" name
+                (Json.to_string f))
+          findings
+      | _ -> Alcotest.failf "%s: a lint response carries no findings" name)
+    [ ("tfim:4", w "workload" "tfim:4"); ("qasm", w "qasm" qasm_text) ]
+
 (* --- self test ---------------------------------------------------------- *)
 
 let test_self_test () =
@@ -731,6 +754,8 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick test_request_defaults;
           Alcotest.test_case "id recovery" `Quick test_request_id_recovery;
+          Alcotest.test_case "lint findings carry a location" `Quick
+            test_lint_findings_shape;
         ] );
       ( "jobqueue",
         [
