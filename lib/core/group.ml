@@ -31,9 +31,10 @@ let finish_groups n newest_first =
    Trotter-level reordering and the gadget starts a fresh group. *)
 let group_gadgets_ordered n gadgets =
   let groups = ref [] in
+  let key = Bitvec.create n in
   List.iter
     (fun ((p, _) as gadget) ->
-      let key = Pauli_string.support p in
+      Pauli_string.support_into p key;
       if not (Bitvec.is_zero key) then begin
         let rec find = function
           | [] -> None
@@ -46,26 +47,30 @@ let group_gadgets_ordered n gadgets =
         in
         match find !groups with
         | Some cell -> cell := gadget :: !cell
-        | None -> groups := (key, ref [ gadget ]) :: !groups
+        | None -> groups := (Bitvec.copy key, ref [ gadget ]) :: !groups
       end)
     gadgets;
   finish_groups n !groups
 
+(* Each gadget's support is built into one scratch vector and looked up
+   with it; only a gadget that starts a group copies it. *)
 let group_gadgets ?(exact = false) n gadgets =
   if exact then group_gadgets_ordered n gadgets
   else begin
     let table = Support_table.create 64 in
     let order = ref [] in
+    let key = Bitvec.create n in
     List.iter
       (fun ((p, _) as gadget) ->
-        let key = Pauli_string.support p in
+        Pauli_string.support_into p key;
         if not (Bitvec.is_zero key) then
           match Support_table.find_opt table key with
           | Some cell -> cell := gadget :: !cell
           | None ->
+            let support = Bitvec.copy key in
             let cell = ref [ gadget ] in
-            Support_table.add table key cell;
-            order := (key, cell) :: !order)
+            Support_table.add table support cell;
+            order := (support, cell) :: !order)
       gadgets;
     finish_groups n !order
   end

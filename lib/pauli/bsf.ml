@@ -46,7 +46,7 @@ type t = {
 
 type row = { pauli : Pauli_string.t; neg : bool; angle : float }
 
-let tri c = c * (c - 1) / 2
+let[@inline] tri c = c * (c - 1) / 2
 
 let fresh_stats n =
   {
@@ -91,6 +91,18 @@ let set_cz st q v =
 
 (* --- flat-layout primitives -------------------------------------------- *)
 
+(* [Bitvec.popcount_word] and [Bitvec.ctz_word], kept here so the word
+   loops of this module inline them: a call to another module's function
+   is never inlined under [-opaque] (dune's dev profile), and every such
+   call would be an indirect one. *)
+let[@inline] popcount w =
+  let w = w - ((w lsr 1) land 0x1555555555555555) in
+  let w = (w land 0x3333333333333333) + ((w lsr 2) land 0x3333333333333333) in
+  let w = (w + (w lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (w * 0x0101010101010101) lsr 56
+
+let[@inline] ctz w = popcount ((w land -w) - 1)
+
 let[@inline] stride t = 2 * t.wpr
 let num_qubits t = t.n
 let num_rows t = Arena.rows t.ar
@@ -112,7 +124,7 @@ let iter_slice_bits f buf off nw =
     let w = ref (Array.unsafe_get buf (off + k)) in
     let b = k * bpw in
     while !w <> 0 do
-      f (b + Bitvec.ctz_word !w);
+      f (b + ctz !w);
       w := !w land (!w - 1)
     done
   done
@@ -122,7 +134,7 @@ let slice_or_popcount buf o1 o2 nw =
   for k = 0 to nw - 1 do
     acc :=
       !acc
-      + Bitvec.popcount_word
+      + popcount
           (Array.unsafe_get buf (o1 + k) lor Array.unsafe_get buf (o2 + k))
   done;
   !acc
@@ -138,7 +150,7 @@ let account_slice st dir buf xo zo nw w =
     let w = ref w in
     let b = k * bpw in
     while !w <> 0 do
-      let q = b + Bitvec.ctz_word !w in
+      let q = b + ctz !w in
       set_c st q (st.col_c.(q) + dir);
       w := !w land (!w - 1)
     done
@@ -468,9 +480,9 @@ let rows_commute t i j =
   for k = 0 to t.wpr - 1 do
     acc :=
       !acc
-      + Bitvec.popcount_word
+      + popcount
           (Array.unsafe_get buf (xi + k) land Array.unsafe_get buf (zj + k))
-      + Bitvec.popcount_word
+      + popcount
           (Array.unsafe_get buf (zi + k) land Array.unsafe_get buf (xj + k))
   done;
   !acc mod 2 = 0
@@ -521,7 +533,7 @@ let pop_local_rows ?(commuting_only = false) t =
 (* The Eq. 6 combination, shared verbatim by the incremental cost, the
    delta engine and the pairwise reference so all three agree to the last
    ulp whenever their integer counters agree. *)
-let cost_of_counters ~rows ~w_tot ~n_nl ~sum_c ~tri_c ~sum_cx ~tri_cx ~sum_cz
+let[@inline] cost_of_counters ~rows ~w_tot ~n_nl ~sum_c ~tri_c ~sum_cx ~tri_cx ~sum_cz
     ~tri_cz =
   let pair_sup = ((rows - 1) * sum_c) - tri_c in
   let pair_x = ((rows - 1) * sum_cx) - tri_cx in
@@ -578,36 +590,47 @@ let cost_reference t =
   +. float_of_int !pair_sup
   +. (0.5 *. float_of_int (!pair_x + !pair_z))
 
-(* --- Allocation-free candidate evaluation -------------------------------
+(* --- The greedy pair scan ---------------------------------------------
 
    A candidate 2Q Clifford on (a,b) only rewrites columns a and b, so its
-   effect on the cost is a function of those two columns alone.  The
-   workspace transposes them into row-indexed words once per qubit pair;
-   each candidate then costs a handful of word-parallel XOR/popcount
-   passes over R bits — no tableau copy, no conjugation, no pair loop. *)
+   effect on the cost is a function of those two columns and the global
+   counters.  [Delta.best] transposes every support column into
+   row-indexed words once per epoch, then scores the nine generators of
+   each qubit pair together: the XOR images of the pair's four columns
+   are built and counted once, and each generator costs three popcounts
+   per row word — no tableau copy, no conjugation, no pair loop, and no
+   allocation once the workspace has grown.
+
+   The scan stays in this module, with the popcount above inlined into
+   it (see [popcount]). *)
 module Delta = struct
-  let bpw = Bitvec.bits_per_word
-
   (* Conjugation by a generator is GF(2)-linear on the four operand
-     columns (signs do not affect the cost), so each (kind, operand
-     order) reduces to four 4-bit masks: new column = XOR of the old
-     columns selected by the mask.  The masks are derived once at module
-     init by pushing symbolic basis masks through [Clifford2q.decompose]
-     — the exact instruction sequence [apply_clifford2q] executes — so
-     they cannot drift from the tableau semantics. *)
-  let kind_index = function
-    | Clifford2q.CXX -> 0
-    | Clifford2q.CYY -> 1
-    | Clifford2q.CZZ -> 2
-    | Clifford2q.CXY -> 3
-    | Clifford2q.CYZ -> 4
-    | Clifford2q.CZX -> 5
+     columns (signs do not affect the cost), so each generator reduces
+     to four 4-bit masks over basis bits 1=xa, 2=za, 4=xb, 8=zb: new
+     column = XOR of the old columns its mask selects, i.e. the XOR
+     image of that mask.  The masks are derived at module init by
+     pushing symbolic basis masks through [Clifford2q.decompose] — the
+     exact instruction sequence [apply_clifford2q] executes — so they
+     cannot drift from the tableau semantics.
 
-  (* masks.(2·kind + order): order 0 = gate on (a,b), 1 = gate on (b,a);
-     each entry is (m_xa, m_za, m_xb, m_zb) over basis bits
-     1=xa, 2=za, 4=xb, 8=zb. *)
-  let col_masks =
-    let compute kind swapped =
+     The nine generators of a pair are (kind index, kind, swapped): the
+     six kinds on (a,b) plus the three asymmetric ones on (b,a), in
+     [Clifford2q.all_kinds] order, whose index the tie-break rank
+     uses. *)
+  let gens =
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun ki kind ->
+              if Clifford2q.is_symmetric kind then [ ki, kind, false ]
+              else [ ki, kind, false; ki, kind, true ])
+            Clifford2q.all_kinds))
+
+  let num_gens = Array.length gens
+
+  (* gen_masks.(4·g + c), c = 0..3: the masks of new xa, za, xb, zb *)
+  let gen_masks =
+    let masks (_, kind, swapped) =
       let xa = ref 1 and za = ref 2 and xb = ref 4 and zb = ref 8 in
       (* qubit 0 stands for column a, qubit 1 for column b *)
       let col_x q = if q = 0 then xa else xb in
@@ -629,230 +652,241 @@ module Delta = struct
             (col_x t) := !(col_x t) lxor !(col_x c);
             (col_z c) := !(col_z c) lxor !(col_z t))
         (Clifford2q.decompose gate);
-      !xa, !za, !xb, !zb
+      [| !xa; !za; !xb; !zb |]
     in
-    Array.init 12 (fun i ->
-        let kind = List.nth Clifford2q.all_kinds (i / 2) in
-        compute kind (i mod 2 = 1))
+    Array.concat (Array.to_list (Array.map masks gens))
+
+  (* The images a generator uses that are not one of the four original
+     columns: these are the only ones whose counts the scan computes. *)
+  let counted_images =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.filter
+            (fun m -> m land (m - 1) <> 0)
+            (Array.to_list gen_masks)))
 
   type ws = {
-    mutable nwords : int;
-    (* column a / b of the x and z halves, transposed to row-major bits *)
-    mutable xa : int array;
-    mutable za : int array;
-    mutable xb : int array;
-    mutable zb : int array;
-    (* rows whose weight outside {a,b} is 0 / 1: the only rows whose
-       local/nonlocal status a candidate can change *)
+    mutable sup : int array; (* support qubits, ascending; [0, k) live *)
+    (* column of support position p, as row bits: words [p·nw, (p+1)·nw) *)
+    mutable colx : int array;
+    mutable colz : int array;
+    (* rows of cached weight 1 / 2: words [(w-1)·nw, w·nw) *)
+    mutable wmask : int array;
+    (* per pair: XOR image of mask m at [m·nw + word] *)
+    mutable img : int array;
+    (* per pair: the rows whose local/nonlocal status a generator can
+       change (see [best]) *)
     mutable m0 : int array;
-    mutable m1 : int array;
-    mutable qa : int;
-    mutable qb : int;
-    mutable nl_before : int; (* nonlocal rows of m0/m1 under current cols *)
-    (* snapshot of the tableau counters at load time *)
-    mutable s_rows : int;
-    mutable s_w_tot : int;
-    mutable s_n_nl : int;
-    mutable s_sum_c : int;
-    mutable s_tri_c : int;
-    mutable s_sum_cx : int;
-    mutable s_tri_cx : int;
-    mutable s_sum_cz : int;
-    mutable s_tri_cz : int;
-    mutable ca : int;
-    mutable cb : int;
-    mutable cxa : int;
-    mutable cxb : int;
-    mutable cza : int;
-    mutable czb : int;
+    cnt : int array; (* per pair: set bits of image m, all words *)
   }
 
   let create () =
     {
-      nwords = 0;
-      xa = [||];
-      za = [||];
-      xb = [||];
-      zb = [||];
+      sup = [||];
+      colx = [||];
+      colz = [||];
+      wmask = [||];
+      img = [||];
       m0 = [||];
-      m1 = [||];
-      qa = -1;
-      qb = -1;
-      nl_before = 0;
-      s_rows = 0;
-      s_w_tot = 0;
-      s_n_nl = 0;
-      s_sum_c = 0;
-      s_tri_c = 0;
-      s_sum_cx = 0;
-      s_tri_cx = 0;
-      s_sum_cz = 0;
-      s_tri_cz = 0;
-      ca = 0;
-      cb = 0;
-      cxa = 0;
-      cxb = 0;
-      cza = 0;
-      czb = 0;
+      cnt = Array.make 16 0;
     }
 
-  let ensure_capacity ws nw =
-    if Array.length ws.xa < nw then begin
-      ws.xa <- Array.make nw 0;
-      ws.za <- Array.make nw 0;
-      ws.xb <- Array.make nw 0;
-      ws.zb <- Array.make nw 0;
-      ws.m0 <- Array.make nw 0;
-      ws.m1 <- Array.make nw 0
-    end
-    else
-      for wi = 0 to nw - 1 do
-        ws.xa.(wi) <- 0;
-        ws.za.(wi) <- 0;
-        ws.xb.(wi) <- 0;
-        ws.zb.(wi) <- 0;
-        ws.m0.(wi) <- 0;
-        ws.m1.(wi) <- 0
-      done
+  let grow arr len = if Array.length arr < len then Array.make len 0 else arr
 
-  let load ws t ~a ~b =
-    if a = b then invalid_arg "Bsf.Delta.load: qubits must differ";
-    if a < 0 || a >= t.n || b < 0 || b >= t.n then
-      invalid_arg "Bsf.Delta.load: qubit out of range";
+  let[@inline] nz c = if c > 0 then 1 else 0
+
+  (* One epoch's setup: the support, its columns as row words and the
+     two weight masks, all indexed by support position so a tableau
+     over a wide register costs its support. *)
+  let load ws t ~k ~nw =
     let rows = num_rows t in
-    let nw = (rows + bpw - 1) / bpw in
-    ensure_capacity ws (max nw 1);
-    ws.nwords <- nw;
-    ws.qa <- a;
-    ws.qb <- b;
     let buf = Arena.buffer t.ar in
-    let s = stride t in
-    let wpr = t.wpr in
-    let wa = a / bpw and sha = a mod bpw in
-    let wb = b / bpw and shb = b mod bpw in
+    let s = stride t and wpr = t.wpr in
+    ws.sup <- grow ws.sup k;
+    ws.colx <- grow ws.colx (k * nw);
+    ws.colz <- grow ws.colz (k * nw);
+    ws.wmask <- grow ws.wmask (2 * nw);
+    ws.img <- grow ws.img (16 * nw);
+    ws.m0 <- grow ws.m0 nw;
+    let sup = ws.sup in
+    let p = ref 0 in
+    for w = 0 to wpr - 1 do
+      let acc = ref 0 in
+      for i = 0 to rows - 1 do
+        let base = (i * s) + w in
+        acc :=
+          !acc lor Array.unsafe_get buf base lor Array.unsafe_get buf (base + wpr)
+      done;
+      while !acc <> 0 do
+        sup.(!p) <- (w * bpw) + ctz !acc;
+        incr p;
+        acc := !acc land (!acc - 1)
+      done
+    done;
+    if !p <> k then invalid_arg "Bsf.Delta.best: support out of sync with w_tot";
+    for p = 0 to k - 1 do
+      let q = Array.unsafe_get sup p in
+      let wq = q / bpw and sh = q mod bpw in
+      for wi = 0 to nw - 1 do
+        let xw = ref 0 and zw = ref 0 in
+        for i = wi * bpw to min rows ((wi + 1) * bpw) - 1 do
+          let base = (i * s) + wq in
+          let bit = i - (wi * bpw) in
+          xw := !xw lor (((Array.unsafe_get buf base lsr sh) land 1) lsl bit);
+          zw :=
+            !zw lor (((Array.unsafe_get buf (base + wpr) lsr sh) land 1) lsl bit)
+        done;
+        Array.unsafe_set ws.colx ((p * nw) + wi) !xw;
+        Array.unsafe_set ws.colz ((p * nw) + wi) !zw
+      done
+    done;
+    Array.fill ws.wmask 0 (2 * nw) 0;
     for i = 0 to rows - 1 do
-      let base = i * s in
-      let xbits =
-        ((Array.unsafe_get buf (base + wa) lsr sha) land 1)
-        lor (((Array.unsafe_get buf (base + wb) lsr shb) land 1) lsl 1)
-      in
-      let zbits =
-        ((Array.unsafe_get buf (base + wpr + wa) lsr sha) land 1)
-        lor (((Array.unsafe_get buf (base + wpr + wb) lsr shb) land 1) lsl 1)
-      in
-      let wi = i / bpw in
-      let bit = 1 lsl (i mod bpw) in
-      if xbits land 1 <> 0 then ws.xa.(wi) <- ws.xa.(wi) lor bit;
-      if xbits land 2 <> 0 then ws.xb.(wi) <- ws.xb.(wi) lor bit;
-      if zbits land 1 <> 0 then ws.za.(wi) <- ws.za.(wi) lor bit;
-      if zbits land 2 <> 0 then ws.zb.(wi) <- ws.zb.(wi) lor bit;
-      let sup = xbits lor zbits in
-      let w_out =
-        Array.unsafe_get t.wts i - (sup land 1) - ((sup lsr 1) land 1)
-      in
-      if w_out = 0 then ws.m0.(wi) <- ws.m0.(wi) lor bit
-      else if w_out = 1 then ws.m1.(wi) <- ws.m1.(wi) lor bit
-    done;
-    let nl = ref 0 in
-    for wi = 0 to nw - 1 do
-      let sa = ws.xa.(wi) lor ws.za.(wi) and sb = ws.xb.(wi) lor ws.zb.(wi) in
-      nl :=
-        !nl
-        + Bitvec.popcount_word (ws.m1.(wi) land (sa lor sb))
-        + Bitvec.popcount_word (ws.m0.(wi) land sa land sb)
-    done;
-    ws.nl_before <- !nl;
-    let st = t.st in
-    ws.s_rows <- rows;
-    ws.s_w_tot <- st.w_tot;
-    ws.s_n_nl <- st.n_nl;
-    ws.s_sum_c <- st.sum_c;
-    ws.s_tri_c <- st.tri_c;
-    ws.s_sum_cx <- st.sum_cx;
-    ws.s_tri_cx <- st.tri_cx;
-    ws.s_sum_cz <- st.sum_cz;
-    ws.s_tri_cz <- st.tri_cz;
-    ws.ca <- st.col_c.(a);
-    ws.cb <- st.col_c.(b);
-    ws.cxa <- st.col_cx.(a);
-    ws.cxb <- st.col_cx.(b);
-    ws.cza <- st.col_cz.(a);
-    ws.czb <- st.col_cz.(b)
+      let w = Array.unsafe_get t.wts i in
+      if w = 1 || w = 2 then begin
+        let slot = ((w - 1) * nw) + (i / bpw) in
+        Array.unsafe_set ws.wmask slot
+          (Array.unsafe_get ws.wmask slot lor (1 lsl (i mod bpw)))
+      end
+    done
 
-  (* Resulting [cost] of the tableau the workspace was loaded from, were
-     [gate] (on the loaded qubit pair) applied — without applying it.
-     One fused pass over the column words: the candidate's columns are
-     formed on the fly from the precomputed masks (XOR of at most four
-     words each) and reduced to the six popcounts plus the nonlocality
-     correction.  No allocation, no branches on the decomposition. *)
-  let eval_masked ws ki order =
-    let mxa, mza, mxb, mzb = col_masks.((2 * ki) + order) in
-    let nw = ws.nwords in
-    let cxa_n = ref 0
-    and cza_n = ref 0
-    and ca_n = ref 0
-    and cxb_n = ref 0
-    and czb_n = ref 0
-    and cb_n = ref 0
-    and nl_after = ref 0 in
-    for wi = 0 to nw - 1 do
-      let oxa = Array.unsafe_get ws.xa wi
-      and oza = Array.unsafe_get ws.za wi
-      and oxb = Array.unsafe_get ws.xb wi
-      and ozb = Array.unsafe_get ws.zb wi in
-      let sel m =
-        (if m land 1 <> 0 then oxa else 0)
-        lxor (if m land 2 <> 0 then oza else 0)
-        lxor (if m land 4 <> 0 then oxb else 0)
-        lxor (if m land 8 <> 0 then ozb else 0)
+  (* A generator maps a row's (a,b) part (xa, za, xb, zb) linearly and
+     invertibly, so a zero part stays zero and a non-zero one non-zero:
+     a row with a qubit outside {a,b} keeps its local/nonlocal status.
+     Only the rows [m0] whose support lies within {a,b} and is not empty
+     — weight-1 rows on a or b, weight-2 rows on exactly {a,b} — can
+     change, and such a row is nonlocal iff both columns are set.
+
+     The rank of a candidate is its position in the kind-major
+     enumeration of the historical copy-and-apply search: (kind, first
+     operand, second operand), operands by support position.  One
+     [Budget.checkpoint] per first operand keeps the probe off the
+     candidate loop while bounding the time to notice an expired
+     budget. *)
+  let best ws t =
+    let k = t.st.w_tot in
+    if k < 2 then None
+    else begin
+      let rows = num_rows t in
+      let nw = (rows + bpw - 1) / bpw in
+      load ws t ~k ~nw;
+      let st = t.st in
+      let sup = ws.sup and colx = ws.colx and colz = ws.colz in
+      let wmask = ws.wmask and img = ws.img and cnt = ws.cnt in
+      let m0s = ws.m0 in
+      let best_cost = ref infinity and best_rank = ref max_int in
+      let best_g = ref (-1) and best_pi = ref 0 and best_pj = ref 0 in
+      for pi = 0 to k - 1 do
+        Phoenix_util.Budget.checkpoint ();
+        let a = Array.unsafe_get sup pi in
+        for pj = pi + 1 to k - 1 do
+          let b = Array.unsafe_get sup pj in
+          (* Images, their counts and the row classes, once per pair. *)
+          let nl_before = ref 0 in
+          for j = 0 to Array.length counted_images - 1 do
+            Array.unsafe_set cnt (Array.unsafe_get counted_images j) 0
+          done;
+          for wi = 0 to nw - 1 do
+            let xa = Array.unsafe_get colx ((pi * nw) + wi)
+            and za = Array.unsafe_get colz ((pi * nw) + wi)
+            and xb = Array.unsafe_get colx ((pj * nw) + wi)
+            and zb = Array.unsafe_get colz ((pj * nw) + wi) in
+            let sa = xa lor za and sb = xb lor zb in
+            let both = sa land sb in
+            let m0 =
+              (Array.unsafe_get wmask wi land (sa lxor sb))
+              lor (Array.unsafe_get wmask (nw + wi) land both)
+            in
+            Array.unsafe_set m0s wi m0;
+            nl_before := !nl_before + popcount (m0 land both);
+            Array.unsafe_set img (nw + wi) xa;
+            Array.unsafe_set img ((2 * nw) + wi) za;
+            Array.unsafe_set img ((4 * nw) + wi) xb;
+            Array.unsafe_set img ((8 * nw) + wi) zb;
+            for m = 3 to 15 do
+              let low = m land -m in
+              if m <> low then
+                Array.unsafe_set img ((m * nw) + wi)
+                  (Array.unsafe_get img (((m - low) * nw) + wi)
+                  lxor Array.unsafe_get img ((low * nw) + wi))
+            done;
+            for j = 0 to Array.length counted_images - 1 do
+              let m = Array.unsafe_get counted_images j in
+              Array.unsafe_set cnt m
+                (Array.unsafe_get cnt m
+                + popcount (Array.unsafe_get img ((m * nw) + wi)))
+            done
+          done;
+          let ca = st.col_c.(a) and cb = st.col_c.(b) in
+          Array.unsafe_set cnt 1 st.col_cx.(a);
+          Array.unsafe_set cnt 2 st.col_cz.(a);
+          Array.unsafe_set cnt 4 st.col_cx.(b);
+          Array.unsafe_set cnt 8 st.col_cz.(b);
+          (* the counters with columns a and b taken out *)
+          let w_tot0 = st.w_tot - nz ca - nz cb
+          and n_nl0 = st.n_nl - !nl_before
+          and sum_c0 = st.sum_c - ca - cb
+          and tri_c0 = st.tri_c - tri ca - tri cb
+          and sum_cx0 = st.sum_cx - cnt.(1) - cnt.(4)
+          and tri_cx0 = st.tri_cx - tri cnt.(1) - tri cnt.(4)
+          and sum_cz0 = st.sum_cz - cnt.(2) - cnt.(8)
+          and tri_cz0 = st.tri_cz - tri cnt.(2) - tri cnt.(8) in
+          for g = 0 to num_gens - 1 do
+            let mxa = Array.unsafe_get gen_masks (4 * g)
+            and mza = Array.unsafe_get gen_masks ((4 * g) + 1)
+            and mxb = Array.unsafe_get gen_masks ((4 * g) + 2)
+            and mzb = Array.unsafe_get gen_masks ((4 * g) + 3) in
+            let ca' = ref 0 and cb' = ref 0 and nl = ref 0 in
+            for wi = 0 to nw - 1 do
+              let sa =
+                Array.unsafe_get img ((mxa * nw) + wi)
+                lor Array.unsafe_get img ((mza * nw) + wi)
+              and sb =
+                Array.unsafe_get img ((mxb * nw) + wi)
+                lor Array.unsafe_get img ((mzb * nw) + wi)
+              in
+              ca' := !ca' + popcount sa;
+              cb' := !cb' + popcount sb;
+              nl := !nl + popcount (Array.unsafe_get m0s wi land sa land sb)
+            done;
+            let ca' = !ca' and cb' = !cb' in
+            let cxa = Array.unsafe_get cnt mxa
+            and cza = Array.unsafe_get cnt mza
+            and cxb = Array.unsafe_get cnt mxb
+            and czb = Array.unsafe_get cnt mzb in
+            let cost =
+              cost_of_counters ~rows ~w_tot:(w_tot0 + nz ca' + nz cb')
+                ~n_nl:(n_nl0 + !nl) ~sum_c:(sum_c0 + ca' + cb')
+                ~tri_c:(tri_c0 + tri ca' + tri cb')
+                ~sum_cx:(sum_cx0 + cxa + cxb)
+                ~tri_cx:(tri_cx0 + tri cxa + tri cxb)
+                ~sum_cz:(sum_cz0 + cza + czb)
+                ~tri_cz:(tri_cz0 + tri cza + tri czb)
+            in
+            let rank =
+              let ki, _, swapped = Array.unsafe_get gens g in
+              if swapped then (((ki * k) + pj) * k) + pi
+              else (((ki * k) + pi) * k) + pj
+            in
+            if cost < !best_cost || (cost = !best_cost && rank < !best_rank)
+            then begin
+              best_cost := cost;
+              best_rank := rank;
+              best_g := g;
+              best_pi := pi;
+              best_pj := pj
+            end
+          done
+        done
+      done;
+      let _, kind, swapped = gens.(!best_g) in
+      let a = sup.(!best_pi) and b = sup.(!best_pj) in
+      let gate =
+        if swapped then Clifford2q.make kind b a else Clifford2q.make kind a b
       in
-      let xaw = sel mxa
-      and zaw = sel mza
-      and xbw = sel mxb
-      and zbw = sel mzb in
-      let sa = xaw lor zaw and sb = xbw lor zbw in
-      cxa_n := !cxa_n + Bitvec.popcount_word xaw;
-      cza_n := !cza_n + Bitvec.popcount_word zaw;
-      ca_n := !ca_n + Bitvec.popcount_word sa;
-      cxb_n := !cxb_n + Bitvec.popcount_word xbw;
-      czb_n := !czb_n + Bitvec.popcount_word zbw;
-      cb_n := !cb_n + Bitvec.popcount_word sb;
-      nl_after :=
-        !nl_after
-        + Bitvec.popcount_word (Array.unsafe_get ws.m1 wi land (sa lor sb))
-        + Bitvec.popcount_word (Array.unsafe_get ws.m0 wi land sa land sb)
-    done;
-    let nz c = if c > 0 then 1 else 0 in
-    cost_of_counters ~rows:ws.s_rows
-      ~w_tot:(ws.s_w_tot - nz ws.ca - nz ws.cb + nz !ca_n + nz !cb_n)
-      ~n_nl:(ws.s_n_nl - ws.nl_before + !nl_after)
-      ~sum_c:(ws.s_sum_c - ws.ca - ws.cb + !ca_n + !cb_n)
-      ~tri_c:(ws.s_tri_c - tri ws.ca - tri ws.cb + tri !ca_n + tri !cb_n)
-      ~sum_cx:(ws.s_sum_cx - ws.cxa - ws.cxb + !cxa_n + !cxb_n)
-      ~tri_cx:(ws.s_tri_cx - tri ws.cxa - tri ws.cxb + tri !cxa_n + tri !cxb_n)
-      ~sum_cz:(ws.s_sum_cz - ws.cza - ws.czb + !cza_n + !czb_n)
-      ~tri_cz:(ws.s_tri_cz - tri ws.cza - tri ws.czb + tri !cza_n + tri !czb_n)
-
-  (* Allocation-free entry point for search loops: score [kind] on the
-     loaded pair, operands (a,b) — or (b,a) with [swapped] — without
-     materializing a gate record. *)
-  let eval_kind ws kind ~swapped =
-    eval_masked ws (kind_index kind) (if swapped then 1 else 0)
-
-  let eval ws (gate : Clifford2q.t) =
-    let ga = gate.Clifford2q.a and gb = gate.Clifford2q.b in
-    let order =
-      if ga = ws.qa && gb = ws.qb then 0
-      else if ga = ws.qb && gb = ws.qa then 1
-      else invalid_arg "Bsf.Delta.eval: gate does not act on the loaded pair"
-    in
-    eval_masked ws (kind_index gate.Clifford2q.kind) order
+      Some (gate, !best_cost)
+    end
 end
-
-let eval_clifford2q_delta t gate =
-  let ws = Delta.create () in
-  Delta.load ws t ~a:gate.Clifford2q.a ~b:gate.Clifford2q.b;
-  Delta.eval ws gate -. cost t
 
 let to_terms t =
   List.init (num_rows t) (fun i ->

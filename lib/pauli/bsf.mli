@@ -11,7 +11,7 @@
     The tableau additionally maintains a column-statistics layer (per-column
     support counts, per-row weights, and their aggregate sums), which makes
     {!cost}, {!total_weight}, {!nonlocal_count} and {!row_weight} O(1) and
-    powers the allocation-free candidate evaluation of {!Delta}. *)
+    powers the greedy pair scan of {!Delta}. *)
 
 type t
 
@@ -108,42 +108,36 @@ val cost_reference : t -> float
     straight from the bit vectors, bypassing the incremental counters.
     Test oracle for {!cost} and {!Delta}. *)
 
-(** Allocation-free evaluation of candidate 2Q Clifford conjugations.
+(** The greedy search of Algorithm 1: the generator and qubit pair
+    minimizing the BSF cost after conjugation.
 
     A generator on qubits (a,b) only rewrites columns a and b of the
     tableau, so its cost is determined by those two columns plus the
-    global counters.  A workspace transposes the two columns into
-    row-indexed words once per qubit pair ({!Delta.load}, O(R)); every
-    candidate on that pair is then scored with a few word-parallel
-    XOR/popcount passes ({!Delta.eval}, O(R/62) words) — no [copy], no
-    [apply_clifford2q], no pairwise loop, and no allocation after the
-    workspace reaches capacity. *)
+    global counters.  {!Delta.best} transposes the support columns into
+    row-indexed words once per call (O(R·k) for k support qubits), then
+    scores the nine generators of each qubit pair together from the XOR
+    images of the pair's four columns — three popcounts per generator
+    and row word, no [copy], no [apply_clifford2q], no pairwise loop,
+    and no allocation per candidate. *)
 module Delta : sig
   type ws
-  (** Reusable workspace; create once, [load] per qubit pair. *)
+  (** Reusable workspace; create once, pass to every {!best} call.  It
+      grows to the largest tableau it has seen and is not thread-safe. *)
 
   val create : unit -> ws
 
-  val load : ws -> t -> a:int -> b:int -> unit
-  (** Capture columns [a] and [b] (distinct, in range) and the counter
-      snapshot of the tableau.  The workspace is only valid until the
-      tableau is next mutated. *)
-
-  val eval : ws -> Clifford2q.t -> float
-  (** [eval ws gate] is exactly the {!cost} the loaded tableau would have
-      after [apply_clifford2q t gate], for any generator acting on the
-      loaded pair (either operand order).  Raises [Invalid_argument] for
-      a gate on a different pair. *)
-
-  val eval_kind : ws -> Clifford2q.kind -> swapped:bool -> float
-  (** Like {!eval} for the generator [kind] on the loaded pair — operands
-      (a,b), or (b,a) when [swapped] — without allocating a gate value. *)
+  val best : ws -> t -> (Clifford2q.t * float) option
+  (** [best ws t] is the 2Q Clifford generator on an ordered pair of
+      support qubits whose conjugation leaves [t] with the lowest
+      {!cost}, with exactly that cost (the bits [cost] would report
+      after [apply_clifford2q]); [None] when the support has fewer than
+      two qubits.  Ties go to the candidate that comes first in the
+      kind-major enumeration — kinds in [Clifford2q.all_kinds] order,
+      then first operand, then second, by support position — so the
+      winner does not depend on the scan order.  Calls
+      [Phoenix_util.Budget.checkpoint] once per support qubit.  After
+      the workspace has grown, a call allocates only its result. *)
 end
-
-val eval_clifford2q_delta : t -> Clifford2q.t -> float
-(** [eval_clifford2q_delta t g] is
-    [cost (t after g) -. cost t] computed incrementally — one-shot
-    convenience over {!Delta} (allocates a fresh workspace). *)
 
 val to_terms : t -> (Pauli_string.t * float) list
 (** Rows with signs folded into the angles (symbolically, for slot

@@ -53,6 +53,11 @@ let set t q p =
 
 let single n q p = set (identity n) q p
 let support t = Bitvec.logor t.x t.z
+
+let support_into t dst =
+  Bitvec.blit ~src:t.x ~dst;
+  Bitvec.or_into dst t.z
+
 let weight t = Bitvec.or_popcount t.x t.z
 let support_list t = Bitvec.indices (support t)
 let is_identity t = Bitvec.is_zero t.x && Bitvec.is_zero t.z

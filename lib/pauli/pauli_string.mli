@@ -48,6 +48,10 @@ val weight : t -> int
 val support : t -> Phoenix_util.Bitvec.t
 (** Bit [q] set iff qubit [q] is non-identity. *)
 
+val support_into : t -> Phoenix_util.Bitvec.t -> unit
+(** [support_into p dst] overwrites [dst] with [support p] without
+    allocating.  [dst] must have [num_qubits p] bits. *)
+
 val support_list : t -> int list
 (** Ascending indices of non-identity qubits. *)
 

@@ -105,17 +105,25 @@ let hash v =
 let check_same_length a b =
   if a.len <> b.len then invalid_arg "Bitvec: length mismatch"
 
+(* Plain loops rather than [Array.iteri]: the closure it would take
+   captures [dst], so every call would allocate. *)
 let xor_into dst src =
   check_same_length dst src;
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) lxor w) src.words
+  for i = 0 to Array.length src.words - 1 do
+    dst.words.(i) <- dst.words.(i) lxor src.words.(i)
+  done
 
 let or_into dst src =
   check_same_length dst src;
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) lor w) src.words
+  for i = 0 to Array.length src.words - 1 do
+    dst.words.(i) <- dst.words.(i) lor src.words.(i)
+  done
 
 let and_into dst src =
   check_same_length dst src;
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) land w) src.words
+  for i = 0 to Array.length src.words - 1 do
+    dst.words.(i) <- dst.words.(i) land src.words.(i)
+  done
 
 let logxor a b = let r = copy a in xor_into r b; r
 let logor a b = let r = copy a in or_into r b; r

@@ -168,49 +168,95 @@ let prop_incremental_cost_exact =
         counters_agree bsf && counters_agree (Bsf.copy bsf)
       end)
 
-(* Delta evaluation must predict, bit for bit, the cost the tableau would
-   report after actually conjugating — for every generator, on every
-   ordered qubit pair, in both workspace operand orders. *)
-let prop_delta_eval_exact =
-  Helpers.qtest ~count:150 "Delta.eval = cost after apply (all pairs × kinds)"
-    (Helpers.terms_gen nq 6)
-    (fun terms ->
-      let bsf = Bsf.of_terms nq terms in
-      let before = Bsf.cost bsf in
-      let ws = Bsf.Delta.create () in
-      let ok = ref true in
-      for a = 0 to nq - 1 do
-        for b = a + 1 to nq - 1 do
-          Bsf.Delta.load ws bsf ~a ~b;
-          List.iter
-            (fun kind ->
-              List.iter
-                (fun swapped ->
-                  let g =
-                    if swapped then Clifford2q.make kind b a
-                    else Clifford2q.make kind a b
-                  in
-                  let t = Bsf.copy bsf in
-                  Bsf.apply_clifford2q t g;
-                  let actual = Bsf.cost t in
-                  if Bsf.Delta.eval ws g <> actual then ok := false;
-                  if Bsf.Delta.eval_kind ws kind ~swapped <> actual then
-                    ok := false;
-                  if Bsf.eval_clifford2q_delta bsf g <> actual -. before then
-                    ok := false)
-                [ false; true ])
-            Clifford2q.all_kinds
-        done
-      done;
-      !ok)
+(* --- the greedy pair scan against the copy-and-apply search --- *)
 
-let test_delta_eval_wrong_pair () =
-  let bsf = Bsf.of_terms 3 [ Pauli_string.of_string "XYZ", 1.0 ] in
+(* Rows of weight 0-3 sit on the edges of the scan's row classes (a
+   weight-1 row on one operand or a weight-2 row on both can change its
+   local/nonlocal status, heavier rows cannot), and exact-mode peeling
+   leaves such rows in the tableau, so the generator draws them often;
+   wider rows fill the rest.  Up to 70 qubits and 130 rows, so both the
+   tableau's column words and the scan's row words cross a word
+   boundary. *)
+let sparse_row_gen n =
+  let open QCheck2.Gen in
+  let* w =
+    frequency
+      [ 1, return 0; 2, return 1; 3, return 2; 3, return 3; 2, int_range (min 4 n) n ]
+  in
+  let w = min w n in
+  let* qubits = shuffle_a (Array.init n Fun.id) in
+  let* paulis = list_repeat w (oneofl [ Pauli.X; Pauli.Y; Pauli.Z ]) in
+  let row = Array.make n Pauli.I in
+  List.iteri (fun i p -> row.(qubits.(i)) <- p) paulis;
+  return (Pauli_string.of_list (Array.to_list row), 1.0)
+
+let tableau_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 2 70 in
+  let* rows = int_range 1 130 in
+  let* terms = list_repeat rows (sparse_row_gen n) in
+  return (n, terms)
+
+let print_tableau (n, terms) =
+  Printf.sprintf "%d qubits: %s" n
+    (String.concat " "
+       (List.map (fun (p, _) -> Pauli_string.to_string p) terms))
+
+(* One workspace for every case, so each [best] call also runs on a
+   workspace grown and filled by tableaux of other shapes. *)
+let shared_ws = Bsf.Delta.create ()
+
+(* [Delta.best] must pick the generator, the ordered pair and the cost
+   bits the reference search picks, over three epochs of conjugation by
+   the winner. *)
+let prop_best_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:50 ~print:print_tableau
+       ~name:"Delta.best = copy-and-apply reference" tableau_gen
+       (fun (n, terms) ->
+         let bsf = Bsf.of_terms n terms in
+         let rec epochs k =
+           k = 0
+           ||
+           match Bsf.Delta.best shared_ws bsf, Simplify_reference.best bsf with
+           | None, None -> true
+           | Some (g, c), Some (g', c') ->
+             g = g'
+             && Int64.equal (Int64.bits_of_float c) (Int64.bits_of_float c')
+             && begin
+                  Bsf.apply_clifford2q bsf g;
+                  epochs (k - 1)
+                end
+           | Some _, None | None, Some _ -> false
+         in
+         epochs 3))
+
+(* Words one [Delta.best] call allocates on a warmed workspace, for a
+   tableau whose support is all [n] qubits. *)
+let best_words n =
+  let row i =
+    let p = Array.make n Pauli.I in
+    p.(i) <- Pauli.X;
+    p.((i + 1) mod n) <- Pauli.Z;
+    p.((i + 3) mod n) <- Pauli.Y;
+    Pauli_string.of_list (Array.to_list p), 1.0
+  in
+  let bsf = Bsf.of_terms n (List.init n row) in
   let ws = Bsf.Delta.create () in
-  Bsf.Delta.load ws bsf ~a:0 ~b:1;
-  Alcotest.check_raises "foreign pair rejected"
-    (Invalid_argument "Bsf.Delta.eval: gate does not act on the loaded pair")
-    (fun () -> ignore (Bsf.Delta.eval ws (Clifford2q.make Clifford2q.CXX 0 2)))
+  ignore (Bsf.Delta.best ws bsf);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Bsf.Delta.best ws bsf));
+  Gc.minor_words () -. before
+
+(* 4 qubits have 6 pairs (54 candidates), 16 have 120 (1080): equal
+   words mean no candidate allocates. *)
+let test_best_allocation_flat () =
+  let small = best_words 4 and large = best_words 16 in
+  if small <> large then
+    Alcotest.failf
+      "Delta.best allocated %.0f words on a 4-qubit support and %.0f on a \
+       16-qubit one; the scan allocates nothing per candidate"
+      small large
 
 (* The motivating example of Fig. 1(b): conjugating
    [ZYY; ZZY; XYY; XZY] by C(X,Y) on qubits (1,2) leaves only weight-2
@@ -371,12 +417,12 @@ let () =
           prop_conjugation_preserves_commutation;
           prop_conjugated_gadget_equivalence;
         ] );
-      ( "delta-cost",
+      ( "delta-cost", [ prop_incremental_cost_exact ] );
+      ( "greedy",
         [
-          prop_incremental_cost_exact;
-          prop_delta_eval_exact;
-          Alcotest.test_case "foreign pair rejected" `Quick
-            test_delta_eval_wrong_pair;
+          prop_best_matches_reference;
+          Alcotest.test_case "Delta.best allocation flat in support" `Quick
+            test_best_allocation_flat;
         ] );
       ( "unit",
         [

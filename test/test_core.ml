@@ -71,6 +71,38 @@ let test_all_commuting () =
     Alcotest.(check bool) "anticommuting" false (Group.all_commuting a)
   | _ -> Alcotest.fail "unexpected grouping")
 
+(* Words [Group.group_gadgets] allocates per gadget on [n] qubits, for
+   1000 ZZ gadgets on the 10 edges of a path (100 gadgets per group).
+   A register-wide support built for every gadget grows the words per
+   gadget with the register; one built only for each new group leaves
+   them nearly flat. *)
+let group_words_per_gadget ~exact n =
+  let zz i =
+    Pauli_string.of_list
+      (List.init n (fun q ->
+           if q = i || q = i + 1 then Phoenix_pauli.Pauli.Z
+           else Phoenix_pauli.Pauli.I))
+  in
+  let edges = Array.init 10 zz in
+  let gadgets = List.init 1000 (fun j -> (edges.(j mod 10), 0.1)) in
+  let before = Gc.minor_words () in
+  let groups = Sys.opaque_identity (Group.group_gadgets ~exact n gadgets) in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "ten groups" 10 (List.length groups);
+  words /. 1000.0
+
+let test_grouping_words_flat_in_register () =
+  List.iter
+    (fun exact ->
+      let small = group_words_per_gadget ~exact 250 in
+      let large = group_words_per_gadget ~exact 1000 in
+      if large /. small > 1.1 then
+        Alcotest.failf
+          "group words per gadget (exact %b) grew %.2f× from 250 qubits \
+           (%.1f) to 1000 (%.1f); a support per group keeps it within 1.1×"
+          exact (large /. small) small large)
+    [ false; true ]
+
 (* --- simplification: structure and invariants --- *)
 
 let test_simplify_terminates_weight2 () =
@@ -141,6 +173,53 @@ let prop_simplify_commuting_default_unitary =
       Helpers.unitary_equiv ~tol:1e-7
         (Unitary.program_unitary 3 terms)
         (Unitary.circuit_unitary circ))
+
+(* --- simplification: the pair scan = the copy-and-apply search --- *)
+
+(* Every group the pipeline forms for the nine benchmark UCCSD programs
+   and fermi-hubbard:5x5, relabelled onto its support as the simplify
+   pass does it, must simplify to the configuration of the historical
+   search (test/simplify_reference.ml): the same Cliffords, rotations
+   and core, bit for bit, in default and in exact mode. *)
+let differential_programs =
+  [ "uccsd:LiH_frz_JW"; "uccsd:LiH_frz_BK"; "uccsd:NH_frz_JW";
+    "uccsd:NH_frz_BK"; "uccsd:LiH_cmplt_JW"; "uccsd:H2O_frz_JW";
+    "uccsd:H2O_frz_BK"; "uccsd:CH2_frz_BK"; "uccsd:CH2_cmplt_BK";
+    "fermi-hubbard:5x5" ]
+
+let program_groups ~exact spec =
+  let h =
+    match Phoenix_serve.Workload.of_spec spec with
+    | Ok h -> h
+    | Error msg -> Alcotest.failf "%s: %s" spec msg
+  in
+  let n = Phoenix_ham.Hamiltonian.num_qubits h in
+  match Phoenix_ham.Hamiltonian.gadget_blocks h with
+  | Some blocks -> Group.of_blocks n blocks
+  | None ->
+    Group.group_gadgets ~exact n (Phoenix_ham.Hamiltonian.trotter_gadgets h)
+
+let test_simplify_matches_reference () =
+  List.iter
+    (fun exact ->
+      List.iter
+        (fun spec ->
+          List.iteri
+            (fun i (g : Group.t) ->
+              let sites, terms = Helpers.on_support g.Group.n g.Group.terms in
+              let k = Array.length sites in
+              if
+                not
+                  (Simplify_reference.equal_config
+                     (Simplify.run ~exact k terms)
+                     (Simplify_reference.run ~exact k terms))
+              then
+                Alcotest.failf "%s group %d (%d qubits, exact %b): Simplify.run \
+                                differs from the reference"
+                  spec i k exact)
+            (program_groups ~exact spec))
+        differential_programs)
+    [ false; true ]
 
 (* --- synthesis --- *)
 
@@ -496,6 +575,8 @@ let () =
             test_grouping_exact_order;
           Alcotest.test_case "of blocks" `Quick test_of_blocks;
           Alcotest.test_case "all commuting" `Quick test_all_commuting;
+          Alcotest.test_case "words per gadget flat in the register" `Quick
+            test_grouping_words_flat_in_register;
         ] );
       ( "simplify",
         [
@@ -505,6 +586,8 @@ let () =
           prop_simplify_core_weight;
           prop_simplify_exact_unitary;
           prop_simplify_commuting_default_unitary;
+          Alcotest.test_case "benchmark groups = reference search" `Quick
+            test_simplify_matches_reference;
         ] );
       ( "synthesis",
         [

@@ -446,6 +446,34 @@ let test_lower_allocation_per_gate () =
         per_gate e.Pass.alloc_words gates
   | None -> Alcotest.fail "no lower entry in the trace"
 
+(* --- simplify allocates per group, not per scored candidate ------------ *)
+
+(* Words the [simplify] pass allocates per group on [uccsd:CH2_cmplt_BK]
+   (one domain, cache off).  A greedy search that allocates for every
+   candidate it scores spends about 16.7k words per group here; a scan
+   that allocates per epoch leaves mostly the synthesized circuits.  The
+   tableau self-audit (PHOENIX_BSF_AUDIT) recomputes the statistics after
+   every mutation and allocates about 8k words per group of its own, so
+   the gate holds the default build only and skips under the audit. *)
+let test_simplify_allocation_per_group () =
+  (match Sys.getenv_opt "PHOENIX_BSF_AUDIT" with
+  | None | Some "" | Some "0" -> ()
+  | Some _ -> Alcotest.skip ());
+  let options = one_domain_no_cache () in
+  let r =
+    Registry.compile ~options (entry "phoenix") (workload "uccsd:CH2_cmplt_BK")
+  in
+  match List.find_opt (fun e -> e.Pass.pass = "simplify") r.Compiler.trace with
+  | Some e ->
+    let groups = r.Compiler.num_groups in
+    let per_group = e.Pass.alloc_words /. float_of_int groups in
+    if per_group > 8000.0 then
+      Alcotest.failf
+        "simplify allocated %.0f words per group (%.0f words, %d groups); the \
+         pair scan stays within 8000"
+        per_group e.Pass.alloc_words groups
+  | None -> Alcotest.fail "no simplify entry in the trace"
+
 (* --- registry surface ------------------------------------------------ *)
 
 let test_registry_names () =
@@ -728,6 +756,8 @@ let () =
             test_route_allocation_per_gate;
           Alcotest.test_case "lower allocation per output gate" `Slow
             test_lower_allocation_per_gate;
+          Alcotest.test_case "simplify allocation per group" `Slow
+            test_simplify_allocation_per_group;
           Alcotest.test_case "pass allocation independent of the minor heap"
             `Slow test_alloc_independent_of_minor_heap;
           Alcotest.test_case "verify allocation per group flat in the register"
