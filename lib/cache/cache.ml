@@ -1,5 +1,6 @@
 module Bsf = Phoenix_pauli.Bsf
 module Angle = Phoenix_pauli.Angle
+module Pauli_string = Phoenix_pauli.Pauli_string
 module Bitvec = Phoenix_util.Bitvec
 module Chaos = Phoenix_util.Chaos
 module Json = Phoenix_util.Json
@@ -28,54 +29,151 @@ let tier_to_string = function Off -> "off" | Mem -> "mem" | Disk -> "disk"
 (* Keys                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The disk tier's textual address: the MD5 digest of the row-sorted
+   canonical form, and the ordered fingerprint behind the mode prefix. *)
+type text = { digest : string; fingerprint : string }
+
+(* The memory tier's address: the packed fingerprint alone for
+   relabel-safe keys, the packed fingerprint and the absolute support
+   otherwise, with its hash computed once. *)
+type bucket = { b_hash : int; b_packed : string; b_support : int array }
+
 type key = {
-  k_digest : string;
-  k_fingerprint : string;
+  k_bucket : bucket;
+  k_exact : bool;
+  k_terms : (Pauli_string.t * float) list; (* on the k local qubits *)
   k_support : int array;
   k_relabel_safe : bool;
   k_width : int; (* qubits of the local register the entry's gates use *)
-  k_slots : float array;
-      (* The requester's slot angles in first-use row order — the same
-         order the fingerprint's local slot ranks refer to.  Entries are
-         stored with slot angles rewritten to those local ranks, and
-         [expand] rewrites them back through this array, so parametric
-         compiles hit across parameter values, sessions, and processes. *)
+  k_slots : int array;
+      (* The requester's slot ids in first-use row order — the order the
+         fingerprints' local slot ranks refer to.  Entries are stored
+         with slot angles rewritten to those local ranks, and [expand]
+         rewrites them back through this array, so parametric compiles
+         hit across parameter values, sessions, and processes. *)
+  mutable k_text : text option; (* built once, for the disk tier *)
 }
 
+let bytes_per_word = Sys.word_size / 8
+let header_words = 3
+
+(* The slot ids of [terms] in first-use order, and each one's rank. *)
+let slot_ranks terms =
+  if not (List.exists (fun (_, theta) -> Angle.is_slot theta) terms) then
+    (None, [||])
+  else
+    let ranks = Hashtbl.create 8 and ids = ref [] in
+    List.iter
+      (fun (_, theta) ->
+        if Angle.is_slot theta then
+          let id = Angle.slot_id theta in
+          if not (Hashtbl.mem ranks id) then (
+            Hashtbl.add ranks id (Hashtbl.length ranks);
+            ids := id :: !ids))
+      terms;
+    (Some ranks, Array.of_list (List.rev !ids))
+
+let rec pack_rows b ~words ~union ~ranks off = function
+  | [] -> ()
+  | (p, theta) :: rest ->
+      let wpr = Array.length union in
+      Pauli_string.blit_bits_to p ~x_dst:words ~x_off:0 ~z_dst:words
+        ~z_off:wpr;
+      for w = 0 to (2 * wpr) - 1 do
+        Bytes.set_int64_ne b (off + (8 * w)) (Int64.of_int words.(w))
+      done;
+      for w = 0 to wpr - 1 do
+        union.(w) <- union.(w) lor words.(w) lor words.(wpr + w)
+      done;
+      let theta =
+        match ranks with
+        | Some ranks when Angle.is_slot theta -> (
+            match Angle.view theta with
+            | Angle.Slot { id; negated } ->
+                Angle.with_id ~negated (Hashtbl.find ranks id)
+            | Angle.Const _ -> theta)
+        | _ -> theta
+      in
+      Bytes.set_int64_ne b (off + (16 * wpr)) (Int64.bits_of_float theta);
+      pack_rows b ~words ~union ~ranks (off + (8 * ((2 * wpr) + 1))) rest
+
+(* The packed fingerprint of [terms], strings over [k] qubits: three
+   header words (the exact flag, k, the row count), then per row its x
+   and z words and its angle's 64 bits.  A const angle gives its IEEE
+   bits; a slot gives its first-use rank NaN-boxed the way
+   [Angle.with_id] does it, sign bit included, so it never equals a
+   const.  Every field has a fixed width, so two packed forms are equal
+   exactly when the rows' Pauli letters, angles and slot ranks are —
+   when the textual fingerprints are, for terms on their own support.
+   Leaves the union of the rows' supports in [union]. *)
+let pack ~exact ~ranks k terms union =
+  let wpr = Array.length union and rows = List.length terms in
+  let b = Bytes.create (8 * (header_words + (rows * ((2 * wpr) + 1)))) in
+  Bytes.set_int64_ne b 0 (if exact then 1L else 0L);
+  Bytes.set_int64_ne b 8 (Int64.of_int k);
+  Bytes.set_int64_ne b 16 (Int64.of_int rows);
+  pack_rows b ~words:(Array.make (2 * wpr) 0) ~union ~ranks (8 * header_words) terms;
+  Bytes.unsafe_to_string b
+
+(* In the simplify pass [sites] is the group's union support, so every
+   local qubit is in the support and the rows pack as they are.  Other
+   callers (an identity-only group keyed on the whole register) are
+   projected onto their support first, as [Bsf.canonical_form] is. *)
 let key_of_terms ~exact ~sites terms =
   let k = Array.length sites in
-  let bsf = Bsf.of_terms k terms in
-  let support =
-    Array.of_list (List.map (Array.get sites) (Bsf.support_indices bsf))
+  let ranks, slots = slot_ranks terms in
+  let union = Array.make (Bitvec.word_count k) 0 in
+  let packed = pack ~exact ~ranks k terms union in
+  let w = Array.fold_left (fun acc x -> acc + Bitvec.popcount_word x) 0 union in
+  let packed, support =
+    if w = k then (packed, Array.copy sites)
+    else
+      let local = Array.of_list (Bitvec.indices (Bitvec.of_words k union 0)) in
+      ( pack ~exact ~ranks w
+          (List.map (fun (p, a) -> (Pauli_string.restrict p local, a)) terms)
+          (Array.make (Bitvec.word_count w) 0),
+        Array.map (Array.get sites) local )
   in
-  let relabel_safe =
-    (* Replay onto another support is bit-identical only when the core
-       order is: [Pauli_string.compare] reads bit-vector words from word
-       0, so it is stable under relabelling only when every support
-       index lives in the first word. *)
-    Array.length support = 0
-    || support.(Array.length support - 1) < Bitvec.bits_per_word
-  in
-  let form = Bsf.canonical_form bsf in
+  (* Replay onto another support is bit-identical only when the core
+     order is: [Pauli_string.compare] reads bit-vector words from word
+     0, so it is stable under relabelling only when every support index
+     lives in the first word. *)
+  let safe = w = 0 || support.(w - 1) < Bitvec.bits_per_word in
+  let pinned = if safe then [||] else support in
   {
-    k_digest = Bsf.digest_of_canonical_form form;
-    k_fingerprint = (if exact then "exact;" else "trot;") ^ form;
+    k_bucket =
+      {
+        b_hash =
+          Array.fold_left (fun h q -> (h * 65599) + q) (Hashtbl.hash packed) pinned
+          land max_int;
+        b_packed = packed;
+        b_support = pinned;
+      };
+    k_exact = exact;
+    k_terms = terms;
     k_support = support;
-    k_relabel_safe = relabel_safe;
+    k_relabel_safe = safe;
     k_width = k;
-    k_slots = Bsf.slots bsf;
+    k_slots = slots;
+    k_text = None;
   }
 
-let digest k = k.k_digest
-let relabel_safe k = k.k_relabel_safe
+let text key =
+  match key.k_text with
+  | Some t -> t
+  | None ->
+      let form = Bsf.canonical_form (Bsf.of_terms key.k_width key.k_terms) in
+      let t =
+        {
+          digest = Bsf.digest_of_canonical_form form;
+          fingerprint = (if key.k_exact then "exact;" else "trot;") ^ form;
+        }
+      in
+      key.k_text <- Some t;
+      t
 
-(* An entry is hit-compatible when the ordered fingerprint (which folds in
-   the exact-mode flag) matches and the replay is provably bit-identical:
-   either the absolute support is the very same, or both sides are
-   single-word relabel-safe. *)
-let compatible ~fingerprint ~support ~safe key =
-  String.equal fingerprint key.k_fingerprint
-  && (support = key.k_support || (safe && key.k_relabel_safe))
+let digest key = (text key).digest
+let relabel_safe k = k.k_relabel_safe
 
 (* ------------------------------------------------------------------ *)
 (* Slot angles in canonical (rank) form                               *)
@@ -92,9 +190,7 @@ exception Unmappable
    id is exact. *)
 let canonical_angle key =
   let ranks = Hashtbl.create 8 in
-  Array.iteri
-    (fun j a -> Hashtbl.replace ranks (Angle.slot_id a) j)
-    key.k_slots;
+  Array.iteri (fun j id -> Hashtbl.replace ranks id j) key.k_slots;
   fun theta ->
     match Angle.view theta with
     | Angle.Const _ -> theta
@@ -108,26 +204,53 @@ let expand_angle key theta =
   | Angle.Const _ -> theta
   | Angle.Slot { id = j; negated } ->
       if j >= Array.length key.k_slots then raise Unmappable;
-      Angle.with_id ~negated (Angle.slot_id key.k_slots.(j))
+      Angle.with_id ~negated key.k_slots.(j)
 
-(* Every gate is copied (the identity relabel) before it is stored:
-   synthesis shares gate values between a ladder and its mirror, and
-   [Marshal] would encode those as back-references.  Copied, an entry
-   marshals to the bytes a relabel from register coordinates gave, so
-   file contents and the [bytes] gauge do not depend on that sharing. *)
-let canonical_gates key circuit =
-  match
-    Circuit.gates
-      (Circuit.map_angles (canonical_angle key)
-         (Circuit.map_qubits Fun.id circuit))
-  with
-  | gates -> Some gates
-  | exception Unmappable -> None
+(* The memory tier keeps the synthesized gates themselves: gates are
+   immutable and already on the local qubits, so only slot angles are
+   rewritten, and only when the key has slots.  The disk tier copies
+   every gate (the identity relabel) first: synthesis shares gate values
+   between a ladder and its mirror, and [Marshal] would encode those as
+   back-references.  Copied, an entry marshals to the bytes a relabel
+   from register coordinates gave, so file contents do not depend on
+   that sharing. *)
+let canonical_gates ~copy key circuit =
+  if (not copy) && Array.length key.k_slots = 0 then Some (Circuit.gates circuit)
+  else
+    let c = if copy then Circuit.map_qubits Fun.id circuit else circuit in
+    match Circuit.gates (Circuit.map_angles (canonical_angle key) c) with
+    | gates -> Some gates
+    | exception Unmappable -> None
 
 (* Raises when a gate leaves the key's local register or a slot rank
    has no requester slot. *)
 let expand key gates =
   Circuit.map_angles (expand_angle key) (Circuit.create key.k_width gates)
+
+(* Heap words of one stored gate as a tree, its list cell included: a
+   block is a header word plus one word per field, and a float argument
+   is a block of its own. *)
+let rec gate_words (g : Gate.t) =
+  3
+  +
+  match g with
+  | Gate.G1 ((Gate.Rx _ | Gate.Ry _ | Gate.Rz _), _) -> 3 + 2 + 2
+  | Gate.G1 (_, _) | Gate.Cnot _ | Gate.Swap _ -> 3
+  | Gate.Cliff2 _ -> 2 + 4
+  | Gate.Rpp _ -> 6 + 2
+  | Gate.Su4 { parts; _ } ->
+      4 + List.fold_left (fun acc g -> acc + gate_words g) 0 parts
+
+(* What an entry holds, in bytes: the packed fingerprint, the absolute
+   support and the gates.  The same count for entries stored here and
+   entries read from disk. *)
+let entry_bytes key gates =
+  let string_words =
+    1 + ((String.length key.k_bucket.b_packed + bytes_per_word) / bytes_per_word)
+  in
+  bytes_per_word
+  * (string_words + 1 + Array.length key.k_support
+    + List.fold_left (fun acc g -> acc + gate_words g) 0 gates)
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                           *)
@@ -173,36 +296,42 @@ let stats_json s =
 (* In-memory LRU tier                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The memory table's buckets: the digest alone for relabel-safe keys,
-   the digest and the absolute support otherwise.  A hit needs equal
-   supports or two safe keys, and safety is a function of the support,
-   so every compatible entry shares the requester's bucket; groups that
-   can only hit their own support no longer pile into one bucket. *)
+(* A hit needs equal fingerprints and equal supports or two safe keys,
+   and safety is a function of the support (a support-pinned key's is
+   never empty), so bucket equality is hit-compatibility: a bucket
+   holds at most one entry, and a lookup probes only that one. *)
 module Bucket = Hashtbl.Make (struct
-  type t = string * int array
+  type t = bucket
 
-  let equal (d, s) (d', s') = String.equal d d' && s = s'
-  let hash b = Hashtbl.hash_param 256 256 b
+  let equal a b =
+    a.b_hash = b.b_hash
+    && String.equal a.b_packed b.b_packed
+    && a.b_support = b.b_support
+
+  let hash b = b.b_hash
 end)
 
-let bucket_of key =
-  (key.k_digest, if key.k_relabel_safe then [||] else key.k_support)
-
+(* Entries form a circular LRU list through [sentinel], most recent
+   first. *)
 type entry = {
-  e_bucket : Bucket.key;
-  e_fingerprint : string;
-  e_support : int array;
-  e_relabel_safe : bool;
+  e_bucket : bucket;
   e_gates : Gate.t list;
   e_bytes : int;
-  mutable prev : entry option;
-  mutable next : entry option;
+  mutable prev : entry;
+  mutable next : entry;
 }
 
+let rec sentinel =
+  {
+    e_bucket = { b_hash = 0; b_packed = ""; b_support = [||] };
+    e_gates = [];
+    e_bytes = 0;
+    prev = sentinel;
+    next = sentinel;
+  }
+
 let lock = Mutex.create ()
-let table : entry list ref Bucket.t = Bucket.create 256
-let lru_head : entry option ref = ref None
-let lru_tail : entry option ref = ref None
+let table : entry Bucket.t = Bucket.create 256
 let total_bytes = ref 0
 let total_entries = ref 0
 let c_hits = ref 0
@@ -246,90 +375,53 @@ let budget_ref =
     | Some s -> ( match int_of_string_opt s with Some b when b > 0 -> b | _ -> default_budget)
     | None -> default_budget)
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let with_lock f = Mutex.protect lock f
 
 let unlink e =
-  (match e.prev with Some p -> p.next <- e.next | None -> lru_head := e.next);
-  (match e.next with Some s -> s.prev <- e.prev | None -> lru_tail := e.prev);
-  e.prev <- None;
-  e.next <- None
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
 
 let push_front e =
-  e.prev <- None;
-  e.next <- !lru_head;
-  (match !lru_head with Some h -> h.prev <- Some e | None -> lru_tail := Some e);
-  lru_head := Some e
+  e.prev <- sentinel;
+  e.next <- sentinel.next;
+  sentinel.next.prev <- e;
+  sentinel.next <- e
 
 let touch e =
   unlink e;
   push_front e
 
-let drop_from_table e =
-  match Bucket.find_opt table e.e_bucket with
-  | None -> ()
-  | Some cell ->
-      cell := List.filter (fun x -> x != e) !cell;
-      if !cell = [] then Bucket.remove table e.e_bucket
-
 let evict_to_budget () =
-  let continue = ref true in
-  while !continue do
-    match !lru_tail with
-    | Some e when !total_bytes > !budget_ref ->
-        unlink e;
-        drop_from_table e;
-        total_bytes := !total_bytes - e.e_bytes;
-        decr total_entries;
-        incr c_evictions
-    | _ -> continue := false
+  while !total_bytes > !budget_ref && sentinel.prev != sentinel do
+    let e = sentinel.prev in
+    unlink e;
+    Bucket.remove table e.e_bucket;
+    total_bytes := !total_bytes - e.e_bytes;
+    decr total_entries;
+    incr c_evictions
   done
 
-(* Caller holds the lock. *)
-let find_entry bucket key =
-  match Bucket.find_opt table bucket with
-  | None -> None
-  | Some cell ->
-      List.find_opt
-        (fun e ->
-          compatible ~fingerprint:e.e_fingerprint ~support:e.e_support
-            ~safe:e.e_relabel_safe key)
-        !cell
-
-(* Caller holds the lock. *)
+(* Caller holds the lock.  [false] when the key is already resident. *)
 let insert_entry key gates bytes =
-  let bucket = bucket_of key in
-  match find_entry bucket key with
-  | Some _ -> false
-  | None ->
-      let e =
-        {
-          e_bucket = bucket;
-          e_fingerprint = key.k_fingerprint;
-          e_support = key.k_support;
-          e_relabel_safe = key.k_relabel_safe;
-          e_gates = gates;
-          e_bytes = bytes;
-          prev = None;
-          next = None;
-        }
-      in
-      let cell =
-        match Bucket.find_opt table bucket with
-        | Some c -> c
-        | None ->
-            let c = ref [] in
-            Bucket.add table bucket c;
-            c
-      in
-      cell := e :: !cell;
-      push_front e;
-      total_bytes := !total_bytes + bytes;
-      incr total_entries;
-      incr c_insertions;
-      evict_to_budget ();
-      true
+  let bucket = key.k_bucket in
+  if Bucket.mem table bucket then false
+  else
+    let e =
+      {
+        e_bucket = bucket;
+        e_gates = gates;
+        e_bytes = bytes;
+        prev = sentinel;
+        next = sentinel;
+      }
+    in
+    Bucket.add table bucket e;
+    push_front e;
+    total_bytes := !total_bytes + bytes;
+    incr total_entries;
+    incr c_insertions;
+    evict_to_budget ();
+    true
 
 let stats () =
   with_lock (fun () ->
@@ -370,8 +462,8 @@ let set_budget b =
 let clear_memory () =
   with_lock (fun () ->
       Bucket.reset table;
-      lru_head := None;
-      lru_tail := None;
+      sentinel.next <- sentinel;
+      sentinel.prev <- sentinel;
       total_bytes := 0;
       total_entries := 0)
 
@@ -400,7 +492,6 @@ module Persist = struct
     support : int array;
     relabel_safe : bool;
     gates : Gate.t list;
-    bytes : int;
   }
 
   (* The marshalled payload.  Separate from [entry_info] so the on-disk
@@ -422,10 +513,11 @@ module Persist = struct
      variant; support-pinned entries get one per absolute support, so a
      requester's key always determines its file name. *)
   let file_basename key =
+    let { digest; fingerprint } = text key in
     let variant =
       Digest.to_hex
         (Digest.string
-           (key.k_fingerprint
+           (fingerprint
            ^
            if key.k_relabel_safe then "|safe"
            else
@@ -433,7 +525,7 @@ module Persist = struct
              ^ String.concat ","
                  (List.map string_of_int (Array.to_list key.k_support))))
     in
-    key.k_digest ^ "-" ^ String.sub variant 0 16 ^ suffix
+    digest ^ "-" ^ String.sub variant 0 16 ^ suffix
 
   let path_of_key key = Filename.concat (dir ()) (file_basename key)
 
@@ -488,7 +580,6 @@ module Persist = struct
                                   support = p.p_support;
                                   relabel_safe = p.p_relabel_safe;
                                   gates = p.p_gates;
-                                  bytes = String.length payload;
                                 }))))
 
   (* Testing hook: take the cross-filesystem fallback path even when the
@@ -601,25 +692,40 @@ let warn record fmt =
       | None -> ())
     fmt
 
+(* An entry read from disk is hit-compatible when its ordered
+   fingerprint (which folds in the exact-mode flag) matches and the
+   replay is provably bit-identical: either the absolute support is the
+   very same, or both sides are single-word relabel-safe. *)
+let compatible key (info : Persist.entry_info) =
+  String.equal info.Persist.fingerprint (text key).fingerprint
+  && (info.Persist.support = key.k_support
+     || (info.Persist.relabel_safe && key.k_relabel_safe))
+
+type probe = Skip | Hit of Gate.t list | Try_disk
+
 let lookup ?record ~tier key =
-  match effective_tier tier (health ()) with
+  match tier with
   | Off -> None
-  | (Mem | Disk) as tier -> (
-      let mem_hit =
+  | Mem | Disk -> (
+      let probe =
         with_lock (fun () ->
-            match find_entry (bucket_of key) key with
-            | Some e ->
-                touch e;
-                incr c_hits;
-                Some e.e_gates
-            | None -> None)
+            match effective_tier tier !health_ref with
+            | Off -> Skip
+            | (Mem | Disk) as tier -> (
+                match Bucket.find_opt table key.k_bucket with
+                | Some e ->
+                    touch e;
+                    incr c_hits;
+                    Hit e.e_gates
+                | None when tier = Disk -> Try_disk
+                | None ->
+                    incr c_misses;
+                    Skip))
       in
-      match mem_hit with
-      | Some gates -> Some (expand key gates)
-      | None when tier = Mem ->
-          with_lock (fun () -> incr c_misses);
-          None
-      | None -> (
+      match probe with
+      | Skip -> None
+      | Hit gates -> Some (expand key gates)
+      | Try_disk -> (
           let path = Persist.path_of_key key in
           if not (Sys.file_exists path) then (
             with_lock (fun () -> incr c_misses);
@@ -633,11 +739,7 @@ let lookup ?record ~tier key =
                 warn record "skipping corrupt cache entry %s: %s"
                   (Filename.basename path) msg;
                 None
-            | Ok info
-              when not
-                     (compatible ~fingerprint:info.Persist.fingerprint
-                        ~support:info.Persist.support
-                        ~safe:info.Persist.relabel_safe key) ->
+            | Ok info when not (compatible key info) ->
                 (* Address collision or an entry persisted for an
                    incompatible support: valid file, but not replayable
                    here.  Silent miss. *)
@@ -646,12 +748,12 @@ let lookup ?record ~tier key =
                     note_disk_ok_locked ());
                 None
             | Ok info -> (
-                match expand key info.Persist.gates with
+                let gates = info.Persist.gates in
+                match expand key gates with
                 | circuit ->
+                    let bytes = entry_bytes key gates in
                     with_lock (fun () ->
-                        ignore
-                          (insert_entry key info.Persist.gates
-                             info.Persist.bytes);
+                        ignore (insert_entry key gates bytes);
                         incr c_hits;
                         incr c_disk_hits;
                         note_disk_ok_locked ());
@@ -667,31 +769,39 @@ let lookup ?record ~tier key =
                     None)))
 
 let store ?record ~tier key circuit =
-  match effective_tier tier (health ()) with
+  match tier with
   | Off -> ()
-  | (Mem | Disk) as tier -> (
-      match canonical_gates key circuit with
+  | Mem | Disk -> (
+      match canonical_gates ~copy:false key circuit with
       | None -> ()
-      | Some gates ->
-          let payload =
-            Marshal.to_string
-              {
-                Persist.p_fingerprint = key.k_fingerprint;
-                p_support = key.k_support;
-                p_relabel_safe = key.k_relabel_safe;
-                p_gates = gates;
-              }
-              []
+      | Some gates -> (
+          let bytes = entry_bytes key gates in
+          let persist =
+            with_lock (fun () ->
+                match effective_tier tier !health_ref with
+                | Off -> false
+                | (Mem | Disk) as tier -> insert_entry key gates bytes && tier = Disk)
           in
-          let fresh =
-            with_lock (fun () -> insert_entry key gates (String.length payload))
-          in
-          if fresh && tier = Disk then (
-            match Persist.write (Persist.path_of_key key) payload with
-            | () -> with_lock note_disk_ok_locked
-            | exception (Sys_error msg | Unix.Unix_error (_, msg, _)) ->
-              with_lock (fun () -> note_disk_error_locked ());
-              warn record "could not persist cache entry: %s" msg))
+          if persist then
+            match canonical_gates ~copy:true key circuit with
+            | None -> ()
+            | Some gates -> (
+                let { fingerprint; _ } = text key in
+                let payload =
+                  Marshal.to_string
+                    {
+                      Persist.p_fingerprint = fingerprint;
+                      p_support = key.k_support;
+                      p_relabel_safe = key.k_relabel_safe;
+                      p_gates = gates;
+                    }
+                    []
+                in
+                match Persist.write (Persist.path_of_key key) payload with
+                | () -> with_lock note_disk_ok_locked
+                | exception (Sys_error msg | Unix.Unix_error (_, msg, _)) ->
+                    with_lock note_disk_error_locked;
+                    warn record "could not persist cache entry: %s" msg)))
 
 module Testing = struct
   let force_health h =
@@ -709,8 +819,8 @@ module Testing = struct
   let disk_error_threshold = disk_error_threshold
 
   let bucket_length key =
-    with_lock (fun () ->
-        match Bucket.find_opt table (bucket_of key) with
-        | Some cell -> List.length !cell
-        | None -> 0)
+    with_lock (fun () -> if Bucket.mem table key.k_bucket then 1 else 0)
+
+  let packed key = key.k_bucket.b_packed
+  let fingerprint key = (text key).fingerprint
 end

@@ -4,11 +4,22 @@
     simplified tableaux recur constantly — across Trotter steps, across
     symmetric excitation blocks, and across experiment-harness runs over
     the same presets.  This cache memoizes the synthesized circuit of a
-    group keyed by a canonical digest of its tableau
-    ({!Phoenix_pauli.Bsf.digest_of_canonical_form}): the row-sorted
-    binary symplectic matrix with sign bits and phase angles, projected
-    onto the group's support so the address is invariant under the qubit
-    relabelling used at synthesis time.
+    group keyed by its {e ordered fingerprint}: the mode flag and the
+    group's rows in program order (Pauli letters, signs and angles),
+    projected onto the group's support so the address is invariant under
+    the qubit relabelling used at synthesis time.
+
+    {b Keys.}  A key holds the fingerprint in two encodings.  The
+    {e packed} form is one binary string read straight from the local
+    terms' words: the mode flag, the support size and the row count,
+    then per row its x and z words and its angle's 64 bits (a slot's
+    first-use rank NaN-boxed with its sign).  It is equal exactly when
+    the textual form is, and the memory tier hashes and compares it.
+    The {e textual} form is {!Phoenix_pauli.Bsf.canonical_form} behind a
+    mode prefix, with its row-sorted MD5 digest
+    ({!Phoenix_pauli.Bsf.digest_of_canonical_form}); it is built once
+    per key, and only when the disk tier needs a file name, a payload or
+    a compatibility check.
 
     {b Local coordinates.}  The simplify pass relabels each group once
     onto its support — local qubit [i] is register qubit [sites.(i)],
@@ -34,17 +45,28 @@
     cold synthesis.
 
     {b Tiers.}  [Mem] is an in-process LRU with a byte budget
-    ([PHOENIX_CACHE_BUDGET], default 64 MiB), bucketed by digest for
-    relabel-safe keys and by digest and absolute support otherwise: a
-    lookup scans only entries it could hit, however many same-shape
-    groups sit beyond the first word.  [Disk] adds a persistent tier
-    under {!dir} ([PHOENIX_CACHE_DIR]) with versioned, checksummed
-    entries; corrupt or mismatched entries are skipped with a [Warning]
-    diagnostic and recompilation proceeds — never a crash.
+    ([PHOENIX_CACHE_BUDGET], default 64 MiB), bucketed by packed
+    fingerprint for relabel-safe keys and by packed fingerprint and
+    absolute support otherwise.  Bucket equality is hit-compatibility,
+    so a bucket holds at most one entry and a lookup probes only that
+    one.  An entry holds the synthesized gates as they are (they are
+    immutable and already on the local qubits); only slot angles are
+    rewritten, and only for keys with slots.  Its [bytes] are the heap
+    words it holds — packed fingerprint, support and gates, counted as
+    trees — the same count whichever tier the entry came from.  [Disk]
+    adds a persistent tier under {!dir} ([PHOENIX_CACHE_DIR]) with
+    versioned, checksummed entries of the textual fingerprint, the
+    support and a copy of the gates, marshalled; corrupt or mismatched
+    entries are skipped with a [Warning] diagnostic and recompilation
+    proceeds — never a crash.
 
-    {b Concurrency.}  All mutable state sits behind one mutex, so lookups
-    and stores are safe from the [Parallel] domain pool; persisted writes
-    go through a temp file and an atomic rename (single-writer commit). *)
+    {b Concurrency.}  All mutable state sits behind one mutex.  A memory
+    lookup reads the health ladder, probes the table and counts its hit
+    or miss in one critical section, and a store does the same for its
+    insertion, so both are safe from the [Parallel] domain pool.  Keys
+    are per-group values, never shared between domains, so a key builds
+    its textual form without the lock.  Persisted writes go through a
+    temp file and an atomic rename (single-writer commit). *)
 
 type tier = Off | Mem | Disk
 
@@ -69,13 +91,15 @@ val reset_health : unit -> unit
     cache directory may be healthy again). *)
 
 type key
-(** Content address of one group's tableau: canonical digest, ordered
-    fingerprint, absolute support, and exact-mode flag.  Symbolic
-    {!Phoenix_pauli.Angle} slot angles address by their first-use rank
-    within the group (not their IEEE bits), so parametric compiles of the
-    same structure hit across parameter values and across processes;
-    stored entries carry rank-relative slots that are rewritten to the
-    requester's slots on replay. *)
+(** Content address of one group's tableau: the packed fingerprint
+    (which folds in the exact-mode flag), the absolute support, and —
+    built on first use by the disk tier — the textual fingerprint and
+    canonical digest.  Symbolic {!Phoenix_pauli.Angle} slot angles
+    address by their first-use rank within the group (not their IEEE
+    bits), so parametric compiles of the same structure hit across
+    parameter values and across processes; stored entries carry
+    rank-relative slots that are rewritten to the requester's slots on
+    replay. *)
 
 val key_of_terms :
   exact:bool ->
@@ -86,12 +110,13 @@ val key_of_terms :
     support: [terms] act on [k = Array.length sites] qubits, local
     qubit [i] standing for register qubit [sites.(i)] (strictly
     ascending; the terms' union support, so local qubits are the
-    support ranks the stored gates use).  Builds one k-qubit tableau
-    and one canonical form. *)
+    support ranks the stored gates use).  Packs the rows' words and
+    angle bits into one string; builds no tableau, text or digest.
+    Terms whose union support is smaller than [sites] (an identity-only
+    group keyed on the whole register) are projected onto it first. *)
 
 val digest : key -> string
-(** Hex content digest (the disk file prefix, and the memory bucket of
-    relabel-safe keys). *)
+(** Hex content digest, the disk file prefix (built on first use). *)
 
 val relabel_safe : key -> bool
 (** Whether entries for this key may be replayed onto a different absolute
@@ -133,7 +158,9 @@ type stats = {
   evictions : int;  (** LRU evictions forced by the byte budget *)
   insertions : int;
   entries : int;  (** resident in-memory entries (gauge, not a counter) *)
-  bytes : int;  (** resident in-memory payload bytes (gauge) *)
+  bytes : int;
+      (** heap bytes the resident entries hold: packed fingerprint,
+          support and gates (gauge) *)
 }
 
 val stats : unit -> stats
@@ -172,7 +199,6 @@ module Persist : sig
     support : int array;  (** absolute support at store time *)
     relabel_safe : bool;
     gates : Phoenix_circuit.Gate.t list;  (** canonical (rank) coordinates *)
-    bytes : int;  (** marshalled payload size *)
   }
 
   val list_files : ?dir:string -> unit -> string list
@@ -211,5 +237,12 @@ module Testing : sig
   (** Consecutive disk faults that park the persistent tier. *)
 
   val bucket_length : key -> int
-  (** Entries in the memory bucket a lookup of this key scans. *)
+  (** Entries in the memory bucket a lookup of this key probes (at most
+      one). *)
+
+  val packed : key -> string
+  (** The packed fingerprint the memory tier hashes and compares. *)
+
+  val fingerprint : key -> string
+  (** The textual ordered fingerprint the disk tier stores and checks. *)
 end

@@ -894,21 +894,6 @@ let to_terms t =
       let angle = if is_neg t i then Angle.neg angle else angle in
       row_pauli t i, angle)
 
-let slots t =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  for i = 0 to num_rows t - 1 do
-    let angle = t.angles.(i) in
-    match Angle.view angle with
-    | Angle.Const _ -> ()
-    | Angle.Slot { id; _ } ->
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id (Hashtbl.length seen);
-        acc := angle :: !acc
-      end
-  done;
-  Array.of_list (List.rev !acc)
-
 (* Canonical content addressing.  Rows are serialized projected onto the
    tableau's support columns (ascending), so two tableaux that differ only
    by which absolute qubits the group touches — or by trailing idle

@@ -143,12 +143,6 @@ val to_terms : t -> (Pauli_string.t * float) list
 (** Rows with signs folded into the angles (symbolically, for slot
     angles — see {!Angle}). *)
 
-val slots : t -> float array
-(** The distinct {!Angle} slot angles appearing in the rows, in first-use
-    program order (each entry keeps the sign of its first occurrence).
-    Empty for fully concrete tableaux.  This order matches the local slot
-    ranks used by {!canonical_form}. *)
-
 val canonical_form : t -> string
 (** Content-addressing serialization of the tableau, projected onto its
     support columns in ascending order: a [k<support>;r<rows>] preamble

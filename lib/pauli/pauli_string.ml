@@ -62,8 +62,20 @@ let weight t = Bitvec.or_popcount t.x t.z
 let support_list t = Bitvec.indices (support t)
 let is_identity t = Bitvec.is_zero t.x && Bitvec.is_zero t.z
 
+(* One parity over the words: popcount(ax·bz) + popcount(az·bx) is even
+   exactly when the xor of every word of ax·bz and az·bx has an even
+   popcount. *)
 let commutes a b =
-  (Bitvec.and_popcount a.x b.z + Bitvec.and_popcount a.z b.x) mod 2 = 0
+  if num_qubits a <> num_qubits b then
+    invalid_arg "Pauli_string.commutes: size mismatch";
+  let acc = ref 0 in
+  for i = 0 to Bitvec.num_words a.x - 1 do
+    acc :=
+      !acc
+      lxor (Bitvec.word a.x i land Bitvec.word b.z i)
+      lxor (Bitvec.word a.z i land Bitvec.word b.x i)
+  done;
+  Bitvec.popcount_word !acc land 1 = 0
 
 (* Word-parallel phase computation (the standard BSF trick): the i-power
    contributed by one qubit is g(x1,z1,x2,z2) ∈ {−1,0,+1} with

@@ -105,8 +105,9 @@ let hash v =
 let check_same_length a b =
   if a.len <> b.len then invalid_arg "Bitvec: length mismatch"
 
-(* Plain loops rather than [Array.iteri]: the closure it would take
-   captures [dst], so every call would allocate. *)
+(* Plain loops rather than [Array.iteri] here and in the popcounts
+   below: the closure it would take captures [dst] (or an accumulator),
+   so every call would allocate. *)
 let xor_into dst src =
   check_same_length dst src;
   for i = 0 to Array.length src.words - 1 do
@@ -132,13 +133,17 @@ let logand a b = let r = copy a in and_into r b; r
 let and_popcount a b =
   check_same_length a b;
   let acc = ref 0 in
-  Array.iteri (fun i w -> acc := !acc + popcount_word (w land b.words.(i))) a.words;
+  for i = 0 to Array.length a.words - 1 do
+    acc := !acc + popcount_word (a.words.(i) land b.words.(i))
+  done;
   !acc
 
 let or_popcount a b =
   check_same_length a b;
   let acc = ref 0 in
-  Array.iteri (fun i w -> acc := !acc + popcount_word (w lor b.words.(i))) a.words;
+  for i = 0 to Array.length a.words - 1 do
+    acc := !acc + popcount_word (a.words.(i) lor b.words.(i))
+  done;
   !acc
 
 let iter_set f v =

@@ -289,11 +289,162 @@ let prop_support_synthesis_is_register_synthesis =
       && String.equal (Cache.digest key) (Bsf.canonical_digest full)
       && Cache.relabel_safe key = (sites.(Array.length sites - 1) < 62))
 
+(* --- packed keys against textual fingerprints ------------------------- *)
+
+(* A group as the differential generates it: k qubits, the mode, and per
+   row its Pauli letters and an angle that is a const or a slot given by
+   its pattern index and sign.  [materialize] draws fresh arena slots
+   every time, so two materializations of one spec share the first-use
+   pattern under different slot ids. *)
+type angle_spec = Const of float | Slot of int * bool
+
+let spec_consts = [ 0.0; -0.0; 0.5; -0.5; 1.25; Float.pi ]
+
+let group_spec_gen =
+  let open QCheck2.Gen in
+  let* k = int_range 1 70 in
+  let* rows = int_range 1 8 in
+  let* identity = frequency [ (1, return true); (9, return false) ] in
+  let letter =
+    frequency
+      [ (4, return Pauli.I); (2, return Pauli.X); (2, return Pauli.Y); (2, return Pauli.Z) ]
+  in
+  let angle =
+    frequency
+      [
+        (3, map (fun c -> Const c) (oneofl spec_consts));
+        (2, map2 (fun i n -> Slot (i, n)) (int_range 0 3) bool);
+      ]
+  in
+  let letters =
+    if identity then return (List.init k (fun _ -> Pauli.I))
+    else list_size (return k) letter
+  in
+  let* rows = list_size (return rows) (pair letters angle) in
+  let* exact = bool in
+  return (k, exact, rows)
+
+let materialize (k, exact, rows) =
+  let slots = Array.init 4 (fun i -> Phoenix_pauli.Angle.param ~index:i ~scale:1.0) in
+  let angle = function
+    | Const c -> c
+    | Slot (i, negated) ->
+      if negated then Phoenix_pauli.Angle.neg slots.(i) else slots.(i)
+  in
+  Cache.key_of_terms ~exact ~sites:(Array.init k Fun.id)
+    (List.map (fun (ls, a) -> (Pauli_string.of_list ls, angle a)) rows)
+
+type mutation =
+  | Fresh_ids
+  | Flip_mode
+  | Rotate of int
+  | Set_angle of int * angle_spec
+  | Set_letter of int * int * Pauli.t
+  | Unrelated of (int * bool * (Pauli.t list * angle_spec) list)
+
+let mutation_gen (k, _, rows) =
+  let open QCheck2.Gen in
+  let n = List.length rows in
+  oneof
+    [
+      return Fresh_ids;
+      return Flip_mode;
+      map (fun r -> Rotate r) (int_range 1 (max 1 (n - 1)));
+      map2
+        (fun i a -> Set_angle (i, a))
+        (int_range 0 (n - 1))
+        (oneof
+           [
+             map (fun c -> Const c) (oneofl spec_consts);
+             map2 (fun i n -> Slot (i, n)) (int_range 0 3) bool;
+           ]);
+      map3
+        (fun i q p -> Set_letter (i, q, p))
+        (int_range 0 (n - 1))
+        (int_range 0 (k - 1))
+        (oneofl [ Pauli.I; Pauli.X; Pauli.Y; Pauli.Z ]);
+      map (fun g -> Unrelated g) group_spec_gen;
+    ]
+
+let mutate (k, exact, rows) = function
+  | Fresh_ids -> (k, exact, rows)
+  | Flip_mode -> (k, not exact, rows)
+  | Rotate r -> (k, exact, rotate rows r)
+  | Set_angle (i, a) ->
+    (k, exact, List.mapi (fun j (ls, a') -> (ls, if j = i then a else a')) rows)
+  | Set_letter (i, q, p) ->
+    ( k,
+      exact,
+      List.mapi
+        (fun j (ls, a) ->
+          if j <> i then (ls, a) else (List.mapi (fun q' l -> if q' = q then p else l) ls, a))
+        rows )
+  | Unrelated g -> g
+
+(* The memory tier hashes and compares packed keys, the disk tier the
+   textual fingerprints: they must agree on every pair.  Rows cross the
+   62-bit word boundary from k = 63; identity-only groups project onto
+   the empty support. *)
+let prop_packed_equals_text =
+  Helpers.qtest ~count:1000 "packed key equal iff textual fingerprint equal"
+    QCheck2.Gen.(
+      let* a = group_spec_gen in
+      let* m = mutation_gen a in
+      return (a, m))
+    (fun (a, m) ->
+      let ka = materialize a and kb = materialize (mutate a m) in
+      let packed = String.equal (Cache.Testing.packed ka) (Cache.Testing.packed kb) in
+      let text =
+        String.equal (Cache.Testing.fingerprint ka) (Cache.Testing.fingerprint kb)
+      in
+      packed = text && match m with Fresh_ids -> packed | _ -> true)
+
+(* The cases the differential must reach, pinned one by one. *)
+let test_packed_cases () =
+  let zz = [ Pauli.Z; Pauli.Z ] and xy = [ Pauli.X; Pauli.Y ] in
+  let check name expect a b =
+    let ka = materialize a and kb = materialize b in
+    Alcotest.(check bool) (name ^ ": packed") expect
+      (String.equal (Cache.Testing.packed ka) (Cache.Testing.packed kb));
+    Alcotest.(check bool) (name ^ ": text") expect
+      (String.equal (Cache.Testing.fingerprint ka) (Cache.Testing.fingerprint kb))
+  in
+  check "0.0 against -0.0" false
+    (2, false, [ (zz, Const 0.0) ])
+    (2, false, [ (zz, Const (-0.0)) ]);
+  check "exact against Trotter" false
+    (2, true, [ (zz, Const 0.5) ])
+    (2, false, [ (zz, Const 0.5) ]);
+  check "same slot pattern, other ids" true
+    (2, false, [ (zz, Slot (0, false)); (xy, Slot (1, true)); (zz, Slot (0, false)) ])
+    (2, false, [ (zz, Slot (2, false)); (xy, Slot (3, true)); (zz, Slot (2, false)) ]);
+  check "other slot pattern" false
+    (2, false, [ (zz, Slot (0, false)); (xy, Slot (1, false)) ])
+    (2, false, [ (zz, Slot (0, false)); (xy, Slot (0, false)) ]);
+  check "slot sign" false
+    (2, false, [ (zz, Slot (0, false)) ])
+    (2, false, [ (zz, Slot (0, true)) ]);
+  check "rows permuted" false
+    (2, false, [ (zz, Const 0.5); (xy, Const 0.5) ])
+    (2, false, [ (xy, Const 0.5); (zz, Const 0.5) ]);
+  let all_z = List.init 70 (fun _ -> Pauli.Z) in
+  let wide q = List.init 70 (fun i -> if i = q then Pauli.X else Pauli.I) in
+  check "rows across the word boundary" false
+    (70, false, [ (all_z, Const 0.5); (wide 65, Const 0.5) ])
+    (70, false, [ (all_z, Const 0.5); (wide 66, Const 0.5) ]);
+  let identity n = List.init n (fun _ -> Pauli.I) in
+  check "identity-only groups on whole registers" true
+    (100, false, [ (identity 100, Const 0.5); (identity 100, Slot (0, false)) ])
+    (30, false, [ (identity 30, Const 0.5); (identity 30, Slot (1, false)) ]);
+  let key = materialize (100, false, [ (identity 100, Const 0.5) ]) in
+  Alcotest.(check bool) "identity-only key is relabel-safe" true
+    (Cache.relabel_safe key)
+
 (* Disk compatibility: on every group of three wide presets, the k-qubit
    tableau the cache key is built from has the canonical form of the
-   register-wide one, so keys and file names are unchanged; and the
-   entries' marshalled sizes sum to the bytes that register-wide keying
-   stored, so their contents are too. *)
+   register-wide one, so keys and file names are unchanged.  The disk
+   files' contents are pinned by test/cache_files; the [bytes] gauge
+   counts what the memory entries hold (packed key, support, gates). *)
 let test_local_canonical_forms () =
   List.iter
     (fun (spec, entries, bytes) ->
@@ -327,9 +478,9 @@ let test_local_canonical_forms () =
           then Alcotest.failf "%s: group %d canonical forms differ" spec i)
         !groups)
     [
-      ("heisenberg:100", 39, 6116);
-      ("qaoa:Reg3-250", 354, 26412);
-      ("tfim:200", 278, 20082);
+      ("heisenberg:100", 39, 22464);
+      ("qaoa:Reg3-250", 354, 62304);
+      ("tfim:200", 278, 46704);
     ]
 
 (* Same-shape groups beyond the first word (one digest, distinct
@@ -505,6 +656,40 @@ let test_lru_budget () =
   Cache.set_budget old_budget;
   Cache.clear_memory ()
 
+(* The [bytes] gauge is the heap an entry holds: its packed key, its
+   support and its gates as a tree.  An unshared copy of the gates (a
+   [No_sharing] marshal round trip) has exactly the tree's words, so
+   [Obj.reachable_words] checks the count on every gate kind. *)
+let test_bytes_are_heap_words () =
+  Cache.clear_memory ();
+  let gates =
+    [
+      Gate.G1 (Gate.H, 0);
+      Gate.G1 (Gate.Rz 0.25, 1);
+      Gate.G1 (Gate.Rx (-0.5), 0);
+      Gate.Cnot (0, 1);
+      Gate.Swap (1, 0);
+      Gate.Cliff2 (Phoenix_pauli.Clifford2q.make Phoenix_pauli.Clifford2q.CZX 0 1);
+      Gate.Rpp { p0 = Pauli.X; p1 = Pauli.Z; a = 0; b = 1; theta = 0.75 };
+      Gate.Su4
+        { a = 0; b = 1; parts = [ Gate.Cnot (0, 1); Gate.G1 (Gate.Ry 0.1, 0) ] };
+    ]
+  in
+  let key =
+    Cache.key_of_terms ~exact:false ~sites:[| 3; 70 |]
+      [ (Pauli_string.of_string "ZZ", 0.3); (Pauli_string.of_string "XY", 0.2) ]
+  in
+  Cache.store ~tier:Cache.Mem key (Circuit.create 2 gates);
+  let unshared : Gate.t list =
+    Marshal.from_string (Marshal.to_string gates [ Marshal.No_sharing ]) 0
+  in
+  let words v = Obj.reachable_words (Obj.repr v) in
+  Alcotest.(check int) "bytes = heap words of packed key, support and gates"
+    ((Sys.word_size / 8)
+    * (words (Cache.Testing.packed key) + words [| 3; 70 |] + words unshared))
+    (Cache.stats ()).Cache.bytes;
+  Cache.clear_memory ()
+
 (* --- stats bookkeeping ------------------------------------------------ *)
 
 let test_stats_diff () =
@@ -564,6 +749,8 @@ let () =
           prop_digest_sign_flip_distinct;
           prop_relabel_equivariance;
           prop_support_synthesis_is_register_synthesis;
+          prop_packed_equals_text;
+          Alcotest.test_case "packed key cases" `Quick test_packed_cases;
           Alcotest.test_case "local canonical forms on wide presets" `Quick
             test_local_canonical_forms;
           Alcotest.test_case "one bucket per support past the first word"
@@ -575,5 +762,10 @@ let () =
             test_disk_fault_injection;
           Alcotest.test_case "lru byte budget" `Quick test_lru_budget;
         ] );
-      ("stats", [ Alcotest.test_case "diff and json" `Quick test_stats_diff ]);
+      ( "stats",
+        [
+          Alcotest.test_case "diff and json" `Quick test_stats_diff;
+          Alcotest.test_case "bytes are heap words" `Quick
+            test_bytes_are_heap_words;
+        ] );
     ]

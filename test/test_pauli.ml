@@ -193,6 +193,44 @@ let prop_restrict_inverts_embed =
       Pauli_string.equal a
         (Pauli_string.restrict (Helpers.embed_string n sites a) sites))
 
+(* [commutes] folds every word into one parity; the reference counts
+   anticommuting qubits one by one, across the 62-bit word boundaries. *)
+let prop_commutes_per_qubit =
+  Helpers.qtest ~count:300 "commutes = per-qubit anticommutation parity (150q)"
+    QCheck2.Gen.(pair (Helpers.pauli_string_gen 150) (Helpers.pauli_string_gen 150))
+    (fun (p, q) ->
+      let odd = ref false in
+      for i = 0 to 149 do
+        if not (Pauli.commutes (Pauli_string.get p i) (Pauli_string.get q i))
+        then odd := not !odd
+      done;
+      Pauli_string.commutes p q = not !odd)
+
+(* Grouping, core compression and the equivalence checker call
+   [commutes] per pair and synthesis calls [weight] per term, so neither
+   may allocate. *)
+let test_commutes_weight_allocate_nothing () =
+  let p = Pauli_string.of_string (String.init 100 (fun i -> "IXYZ".[i mod 4])) in
+  let q = Pauli_string.of_string (String.init 100 (fun i -> "ZYXI".[i * 7 mod 4])) in
+  let calls = 1000 in
+  let words f =
+    ignore (Sys.opaque_identity (f ()));
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  List.iter
+    (fun (name, f) ->
+      let w = words f in
+      if w > 0.0 then
+        Alcotest.failf "%s allocated %.1f words per call on 100 qubits" name w)
+    [
+      ("commutes", fun () -> Obj.repr (Pauli_string.commutes p q));
+      ("weight", fun () -> Obj.repr (Pauli_string.weight p));
+    ]
+
 let () =
   Alcotest.run "pauli"
     [
@@ -208,6 +246,8 @@ let () =
           Alcotest.test_case "parse" `Quick test_string_parse;
           Alcotest.test_case "set/get" `Quick test_string_set_get;
           Alcotest.test_case "known commutation" `Quick test_known_commutation;
+          Alcotest.test_case "commutes and weight allocate nothing" `Quick
+            test_commutes_weight_allocate_nothing;
         ] );
       ( "props",
         [
@@ -216,6 +256,7 @@ let () =
           prop_mul_matches_per_qubit;
           prop_weight_support;
           prop_self_commutes;
+          prop_commutes_per_qubit;
         ] );
       ("sites", [ prop_compare_on_sites; prop_restrict_inverts_embed ]);
     ]

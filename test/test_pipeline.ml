@@ -474,6 +474,38 @@ let test_simplify_allocation_per_group () =
         per_group e.Pass.alloc_words groups
   | None -> Alcotest.fail "no simplify entry in the trace"
 
+(* --- a cache miss costs less than the synthesis it guards ------------- *)
+
+(* Simplify's words with a fresh memory tier over its words with the cache
+   off, one domain.  Nothing hits on CH2_cmplt_BK and few of Reg3-500's
+   one-term groups do, so the ratio is what keying, looking up and storing
+   a miss add to synthesis.  String keys (a canonical form, its MD5) and a
+   marshalled copy of every stored circuit more than doubled it on
+   Reg3-500. *)
+let test_cache_miss_allocation () =
+  List.iter
+    (fun (spec, bound) ->
+      let h = workload spec in
+      let words cache =
+        Phoenix_cache.Cache.clear_memory ();
+        let options = { (opts ()) with Compiler.domains = 1; cache } in
+        let r = Registry.compile ~options (entry "phoenix") h in
+        match
+          List.find_opt (fun e -> e.Pass.pass = "simplify") r.Compiler.trace
+        with
+        | Some e -> e.Pass.alloc_words
+        | None -> Alcotest.failf "%s: no simplify entry in the trace" spec
+      in
+      let off = words Phoenix_cache.Cache.Off in
+      let mem = words Phoenix_cache.Cache.Mem in
+      Phoenix_cache.Cache.clear_memory ();
+      if mem > bound *. off then
+        Alcotest.failf
+          "%s: simplify allocated %.0f words with the memory cache and %.0f \
+           without (%.2f×); a miss stays within %.2f×"
+          spec mem off (mem /. off) bound)
+    [ ("qaoa:Reg3-500", 1.25); ("uccsd:CH2_cmplt_BK", 1.10) ]
+
 (* --- registry surface ------------------------------------------------ *)
 
 let test_registry_names () =
@@ -762,6 +794,8 @@ let () =
             `Slow test_alloc_independent_of_minor_heap;
           Alcotest.test_case "verify allocation per group flat in the register"
             `Slow test_verify_allocation_per_group;
+          Alcotest.test_case "cache miss allocation within synthesis" `Slow
+            test_cache_miss_allocation;
         ] );
       ( "registry",
         [
