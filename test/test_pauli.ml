@@ -214,10 +214,10 @@ let test_commutes_weight_allocate_nothing () =
   let q = Pauli_string.of_string (String.init 100 (fun i -> "ZYXI".[i * 7 mod 4])) in
   let calls = 1000 in
   let words f =
-    ignore (Sys.opaque_identity (f ()));
+    f ();
     let before = Gc.minor_words () in
     for _ = 1 to calls do
-      ignore (Sys.opaque_identity (f ()))
+      f ()
     done;
     (Gc.minor_words () -. before) /. float_of_int calls
   in
@@ -227,8 +227,8 @@ let test_commutes_weight_allocate_nothing () =
       if w > 0.0 then
         Alcotest.failf "%s allocated %.1f words per call on 100 qubits" name w)
     [
-      ("commutes", fun () -> Obj.repr (Pauli_string.commutes p q));
-      ("weight", fun () -> Obj.repr (Pauli_string.weight p));
+      ("commutes", fun () -> ignore (Sys.opaque_identity (Pauli_string.commutes p q)));
+      ("weight", fun () -> ignore (Sys.opaque_identity (Pauli_string.weight p)));
     ]
 
 let () =
