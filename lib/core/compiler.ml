@@ -123,7 +123,14 @@ let check_group_circuit (options : options) ~k ~terms ~n ~register_terms
    output does not depend on the hit pattern; cache I/O faults surface
    as per-group [Warning] diagnostics, never as failures.  A custom
    [synthesize] closure bypasses the cache — its results are not
-   content-addressed by the group tableau. *)
+   content-addressed by the group tableau.
+
+   Each run of the pass shares one search-state memo
+   ([Bsf.Delta.memo]) across its groups and domains: a greedy epoch
+   whose tableau some earlier epoch of any group already scanned reuses
+   that scan's result, which is exact (see [Bsf.Delta]).  It lives for
+   the run only, so every compile, stream chunk and served job starts
+   empty, and it needs no bound. *)
 let simplify_pass ?synthesize () =
   Pass.make
     ~certify:(fun ~before ~after:_ ->
@@ -139,6 +146,7 @@ let simplify_pass ?synthesize () =
       let tier =
         match synthesize with Some _ -> Cache.Off | None -> options.cache
       in
+      let memo = Phoenix_pauli.Bsf.Delta.create_memo () in
       let checked_group (idx, (g : Group.t)) =
         let local = ref [] in
         let events = ref [] in
@@ -166,7 +174,8 @@ let simplify_pass ?synthesize () =
         let synth () =
           match synthesize with
           | Some f -> f g
-          | None -> Synthesis.support_circuit ~exact:options.exact ~sites terms
+          | None ->
+            Synthesis.support_circuit ~exact:options.exact ~memo ~sites terms
         in
         (* Greedy synthesis is the top rung; a budget expiry inside it
            degrades this group to the naive ladder (trusted, bounded

@@ -3,6 +3,7 @@ module Topology = Phoenix_topology.Topology
 module Diag = Phoenix_verify.Diag
 module Clock = Phoenix_util.Clock
 module Budget = Phoenix_util.Budget
+module Parallel = Phoenix_util.Parallel
 module Json = Phoenix_util.Json
 
 type isa = Cnot_isa | Su4_isa
@@ -158,20 +159,18 @@ type trace = trace_entry list
 
 let entry_delta e = metrics_delta ~before:e.before ~after:e.after
 
-(* Minor words plus major − promoted words, each word counted once.
-   Both reads are exact at any moment ([Gc.quick_stat]'s major count
-   moves only when a collection flushes it on OCaml 5).  The counters
-   are read outside the minor-words window, so their own result is not
-   charged. *)
+(* Minor words plus major − promoted words, each word counted once, on
+   this domain and on the helper domains of its parallel maps.  Both
+   reads are exact at any moment ([Gc.quick_stat]'s major count moves
+   only when a collection flushes it on OCaml 5). *)
 let measure f =
-  let _, promoted0, major0 = Gc.counters () in
-  let m0 = Gc.minor_words () in
-  let t0 = Clock.monotonic_s () in
-  let x = f () in
-  let seconds = Clock.monotonic_s () -. t0 in
-  let m1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  (x, seconds, m1 -. m0 +. (major1 -. promoted1) -. (major0 -. promoted0))
+  let (x, seconds), words =
+    Parallel.measure_words (fun () ->
+        let t0 = Clock.monotonic_s () in
+        let x = f () in
+        (x, Clock.monotonic_s () -. t0))
+  in
+  (x, seconds, words)
 
 type hook = pass:t -> before:ctx -> after:ctx -> seconds:float -> unit
 

@@ -190,14 +190,15 @@ val entry_delta : trace_entry -> metrics
 
 val measure : (unit -> 'a) -> 'a * float * float
 (** [measure f] runs [f ()] and returns its result, the wall seconds it
-    took on the monotonic clock, and the words the calling domain
-    allocated meanwhile: the [Gc.minor_words] delta plus the major −
-    promoted delta of [Gc.counters], which counts direct major-heap
-    allocations at once.  The count does not depend on the minor heap
+    took on the monotonic clock, and the words allocated meanwhile
+    ({!Phoenix_util.Parallel.measure_words}): the [Gc.minor_words]
+    delta plus the major − promoted delta of [Gc.counters], which
+    counts direct major-heap allocations at once, on the calling domain
+    and on the pool domains of every parallel map it ran (synthesis
+    with [domains > 1]).  The count does not depend on the minor heap
     size or on when collections run — the checkable form of any
-    "allocation-free" claim.  Words allocated on pool domains (synthesis
-    with [domains > 1]) are not included.  Every trace entry, a pass's
-    or a template bind's, is measured by this one window. *)
+    "allocation-free" claim.  Every trace entry, a pass's or a template
+    bind's, is measured by this one window. *)
 
 type hook = pass:t -> before:ctx -> after:ctx -> seconds:float -> unit
 (** Pluggable pass-boundary instrumentation: called after every pass

@@ -35,13 +35,17 @@ type t = item list
 val run :
   ?exact:bool ->
   ?max_epochs:int ->
+  ?memo:Phoenix_pauli.Bsf.Delta.memo ->
   int ->
   (Phoenix_pauli.Pauli_string.t * float) list ->
   t
 (** [run n terms] simplifies a gadget list over [n] qubits.  With
     [~exact:true] local rows are only peeled when they commute with the
     rest of the tableau, making the output exactly unitarily equivalent
-    (instead of equivalent up to Trotter-reordering freedom). *)
+    (instead of equivalent up to Trotter-reordering freedom).  [memo]
+    answers the greedy epochs' pair scans for search states it has
+    already seen ({!Phoenix_pauli.Bsf.Delta.best}); the output does not
+    depend on it. *)
 
 val num_cliffords : t -> int
 val core_terms : t -> (Phoenix_pauli.Pauli_string.t * float) list

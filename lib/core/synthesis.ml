@@ -116,9 +116,9 @@ let cfg_to_circuit ?(compress = true) ?sites n cfg =
 let group_circuit ?exact ?compress (g : Group.t) =
   cfg_to_circuit ?compress g.Group.n (Simplify.run ?exact g.Group.n g.Group.terms)
 
-let support_circuit ?exact ~sites terms =
+let support_circuit ?exact ?memo ~sites terms =
   let k = Array.length sites in
-  cfg_to_circuit ~sites k (Simplify.run ?exact k terms)
+  cfg_to_circuit ~sites k (Simplify.run ?exact ?memo k terms)
 
 (* Fig. 1(a)-style reference synthesis: 1Q basis conjugation into Z,
    a CNOT ladder onto the last support qubit, Rz, and the mirror. *)

@@ -32,6 +32,7 @@ val group_circuit :
 
 val support_circuit :
   ?exact:bool ->
+  ?memo:Phoenix_pauli.Bsf.Delta.memo ->
   sites:int array ->
   (Phoenix_pauli.Pauli_string.t * float) list ->
   Phoenix_circuit.Circuit.t
@@ -42,7 +43,7 @@ val support_circuit :
     {!group_circuit} of the register-wide group: the BSF search is
     equivariant under an order-preserving relabel, and compressed cores
     keep the register-wide order.  The cost follows k, not the
-    register. *)
+    register.  [memo] is {!Simplify.run}'s. *)
 
 val naive_gadget_circuit :
   ?chain:[ `Support_order | `Z_first ] ->

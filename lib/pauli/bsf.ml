@@ -695,9 +695,9 @@ module Delta = struct
 
   let[@inline] nz c = if c > 0 then 1 else 0
 
-  (* One epoch's setup: the support, its columns as row words and the
-     two weight masks, all indexed by support position so a tableau
-     over a wide register costs its support. *)
+  (* One epoch's key: the support and its columns as row words, indexed
+     by support position so a tableau over a wide register costs its
+     support. *)
   let load ws t ~k ~nw =
     let rows = num_rows t in
     let buf = Arena.buffer t.ar in
@@ -739,9 +739,13 @@ module Delta = struct
         Array.unsafe_set ws.colx ((p * nw) + wi) !xw;
         Array.unsafe_set ws.colz ((p * nw) + wi) !zw
       done
-    done;
+    done
+
+  (* The rows of cached weight 1 and 2 as two row masks; only a scan
+     reads them. *)
+  let load_weights ws t ~nw =
     Array.fill ws.wmask 0 (2 * nw) 0;
-    for i = 0 to rows - 1 do
+    for i = 0 to num_rows t - 1 do
       let w = Array.unsafe_get t.wts i in
       if w = 1 || w = 2 then begin
         let slot = ((w - 1) * nw) + (i / bpw) in
@@ -749,6 +753,131 @@ module Delta = struct
           (Array.unsafe_get ws.wmask slot lor (1 lsl (i mod bpw)))
       end
     done
+
+  (* The search-state memo.  A scan reads k, the row count, the support
+     columns, the cached row weights and the counters; columns outside
+     the support are zero, so the weights and counters are functions of
+     the support columns, and the tie-break rank is defined on support
+     positions.  A result kept as (generator, support positions, cost) is
+     therefore exact for every tableau with an equal key, whatever its
+     register, signs or angles.  The row count stays in the key: weight-0
+     rows set no column bit but change R in Eq. 6.
+
+     A lookup hashes and compares the workspace's words in place, so a
+     hit allocates nothing; only an insert copies them. *)
+  type entry = {
+    hash : int;
+    k : int;
+    rows : int;
+    cols : int array; (* colx words, then colz words: k·nw each *)
+    g : int;
+    pi : int;
+    pj : int;
+    cost : float;
+  }
+
+  type memo = {
+    lock : Mutex.t;
+    mutable buckets : entry list array; (* length a power of two *)
+    mutable entries : int;
+    mutable calls : int;
+    mutable scans : int;
+  }
+
+  let create_memo () =
+    {
+      lock = Mutex.create ();
+      buckets = Array.make 64 [];
+      entries = 0;
+      calls = 0;
+      scans = 0;
+    }
+
+  let memo_counts m =
+    Mutex.lock m.lock;
+    let counts = (m.calls, m.scans) in
+    Mutex.unlock m.lock;
+    counts
+
+  (* "Not found", returned in place of an option so a lookup allocates
+     nothing. *)
+  let no_entry =
+    { hash = 0; k = 0; rows = 0; cols = [||]; g = -1; pi = 0; pj = 0; cost = nan }
+
+  let[@inline] mix h w =
+    let h = (h lxor w) * 0x100000001b3 in
+    h lxor (h lsr 29)
+
+  let hash_key ws ~k ~rows ~nw =
+    let h = ref (mix (mix 0 k) rows) in
+    for i = 0 to (k * nw) - 1 do
+      h := mix (mix !h (Array.unsafe_get ws.colx i)) (Array.unsafe_get ws.colz i)
+    done;
+    !h
+
+  let same_key ws e ~hash ~k ~rows ~nw =
+    e.hash = hash && e.k = k && e.rows = rows
+    &&
+    let len = k * nw in
+    let i = ref 0 in
+    while
+      !i < len
+      && Array.unsafe_get e.cols !i = Array.unsafe_get ws.colx !i
+      && Array.unsafe_get e.cols (len + !i) = Array.unsafe_get ws.colz !i
+    do
+      incr i
+    done;
+    !i = len
+
+  let rec find ws ~hash ~k ~rows ~nw = function
+    | [] -> no_entry
+    | e :: rest ->
+      if same_key ws e ~hash ~k ~rows ~nw then e
+      else find ws ~hash ~k ~rows ~nw rest
+
+  let[@inline] slot buckets hash = hash land (Array.length buckets - 1)
+
+  let lookup m ws ~hash ~k ~rows ~nw =
+    Mutex.lock m.lock;
+    m.calls <- m.calls + 1;
+    let e = find ws ~hash ~k ~rows ~nw m.buckets.(slot m.buckets hash) in
+    Mutex.unlock m.lock;
+    e
+
+  (* Another domain that missed the same key may have stored it since
+     the lookup; the results are equal, so the first entry stays.  The
+     table doubles past two entries per bucket. *)
+  let insert m ws ~hash ~k ~rows ~nw ~g ~pi ~pj ~cost =
+    let len = k * nw in
+    let cols = Array.make (2 * len) 0 in
+    Array.blit ws.colx 0 cols 0 len;
+    Array.blit ws.colz 0 cols len len;
+    let e = { hash; k; rows; cols; g; pi; pj; cost } in
+    Mutex.lock m.lock;
+    m.scans <- m.scans + 1;
+    let i = slot m.buckets hash in
+    if find ws ~hash ~k ~rows ~nw m.buckets.(i) == no_entry then begin
+      m.buckets.(i) <- e :: m.buckets.(i);
+      m.entries <- m.entries + 1;
+      if m.entries > 2 * Array.length m.buckets then begin
+        let grown = Array.make (2 * Array.length m.buckets) [] in
+        Array.iter
+          (List.iter (fun e ->
+               let j = slot grown e.hash in
+               grown.(j) <- e :: grown.(j)))
+          m.buckets;
+        m.buckets <- grown
+      end
+    end;
+    Mutex.unlock m.lock
+
+  let result sup g pi pj cost =
+    let _, kind, swapped = gens.(g) in
+    let a = sup.(pi) and b = sup.(pj) in
+    let gate =
+      if swapped then Clifford2q.make kind b a else Clifford2q.make kind a b
+    in
+    Some (gate, cost)
 
   (* A generator maps a row's (a,b) part (xa, za, xb, zb) linearly and
      invertibly, so a zero part stays zero and a non-zero one non-zero:
@@ -762,129 +891,142 @@ module Delta = struct
      operand, second operand), operands by support position.  One
      [Budget.checkpoint] per first operand keeps the probe off the
      candidate loop while bounding the time to notice an expired
-     budget. *)
-  let best ws t =
+     budget; an interrupted scan stores nothing. *)
+  let best ?memo ws t =
     let k = t.st.w_tot in
     if k < 2 then None
     else begin
       let rows = num_rows t in
       let nw = (rows + bpw - 1) / bpw in
       load ws t ~k ~nw;
-      let st = t.st in
-      let sup = ws.sup and colx = ws.colx and colz = ws.colz in
-      let wmask = ws.wmask and img = ws.img and cnt = ws.cnt in
-      let m0s = ws.m0 in
-      let best_cost = ref infinity and best_rank = ref max_int in
-      let best_g = ref (-1) and best_pi = ref 0 and best_pj = ref 0 in
-      for pi = 0 to k - 1 do
-        Phoenix_util.Budget.checkpoint ();
-        let a = Array.unsafe_get sup pi in
-        for pj = pi + 1 to k - 1 do
-          let b = Array.unsafe_get sup pj in
-          (* Images, their counts and the row classes, once per pair. *)
-          let nl_before = ref 0 in
-          for j = 0 to Array.length counted_images - 1 do
-            Array.unsafe_set cnt (Array.unsafe_get counted_images j) 0
-          done;
-          for wi = 0 to nw - 1 do
-            let xa = Array.unsafe_get colx ((pi * nw) + wi)
-            and za = Array.unsafe_get colz ((pi * nw) + wi)
-            and xb = Array.unsafe_get colx ((pj * nw) + wi)
-            and zb = Array.unsafe_get colz ((pj * nw) + wi) in
-            let sa = xa lor za and sb = xb lor zb in
-            let both = sa land sb in
-            let m0 =
-              (Array.unsafe_get wmask wi land (sa lxor sb))
-              lor (Array.unsafe_get wmask (nw + wi) land both)
-            in
-            Array.unsafe_set m0s wi m0;
-            nl_before := !nl_before + popcount (m0 land both);
-            Array.unsafe_set img (nw + wi) xa;
-            Array.unsafe_set img ((2 * nw) + wi) za;
-            Array.unsafe_set img ((4 * nw) + wi) xb;
-            Array.unsafe_set img ((8 * nw) + wi) zb;
-            for m = 3 to 15 do
-              let low = m land -m in
-              if m <> low then
-                Array.unsafe_set img ((m * nw) + wi)
-                  (Array.unsafe_get img (((m - low) * nw) + wi)
-                  lxor Array.unsafe_get img ((low * nw) + wi))
-            done;
-            for j = 0 to Array.length counted_images - 1 do
-              let m = Array.unsafe_get counted_images j in
-              Array.unsafe_set cnt m
-                (Array.unsafe_get cnt m
-                + popcount (Array.unsafe_get img ((m * nw) + wi)))
-            done
-          done;
-          let ca = st.col_c.(a) and cb = st.col_c.(b) in
-          Array.unsafe_set cnt 1 st.col_cx.(a);
-          Array.unsafe_set cnt 2 st.col_cz.(a);
-          Array.unsafe_set cnt 4 st.col_cx.(b);
-          Array.unsafe_set cnt 8 st.col_cz.(b);
-          (* the counters with columns a and b taken out *)
-          let w_tot0 = st.w_tot - nz ca - nz cb
-          and n_nl0 = st.n_nl - !nl_before
-          and sum_c0 = st.sum_c - ca - cb
-          and tri_c0 = st.tri_c - tri ca - tri cb
-          and sum_cx0 = st.sum_cx - cnt.(1) - cnt.(4)
-          and tri_cx0 = st.tri_cx - tri cnt.(1) - tri cnt.(4)
-          and sum_cz0 = st.sum_cz - cnt.(2) - cnt.(8)
-          and tri_cz0 = st.tri_cz - tri cnt.(2) - tri cnt.(8) in
-          for g = 0 to num_gens - 1 do
-            let mxa = Array.unsafe_get gen_masks (4 * g)
-            and mza = Array.unsafe_get gen_masks ((4 * g) + 1)
-            and mxb = Array.unsafe_get gen_masks ((4 * g) + 2)
-            and mzb = Array.unsafe_get gen_masks ((4 * g) + 3) in
-            let ca' = ref 0 and cb' = ref 0 and nl = ref 0 in
-            for wi = 0 to nw - 1 do
-              let sa =
-                Array.unsafe_get img ((mxa * nw) + wi)
-                lor Array.unsafe_get img ((mza * nw) + wi)
-              and sb =
-                Array.unsafe_get img ((mxb * nw) + wi)
-                lor Array.unsafe_get img ((mzb * nw) + wi)
-              in
-              ca' := !ca' + popcount sa;
-              cb' := !cb' + popcount sb;
-              nl := !nl + popcount (Array.unsafe_get m0s wi land sa land sb)
-            done;
-            let ca' = !ca' and cb' = !cb' in
-            let cxa = Array.unsafe_get cnt mxa
-            and cza = Array.unsafe_get cnt mza
-            and cxb = Array.unsafe_get cnt mxb
-            and czb = Array.unsafe_get cnt mzb in
-            let cost =
-              cost_of_counters ~rows ~w_tot:(w_tot0 + nz ca' + nz cb')
-                ~n_nl:(n_nl0 + !nl) ~sum_c:(sum_c0 + ca' + cb')
-                ~tri_c:(tri_c0 + tri ca' + tri cb')
-                ~sum_cx:(sum_cx0 + cxa + cxb)
-                ~tri_cx:(tri_cx0 + tri cxa + tri cxb)
-                ~sum_cz:(sum_cz0 + cza + czb)
-                ~tri_cz:(tri_cz0 + tri cza + tri czb)
-            in
-            let rank =
-              let ki, _, swapped = Array.unsafe_get gens g in
-              if swapped then (((ki * k) + pj) * k) + pi
-              else (((ki * k) + pi) * k) + pj
-            in
-            if cost < !best_cost || (cost = !best_cost && rank < !best_rank)
-            then begin
-              best_cost := cost;
-              best_rank := rank;
-              best_g := g;
-              best_pi := pi;
-              best_pj := pj
-            end
-          done
-        done
-      done;
-      let _, kind, swapped = gens.(!best_g) in
-      let a = sup.(!best_pi) and b = sup.(!best_pj) in
-      let gate =
-        if swapped then Clifford2q.make kind b a else Clifford2q.make kind a b
+      let hash =
+        match memo with None -> 0 | Some _ -> hash_key ws ~k ~rows ~nw
       in
-      Some (gate, !best_cost)
+      let hit =
+        match memo with
+        | None -> no_entry
+        | Some m -> lookup m ws ~hash ~k ~rows ~nw
+      in
+      if hit != no_entry then result ws.sup hit.g hit.pi hit.pj hit.cost
+      else begin
+        load_weights ws t ~nw;
+        let st = t.st in
+        let sup = ws.sup and colx = ws.colx and colz = ws.colz in
+        let wmask = ws.wmask and img = ws.img and cnt = ws.cnt in
+        let m0s = ws.m0 in
+        let best_cost = ref infinity and best_rank = ref max_int in
+        let best_g = ref (-1) and best_pi = ref 0 and best_pj = ref 0 in
+        for pi = 0 to k - 1 do
+          Phoenix_util.Budget.checkpoint ();
+          let a = Array.unsafe_get sup pi in
+          for pj = pi + 1 to k - 1 do
+            let b = Array.unsafe_get sup pj in
+            (* Images, their counts and the row classes, once per pair. *)
+            let nl_before = ref 0 in
+            for j = 0 to Array.length counted_images - 1 do
+              Array.unsafe_set cnt (Array.unsafe_get counted_images j) 0
+            done;
+            for wi = 0 to nw - 1 do
+              let xa = Array.unsafe_get colx ((pi * nw) + wi)
+              and za = Array.unsafe_get colz ((pi * nw) + wi)
+              and xb = Array.unsafe_get colx ((pj * nw) + wi)
+              and zb = Array.unsafe_get colz ((pj * nw) + wi) in
+              let sa = xa lor za and sb = xb lor zb in
+              let both = sa land sb in
+              let m0 =
+                (Array.unsafe_get wmask wi land (sa lxor sb))
+                lor (Array.unsafe_get wmask (nw + wi) land both)
+              in
+              Array.unsafe_set m0s wi m0;
+              nl_before := !nl_before + popcount (m0 land both);
+              Array.unsafe_set img (nw + wi) xa;
+              Array.unsafe_set img ((2 * nw) + wi) za;
+              Array.unsafe_set img ((4 * nw) + wi) xb;
+              Array.unsafe_set img ((8 * nw) + wi) zb;
+              for m = 3 to 15 do
+                let low = m land -m in
+                if m <> low then
+                  Array.unsafe_set img ((m * nw) + wi)
+                    (Array.unsafe_get img (((m - low) * nw) + wi)
+                    lxor Array.unsafe_get img ((low * nw) + wi))
+              done;
+              for j = 0 to Array.length counted_images - 1 do
+                let m = Array.unsafe_get counted_images j in
+                Array.unsafe_set cnt m
+                  (Array.unsafe_get cnt m
+                  + popcount (Array.unsafe_get img ((m * nw) + wi)))
+              done
+            done;
+            let ca = st.col_c.(a) and cb = st.col_c.(b) in
+            Array.unsafe_set cnt 1 st.col_cx.(a);
+            Array.unsafe_set cnt 2 st.col_cz.(a);
+            Array.unsafe_set cnt 4 st.col_cx.(b);
+            Array.unsafe_set cnt 8 st.col_cz.(b);
+            (* the counters with columns a and b taken out *)
+            let w_tot0 = st.w_tot - nz ca - nz cb
+            and n_nl0 = st.n_nl - !nl_before
+            and sum_c0 = st.sum_c - ca - cb
+            and tri_c0 = st.tri_c - tri ca - tri cb
+            and sum_cx0 = st.sum_cx - cnt.(1) - cnt.(4)
+            and tri_cx0 = st.tri_cx - tri cnt.(1) - tri cnt.(4)
+            and sum_cz0 = st.sum_cz - cnt.(2) - cnt.(8)
+            and tri_cz0 = st.tri_cz - tri cnt.(2) - tri cnt.(8) in
+            for g = 0 to num_gens - 1 do
+              let mxa = Array.unsafe_get gen_masks (4 * g)
+              and mza = Array.unsafe_get gen_masks ((4 * g) + 1)
+              and mxb = Array.unsafe_get gen_masks ((4 * g) + 2)
+              and mzb = Array.unsafe_get gen_masks ((4 * g) + 3) in
+              let ca' = ref 0 and cb' = ref 0 and nl = ref 0 in
+              for wi = 0 to nw - 1 do
+                let sa =
+                  Array.unsafe_get img ((mxa * nw) + wi)
+                  lor Array.unsafe_get img ((mza * nw) + wi)
+                and sb =
+                  Array.unsafe_get img ((mxb * nw) + wi)
+                  lor Array.unsafe_get img ((mzb * nw) + wi)
+                in
+                ca' := !ca' + popcount sa;
+                cb' := !cb' + popcount sb;
+                nl := !nl + popcount (Array.unsafe_get m0s wi land sa land sb)
+              done;
+              let ca' = !ca' and cb' = !cb' in
+              let cxa = Array.unsafe_get cnt mxa
+              and cza = Array.unsafe_get cnt mza
+              and cxb = Array.unsafe_get cnt mxb
+              and czb = Array.unsafe_get cnt mzb in
+              let cost =
+                cost_of_counters ~rows ~w_tot:(w_tot0 + nz ca' + nz cb')
+                  ~n_nl:(n_nl0 + !nl) ~sum_c:(sum_c0 + ca' + cb')
+                  ~tri_c:(tri_c0 + tri ca' + tri cb')
+                  ~sum_cx:(sum_cx0 + cxa + cxb)
+                  ~tri_cx:(tri_cx0 + tri cxa + tri cxb)
+                  ~sum_cz:(sum_cz0 + cza + czb)
+                  ~tri_cz:(tri_cz0 + tri cza + tri czb)
+              in
+              let rank =
+                let ki, _, swapped = Array.unsafe_get gens g in
+                if swapped then (((ki * k) + pj) * k) + pi
+                else (((ki * k) + pi) * k) + pj
+              in
+              if cost < !best_cost || (cost = !best_cost && rank < !best_rank)
+              then begin
+                best_cost := cost;
+                best_rank := rank;
+                best_g := g;
+                best_pi := pi;
+                best_pj := pj
+              end
+            done
+          done
+        done;
+        let r = result sup !best_g !best_pi !best_pj !best_cost in
+        (match memo, r with
+        | Some m, Some (_, cost) ->
+          insert m ws ~hash ~k ~rows ~nw ~g:!best_g ~pi:!best_pi ~pj:!best_pj
+            ~cost
+        | _ -> ());
+        r
+      end
     end
 end
 

@@ -118,7 +118,18 @@ val cost_reference : t -> float
     scores the nine generators of each qubit pair together from the XOR
     images of the pair's four columns — three popcounts per generator
     and row word, no [copy], no [apply_clifford2q], no pairwise loop,
-    and no allocation per candidate. *)
+    and no allocation per candidate.
+
+    A {!Delta.memo} keeps scan results across calls, keyed by the state
+    the scan loads: the support size k, the row count, and the support
+    columns' x and z row words, indexed by support position.  The
+    scan's result is a function of that key alone (columns outside the
+    support are zero, so the row weights and every counter follow from
+    the support columns, and the tie-break rank is defined on support
+    positions), so a repeated state — in the same tableau, another
+    group, or a group over other register qubits with other signs and
+    angles — returns the stored generator and cost, mapped onto its own
+    support, bit-identical to a fresh scan. *)
 module Delta : sig
   type ws
   (** Reusable workspace; create once, pass to every {!best} call.  It
@@ -126,7 +137,16 @@ module Delta : sig
 
   val create : unit -> ws
 
-  val best : ws -> t -> (Clifford2q.t * float) option
+  type memo
+  (** Scan results by search state.  Safe to share across domains: a
+      lookup and an insert each take its one lock once, and a scan runs
+      outside it (two domains that miss the same state both scan it and
+      store equal results).  It has no bound: a memo is meant to live
+      for one simplify pass. *)
+
+  val create_memo : unit -> memo
+
+  val best : ?memo:memo -> ws -> t -> (Clifford2q.t * float) option
   (** [best ws t] is the 2Q Clifford generator on an ordered pair of
       support qubits whose conjugation leaves [t] with the lowest
       {!cost}, with exactly that cost (the bits [cost] would report
@@ -134,9 +154,18 @@ module Delta : sig
       two qubits.  Ties go to the candidate that comes first in the
       kind-major enumeration — kinds in [Clifford2q.all_kinds] order,
       then first operand, then second, by support position — so the
-      winner does not depend on the scan order.  Calls
-      [Phoenix_util.Budget.checkpoint] once per support qubit.  After
-      the workspace has grown, a call allocates only its result. *)
+      winner does not depend on the scan order.  With [memo], a state
+      already scanned returns the stored result and a fresh scan is
+      stored; the result is the same either way.  A scan calls
+      [Phoenix_util.Budget.checkpoint] once per support qubit, and an
+      interrupted one stores nothing.  After the workspace has grown, a
+      call allocates only its result, a hit included; an insert also
+      copies the key. *)
+
+  val memo_counts : memo -> int * int
+  (** [(calls, scans)]: the {!best} calls that consulted the memo (those
+      on a support of at least two qubits) and the pair scans they ran,
+      its misses.  For tests. *)
 end
 
 val to_terms : t -> (Pauli_string.t * float) list

@@ -45,6 +45,27 @@ let claim_order ~seed n =
     Prng.shuffle (Prng.create s) order;
     Some order
 
+(* Words allocated on helper domains for the maps this domain called,
+   nested maps included: each helper returns its own count through
+   [Domain.join]. *)
+let pool_words = Domain.DLS.new_key (fun () -> ref 0.0)
+
+(* The [Gc] counters are per domain and read outside the minor-words
+   window, so their own results are not charged. *)
+let measure_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let pool0 = !(Domain.DLS.get pool_words) in
+  let m0 = Gc.minor_words () in
+  let x = f () in
+  let m1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let pool1 = !(Domain.DLS.get pool_words) in
+  ( x,
+    m1 -. m0
+    +. (major1 -. promoted1)
+    -. (major0 -. promoted0)
+    +. (pool1 -. pool0) )
+
 let map ?domains ?seed ?(retries = default_retries) f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
@@ -99,21 +120,26 @@ let map ?domains ?seed ?(retries = default_retries) f xs =
      on the domains we did get, down to just the caller.  Each helper
      inherits the caller's ambient budget stack (domain-local, so it
      must be handed over explicitly) — and only the caller's: budgets
-     of unrelated jobs on other domains stay invisible. *)
+     of unrelated jobs on other domains stay invisible.  Each returns
+     the words it allocated, which the join adds to the caller's
+     [pool_words]. *)
   let ambient = Budget.ambient_budgets () in
+  let helper () =
+    snd (measure_words (fun () -> Budget.with_ambient_stack ambient worker))
+  in
   let spawned =
     if k <= 1 then []
     else
       List.filter_map
         (fun _ ->
-          match Domain.spawn (fun () -> Budget.with_ambient_stack ambient worker)
-          with
+          match Domain.spawn helper with
           | d -> Some d
           | exception _ -> None)
         (List.init (k - 1) Fun.id)
   in
   worker ();
-  List.iter Domain.join spawned;
+  let account = Domain.DLS.get pool_words in
+  List.iter (fun d -> account := !account +. Domain.join d) spawned;
   (* Re-raise the lowest-index failure so error reporting does not
      depend on domain scheduling.  (After a cancellation stop, unclaimed
      slots are [Empty]; the raise below fires before they are read.) *)

@@ -22,6 +22,17 @@ val num_domains : unit -> int
     [PHOENIX_DOMAINS] environment variable when it parses as a positive
     integer (capped at 128). *)
 
+val measure_words : (unit -> 'a) -> 'a * float
+(** [measure_words f] runs [f ()] and returns its result and the words
+    allocated meanwhile on the calling domain and, for every {!map} it
+    called, on that map's helper domains: the [Gc.minor_words] delta
+    plus the major − promoted delta of [Gc.counters], which counts
+    direct major-heap allocations at once.  Each helper domain measures
+    its own work this way and returns the count through [Domain.join];
+    [map] adds it to a domain-local account of its caller.  The count
+    does not depend on the minor heap size or on when collections
+    run. *)
+
 val map :
   ?domains:int -> ?seed:int -> ?retries:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] evaluates [f] on every element of [xs], fanning the work

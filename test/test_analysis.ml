@@ -323,6 +323,33 @@ let test_determinism_audit_clean () =
     | [ f ] -> f.Finding.severity = Finding.Info
     | _ -> false)
 
+(* A real program with the cache off, so every replay synthesizes every
+   group: its greedy epochs answer 182 of 204 pair scans from the
+   pass's shared search-state memo, whichever domain stored them, under
+   2 and 4 domains and permuted claim orders. *)
+let test_determinism_audit_memo () =
+  let h =
+    match Phoenix_serve.Workload.of_spec "uccsd:LiH_frz_JW" with
+    | Ok h -> h
+    | Error msg -> Alcotest.fail msg
+  in
+  let n = Phoenix_ham.Hamiltonian.num_qubits h in
+  let groups =
+    match Phoenix_ham.Hamiltonian.gadget_blocks h with
+    | Some blocks -> Phoenix.Group.of_blocks n blocks
+    | None -> Alcotest.fail "uccsd:LiH_frz_JW has no blocks"
+  in
+  let options = { Compiler.default_options with Compiler.cache = Cache.Off } in
+  let findings =
+    Determinism.audit_groups ~options ~domain_counts:[ 2; 4 ]
+      ~seeds:[ 1; 7; 42 ] n groups
+  in
+  check_no_errors "deterministic" findings;
+  Alcotest.(check (list string))
+    "one certification"
+    [ "6 permuted parallel replays bit-identical to the serial compilation" ]
+    (List.map (fun f -> f.Finding.message) findings)
+
 (* --- persistent cache audit ---------------------------------------------- *)
 
 let string_contains haystack needle =
@@ -563,6 +590,8 @@ let () =
         [
           Alcotest.test_case "parallel replays identical" `Quick
             test_determinism_audit_clean;
+          Alcotest.test_case "memo hits across domains" `Quick
+            test_determinism_audit_memo;
         ] );
       ( "cache",
         [

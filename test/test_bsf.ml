@@ -231,9 +231,112 @@ let prop_best_matches_reference =
          in
          epochs 3))
 
-(* Words one [Delta.best] call allocates on a warmed workspace, for a
-   tableau whose support is all [n] qubits. *)
-let best_words n =
+(* A memo case: a random tableau [t]; [t] embedded at an
+   order-preserving site map in a wider register, with other angles
+   and some qubits conjugated by Z (which flips the signs of the rows
+   with X or Y there); [t] with identity rows appended (the same
+   columns, more rows); [t] conjugated by S on every qubit (the same x
+   words, other z words); and an unrelated tableau. *)
+type memo_case = {
+  tableau : int * (Pauli_string.t * float) list;
+  width : int;
+  sites : int array;
+  angles : float list;
+  flips : bool list;
+  pad : int;
+  other : int * (Pauli_string.t * float) list;
+}
+
+let memo_case_gen =
+  let open QCheck2.Gen in
+  let* ((n, terms) as tableau) = tableau_gen in
+  let* extra = int_range 0 60 in
+  let* shuffled = shuffle_a (Array.init (n + extra) Fun.id) in
+  let sites = Array.sub shuffled 0 n in
+  Array.sort compare sites;
+  let* angles = list_repeat (List.length terms) (float_range (-3.0) 3.0) in
+  let* flips = list_repeat n bool in
+  let* pad = int_range 1 3 in
+  let* other = tableau_gen in
+  return { tableau; width = n + extra; sites; angles; flips; pad; other }
+
+let print_memo_case c =
+  Printf.sprintf "%s; embedded at [%s] of %d; unrelated %s"
+    (print_tableau c.tableau)
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.sites)))
+    c.width (print_tableau c.other)
+
+let memo_case_tableaux c =
+  let n, terms = c.tableau in
+  let embedded =
+    Bsf.of_terms c.width
+      (List.map2
+         (fun (p, _) a -> (Helpers.embed_string c.width c.sites p, a))
+         terms c.angles)
+  in
+  List.iteri
+    (fun q flip ->
+      if flip then begin
+        Bsf.apply_s embedded c.sites.(q);
+        Bsf.apply_s embedded c.sites.(q)
+      end)
+    c.flips;
+  let s_image = Bsf.of_terms n terms in
+  for q = 0 to n - 1 do
+    Bsf.apply_s s_image q
+  done;
+  let padded =
+    Bsf.of_terms n
+      (terms @ List.init c.pad (fun _ -> (Pauli_string.identity n, 1.0)))
+  in
+  let n', other = c.other in
+  (Bsf.of_terms n terms, embedded, [ padded; s_image; Bsf.of_terms n' other ])
+
+(* One memo for every case, so hits also come from earlier cases. *)
+let shared_memo = Bsf.Delta.create_memo ()
+
+(* [Delta.best] with the shared memo must return the generator and the
+   cost bits of the memo-less call, over three epochs of conjugation by
+   the winner, on every tableau of a case.  The embedded copy runs after
+   the original, so each of its epochs is a state the original stored
+   under other register qubits, signs and angles: it must scan
+   nothing. *)
+let prop_memo_matches_fresh =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:50 ~print:print_memo_case
+       ~name:"Delta.best with a shared memo = memo-less Delta.best"
+       memo_case_gen
+       (fun c ->
+         let agrees bsf =
+           let rec epochs k =
+             k = 0
+             ||
+             match
+               ( Bsf.Delta.best ~memo:shared_memo shared_ws bsf,
+                 Bsf.Delta.best shared_ws bsf )
+             with
+             | None, None -> true
+             | Some (g, cost), Some (g', cost') ->
+               Clifford2q.equal_gate g g'
+               && Int64.equal (Int64.bits_of_float cost)
+                    (Int64.bits_of_float cost')
+               && begin
+                    Bsf.apply_clifford2q bsf g;
+                    epochs (k - 1)
+                  end
+             | Some _, None | None, Some _ -> false
+           in
+           epochs 3
+         in
+         let scans () = snd (Bsf.Delta.memo_counts shared_memo) in
+         let original, embedded, others = memo_case_tableaux c in
+         agrees original
+         &&
+         let before = scans () in
+         agrees embedded && scans () = before && List.for_all agrees others))
+
+(* A tableau whose support is all [n] qubits. *)
+let full_support_tableau n =
   let row i =
     let p = Array.make n Pauli.I in
     p.(i) <- Pauli.X;
@@ -241,12 +344,20 @@ let best_words n =
     p.((i + 3) mod n) <- Pauli.Y;
     Pauli_string.of_list (Array.to_list p), 1.0
   in
-  let bsf = Bsf.of_terms n (List.init n row) in
+  Bsf.of_terms n (List.init n row)
+
+let words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Words one [Delta.best] call allocates on a warmed workspace, for a
+   tableau whose support is all [n] qubits. *)
+let best_words n =
+  let bsf = full_support_tableau n in
   let ws = Bsf.Delta.create () in
   ignore (Bsf.Delta.best ws bsf);
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Bsf.Delta.best ws bsf));
-  Gc.minor_words () -. before
+  words (fun () -> Bsf.Delta.best ws bsf)
 
 (* 4 qubits have 6 pairs (54 candidates), 16 have 120 (1080): equal
    words mean no candidate allocates. *)
@@ -257,6 +368,25 @@ let test_best_allocation_flat () =
       "Delta.best allocated %.0f words on a 4-qubit support and %.0f on a \
        16-qubit one; the scan allocates nothing per candidate"
       small large
+
+(* A memo hit hashes and compares the workspace's words in place: on a
+   warmed workspace and memo it allocates no more than a memo-less
+   call, which allocates only its result. *)
+let test_best_hit_allocation () =
+  let bsf = full_support_tableau 16 in
+  let ws = Bsf.Delta.create () in
+  let memo = Some (Bsf.Delta.create_memo ()) in
+  ignore (Bsf.Delta.best ?memo ws bsf);
+  let hit = words (fun () -> Bsf.Delta.best ?memo ws bsf) in
+  let fresh = words (fun () -> Bsf.Delta.best ws bsf) in
+  Alcotest.(check (pair int int))
+    "calls, scans" (2, 1)
+    (Bsf.Delta.memo_counts (Option.get memo));
+  if hit > fresh then
+    Alcotest.failf
+      "a memo hit allocated %.0f words, a memo-less call %.0f; a hit \
+       allocates only its result"
+      hit fresh
 
 (* The motivating example of Fig. 1(b): conjugating
    [ZYY; ZZY; XYY; XZY] by C(X,Y) on qubits (1,2) leaves only weight-2
@@ -421,8 +551,11 @@ let () =
       ( "greedy",
         [
           prop_best_matches_reference;
+          prop_memo_matches_fresh;
           Alcotest.test_case "Delta.best allocation flat in support" `Quick
             test_best_allocation_flat;
+          Alcotest.test_case "Delta.best memo hit allocation" `Quick
+            test_best_hit_allocation;
         ] );
       ( "unit",
         [

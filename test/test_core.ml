@@ -180,7 +180,9 @@ let prop_simplify_commuting_default_unitary =
    and fermi-hubbard:5x5, relabelled onto its support as the simplify
    pass does it, must simplify to the configuration of the historical
    search (test/simplify_reference.ml): the same Cliffords, rotations
-   and core, bit for bit, in default and in exact mode. *)
+   and core, bit for bit, in default and in exact mode.  One search-state
+   memo serves every group of every program in both modes, so many
+   epochs replay a scan stored by another group, program or mode. *)
 let differential_programs =
   [ "uccsd:LiH_frz_JW"; "uccsd:LiH_frz_BK"; "uccsd:NH_frz_JW";
     "uccsd:NH_frz_BK"; "uccsd:LiH_cmplt_JW"; "uccsd:H2O_frz_JW";
@@ -200,6 +202,7 @@ let program_groups ~exact spec =
     Group.group_gadgets ~exact n (Phoenix_ham.Hamiltonian.trotter_gadgets h)
 
 let test_simplify_matches_reference () =
+  let memo = Bsf.Delta.create_memo () in
   List.iter
     (fun exact ->
       List.iter
@@ -211,7 +214,7 @@ let test_simplify_matches_reference () =
               if
                 not
                   (Simplify_reference.equal_config
-                     (Simplify.run ~exact k terms)
+                     (Simplify.run ~exact ~memo k terms)
                      (Simplify_reference.run ~exact k terms))
               then
                 Alcotest.failf "%s group %d (%d qubits, exact %b): Simplify.run \
@@ -220,6 +223,25 @@ let test_simplify_matches_reference () =
             (program_groups ~exact spec))
         differential_programs)
     [ false; true ]
+
+(* The repeated search states of one compile: the simplify pass shares
+   one memo across a program's groups, so on one domain with the cache
+   off the memo's scans are the program's distinct search states.
+   LiH_cmplt_JW scans 35 of them for 948 greedy epochs. *)
+let test_memo_scan_counts () =
+  List.iter
+    (fun (spec, calls, scans) ->
+      let memo = Bsf.Delta.create_memo () in
+      List.iter
+        (fun (g : Group.t) ->
+          let sites, terms = Helpers.on_support g.Group.n g.Group.terms in
+          ignore (Simplify.run ~memo (Array.length sites) terms))
+        (program_groups ~exact:false spec);
+      Alcotest.(check (pair int int))
+        (spec ^ ": calls, scans")
+        (calls, scans)
+        (Bsf.Delta.memo_counts memo))
+    [ ("uccsd:LiH_cmplt_JW", 948, 35); ("uccsd:CH2_cmplt_BK", 2608, 1107) ]
 
 (* --- synthesis --- *)
 
@@ -588,6 +610,8 @@ let () =
           prop_simplify_commuting_default_unitary;
           Alcotest.test_case "benchmark groups = reference search" `Quick
             test_simplify_matches_reference;
+          Alcotest.test_case "memo scans per distinct search state" `Quick
+            test_memo_scan_counts;
         ] );
       ( "synthesis",
         [

@@ -474,6 +474,35 @@ let test_simplify_allocation_per_group () =
         per_group e.Pass.alloc_words groups
   | None -> Alcotest.fail "no simplify entry in the trace"
 
+(* --- allocation counts every domain ------------------------------------ *)
+
+(* Simplify's words on [uccsd:LiH_frz_JW] (cache off) with two domains
+   against one.  The pool's helper domains return their own counts to
+   the pass, so the two agree up to the memo inserts that move between
+   domains (two domains can both scan a state one would have scanned
+   once). *)
+let test_simplify_allocation_all_domains () =
+  let simplify_words domains =
+    let options =
+      { (opts ()) with Compiler.domains; cache = Phoenix_cache.Cache.Off }
+    in
+    let r =
+      Registry.compile ~options (entry "phoenix") (workload "uccsd:LiH_frz_JW")
+    in
+    match
+      List.find_opt (fun e -> e.Pass.pass = "simplify") r.Compiler.trace
+    with
+    | Some e -> e.Pass.alloc_words
+    | None -> Alcotest.fail "no simplify entry in the trace"
+  in
+  ignore (simplify_words 1);
+  let one = simplify_words 1 and two = simplify_words 2 in
+  if Float.abs (two -. one) > 0.1 *. one then
+    Alcotest.failf
+      "simplify allocated %.0f words on two domains and %.0f on one; the \
+       count of every domain stays within 10%%"
+      two one
+
 (* --- a cache miss costs less than the synthesis it guards ------------- *)
 
 (* Simplify's words with a fresh memory tier over its words with the cache
@@ -788,6 +817,8 @@ let () =
             test_route_allocation_per_gate;
           Alcotest.test_case "lower allocation per output gate" `Slow
             test_lower_allocation_per_gate;
+          Alcotest.test_case "simplify allocation on every domain" `Quick
+            test_simplify_allocation_all_domains;
           Alcotest.test_case "simplify allocation per group" `Slow
             test_simplify_allocation_per_group;
           Alcotest.test_case "pass allocation independent of the minor heap"
