@@ -110,18 +110,6 @@ let layers_2q t =
       | Some cell -> List.rev !cell
       | None -> [])
 
-let interaction_counts t =
-  let counts = Hashtbl.create 16 in
-  let bump g =
-    match Gate.pair g with
-    | Some key ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt counts key) in
-      Hashtbl.replace counts key (prev + 1)
-    | None -> ()
-  in
-  List.iter bump t.gates;
-  counts
-
 let used_qubits t =
   let used = Array.make t.n false in
   List.iter (fun g -> List.iter (fun q -> used.(q) <- true) (Gate.qubits g)) t.gates;

@@ -68,9 +68,6 @@ val layers_2q : t -> Gate.t list list
     first.  Two gates share a layer iff their qubit sets are disjoint and
     no dependency forces an order. *)
 
-val interaction_counts : t -> (int * int, int) Hashtbl.t
-(** Map from normalized qubit pair to the number of 2Q gates on it. *)
-
 val used_qubits : t -> int list
 (** Ascending list of qubits touched by at least one gate. *)
 

@@ -30,6 +30,17 @@ let qubits = function
   | Rpp { a; b; _ } -> [ a; b ]
   | Su4 { a; b; _ } -> [ a; b ]
 
+let first_qubit = function
+  | G1 (_, a) | Cnot (a, _) | Swap (a, _) -> a
+  | Cliff2 { Clifford2q.a; _ } -> a
+  | Rpp { a; _ } | Su4 { a; _ } -> a
+
+let second_qubit = function
+  | G1 _ -> -1
+  | Cnot (_, b) | Swap (_, b) -> b
+  | Cliff2 { Clifford2q.b; _ } -> b
+  | Rpp { b; _ } | Su4 { b; _ } -> b
+
 let is_two_qubit = function
   | G1 _ -> false
   | Cnot _ | Cliff2 _ | Rpp _ | Swap _ | Su4 _ -> true

@@ -40,6 +40,13 @@ type t =
 val qubits : t -> int list
 (** Qubits the gate acts on (1 or 2 elements, distinct). *)
 
+val first_qubit : t -> int
+(** The first element of {!qubits}, without allocating. *)
+
+val second_qubit : t -> int
+(** The second element of {!qubits}, or [-1] for a 1Q gate, without
+    allocating. *)
+
 val is_two_qubit : t -> bool
 
 val pair : t -> (int * int) option

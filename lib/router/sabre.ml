@@ -26,31 +26,29 @@ let check_device name topo n_log =
 
 (* Sort [a.(0 .. len-1)] ascending in place (heapsort: no allocation) and
    drop duplicates; returns the number of distinct values kept. *)
-let sort_uniq_prefix (a : int array) len =
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let rec sift root stop =
-    let child = (2 * root) + 1 in
-    if child < stop then begin
-      let child =
-        if child + 1 < stop && a.(child) < a.(child + 1) then child + 1
-        else child
-      in
-      if a.(root) < a.(child) then begin
-        swap root child;
-        sift child stop
-      end
+let rec sift (a : int array) root stop =
+  let child = (2 * root) + 1 in
+  if child < stop then begin
+    let child =
+      if child + 1 < stop && a.(child) < a.(child + 1) then child + 1 else child
+    in
+    if a.(root) < a.(child) then begin
+      let t = a.(root) in
+      a.(root) <- a.(child);
+      a.(child) <- t;
+      sift a child stop
     end
-  in
+  end
+
+let sort_uniq_prefix (a : int array) len =
   for start = (len / 2) - 1 downto 0 do
-    sift start len
+    sift a start len
   done;
   for stop = len - 1 downto 1 do
-    swap 0 stop;
-    sift 0 stop
+    let t = a.(0) in
+    a.(0) <- a.(stop);
+    a.(stop) <- t;
+    sift a 0 stop
   done;
   let kept = ref (min len 1) in
   for i = 1 to len - 1 do
@@ -61,8 +59,7 @@ let sort_uniq_prefix (a : int array) len =
   done;
   !kept
 
-(* The layout as two mutable arrays; [swap_sites] is its own inverse, so
-   a candidate is scored in place and undone by a second call. *)
+(* The layout as two mutable arrays, which each SWAP updates in place. *)
 type sites = { l2p : int array; p2l : int array (* -1 = unoccupied *) }
 
 let sites_of_layout layout =
@@ -104,11 +101,12 @@ let candidates topo cand sites n_sites =
   let len = ref 0 in
   for k = 0 to n_sites - 1 do
     let p = sites.(k) in
-    Array.iter
-      (fun q ->
-        cand.(!len) <- (min p q * n) + max p q;
-        incr len)
-      (Topology.neighbor_array topo p)
+    let nbr = Topology.neighbor_array topo p in
+    for j = 0 to Array.length nbr - 1 do
+      let q = nbr.(j) in
+      cand.(!len) <- (min p q * n) + max p q;
+      incr len
+    done
   done;
   sort_uniq_prefix cand !len
 
@@ -134,23 +132,15 @@ type tables = {
   qidx : int array;
 }
 
-let tables_of_array n_log gates =
-  let m = Array.length gates in
-  let q0 = Array.make m 0 and q1 = Array.make m (-1) in
+(* The per-qubit queues of gates whose qubits are [q0]/[q1]. *)
+let tables_of_qubits gates n_log q0 q1 =
+  let m = Array.length q0 in
   let qoff = Array.make (n_log + 1) 0 in
-  Array.iteri
-    (fun i g ->
-      match Gate.qubits g with
-      | [ a ] ->
-        q0.(i) <- a;
-        qoff.(a + 1) <- qoff.(a + 1) + 1
-      | [ a; b ] ->
-        q0.(i) <- a;
-        q1.(i) <- b;
-        qoff.(a + 1) <- qoff.(a + 1) + 1;
-        qoff.(b + 1) <- qoff.(b + 1) + 1
-      | _ -> assert false)
-    gates;
+  let count q = qoff.(q + 1) <- qoff.(q + 1) + 1 in
+  for i = 0 to m - 1 do
+    count q0.(i);
+    if q1.(i) >= 0 then count q1.(i)
+  done;
   for q = 1 to n_log do
     qoff.(q) <- qoff.(q) + qoff.(q - 1)
   done;
@@ -167,16 +157,21 @@ let tables_of_array n_log gates =
   { gates; n_log; q0; q1; qoff; qidx }
 
 let tables circ =
-  tables_of_array (Circuit.num_qubits circ) (Circuit.gate_array circ)
+  let gates = Circuit.gate_array circ in
+  tables_of_qubits gates (Circuit.num_qubits circ)
+    (Array.map Gate.first_qubit gates)
+    (Array.map Gate.second_qubit gates)
 
 let reversed_tables t =
   let m = Array.length t.gates in
-  tables_of_array t.n_log (Array.init m (fun i -> t.gates.(m - 1 - i)))
+  let rev a = Array.init m (fun i -> a.(m - 1 - i)) in
+  tables_of_qubits (rev t.gates) t.n_log (rev t.q0) (rev t.q1)
 
 (* Route [t] from [initial]; the emitted gates (reversed) are collected
    only when [emit] holds, since refinement passes need just the final
    layout.  Dependencies are the per-qubit program order: a gate is
-   ready when it heads the queue of each of its qubits. *)
+   ready when it heads the queue of each of its qubits.  The work of a
+   step follows what its SWAP or its emissions changed (DESIGN §2.15). *)
 let run ~emit ~lookahead ~decay ~seed topo t initial =
   let n_phys = Topology.num_qubits topo in
   let dist = Topology.distances topo in
@@ -184,7 +179,8 @@ let run ~emit ~lookahead ~decay ~seed topo t initial =
   let n_log = t.n_log in
   let q0 = t.q0 and q1 = t.q1 and qidx = t.qidx and qoff = t.qoff in
   let s = sites_of_layout initial in
-  let l2p = s.l2p in
+  let l2p = s.l2p and p2l = s.p2l in
+  let to_phys q = l2p.(q) in
   let head = Array.sub qoff 0 n_log in
   let head_of q = if head.(q) < qoff.(q + 1) then qidx.(head.(q)) else -1 in
   let is_ready i = head_of q0.(i) = i && (q1.(i) < 0 || head_of q1.(i) = i) in
@@ -205,54 +201,172 @@ let run ~emit ~lookahead ~decay ~seed topo t initial =
   prev.(m) <- !last;
   let remaining = ref m in
   let emitted = ref [] in
-  let pop i =
-    head.(q0.(i)) <- head.(q0.(i)) + 1;
-    if q1.(i) >= 0 then begin
-      head.(q1.(i)) <- head.(q1.(i)) + 1;
+  (* The ready gates, unordered; a ready gate heads its first qubit's
+     queue, so [fpos] indexes the set by that qubit.  After a drain they
+     are exactly the front layer. *)
+  let nl = max 1 n_log in
+  let front = Array.make nl 0 and n_front = ref 0 and fpos = Array.make nl 0 in
+  (* The drain runs in passes, numbered across the call.  [stamp.(q)] is
+     the pass in which the head of [q] became its head; [cur] holds the
+     ready gates the running pass still checks and [nxt] those that wait
+     for the next one, both ascending.  A ready gate that failed its
+     check is checked again only after a pop made it ready or a SWAP
+     moved one of its qubits. *)
+  let pass = ref 0 and stamp = Array.make nl 0 in
+  let cur = Array.make nl 0 and n_cur = ref 0 in
+  let nxt = Array.make nl 0 and n_nxt = ref 0 in
+  let insert a n i =
+    let j = ref !n in
+    while !j > 0 && a.(!j - 1) > i do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- i;
+    incr n
+  in
+  (* [h] became ready by a pop in the running pass.  The pass's sorted
+     snapshot of the queue heads held [h] exactly when [h] already headed
+     one of its queues before the pass began; then it is checked in this
+     pass, after the popped gate (its queue predecessor), and otherwise
+     in the next. *)
+  let became_ready h =
+    front.(!n_front) <- h;
+    fpos.(q0.(h)) <- !n_front;
+    incr n_front;
+    let k = !pass in
+    if stamp.(q0.(h)) < k || (q1.(h) >= 0 && stamp.(q1.(h)) < k) then
+      insert cur n_cur h
+    else insert nxt n_nxt h
+  in
+  let emit_gate i =
+    if emit then emitted := Gate.map_qubits to_phys t.gates.(i) :: !emitted;
+    decr n_front;
+    let tail = front.(!n_front) in
+    front.(fpos.(q0.(i))) <- tail;
+    fpos.(q0.(tail)) <- fpos.(q0.(i));
+    let a = q0.(i) and b = q1.(i) in
+    head.(a) <- head.(a) + 1;
+    stamp.(a) <- !pass;
+    if b >= 0 then begin
+      head.(b) <- head.(b) + 1;
+      stamp.(b) <- !pass;
       next.(prev.(i)) <- next.(i);
       prev.(next.(i)) <- prev.(i)
     end;
-    decr remaining
+    decr remaining;
+    let ha = head_of a in
+    if ha >= 0 && is_ready ha then became_ready ha;
+    if b >= 0 then begin
+      let hb = head_of b in
+      if hb >= 0 && hb <> ha && is_ready hb then became_ready hb
+    end
   in
-  (* [snap.(0 .. n_snap-1)]: the queue heads at the start of the last
-     drain pass, ascending.  A gate that becomes a head during a pass
-     waits for the next one; this fixes the emission order. *)
-  let snap = Array.make (max 1 n_log) 0 and n_snap = ref 0 in
-  let snapshot () =
-    let len = ref 0 in
-    for q = 0 to n_log - 1 do
-      let i = head_of q in
-      if i >= 0 then begin
-        snap.(!len) <- i;
-        incr len
-      end
-    done;
-    n_snap := sort_uniq_prefix snap !len
-  in
+  (* Emit every ready gate that can execute; ends with a pass that has
+     nothing to check, which is exactly when a pass over all the heads
+     would emit nothing. *)
   let drain () =
-    let progressed = ref true in
-    while !progressed && !remaining > 0 do
-      progressed := false;
-      snapshot ();
-      for k = 0 to !n_snap - 1 do
-        let i = snap.(k) in
-        if is_ready i && (q1.(i) < 0 || gate_distance i = 1) then begin
-          if emit then
-            emitted := Gate.map_qubits (Array.get l2p) t.gates.(i) :: !emitted;
-          pop i;
-          progressed := true
-        end
-      done
+    while !n_cur > 0 do
+      incr pass;
+      n_nxt := 0;
+      let j = ref 0 in
+      while !j < !n_cur do
+        let i = cur.(!j) in
+        incr j;
+        if q1.(i) < 0 || gate_distance i = 1 then emit_gate i
+      done;
+      Array.blit nxt 0 cur 0 !n_nxt;
+      n_cur := !n_nxt
     done
   in
-  let front = Array.make (max 1 n_log) 0 and n_front = ref 0 in
-  let front_mark = Array.make (max 1 m) (-1) in
+  for q = 0 to n_log - 1 do
+    let i = head_of q in
+    if i >= 0 && q0.(i) = q && is_ready i then begin
+      front.(!n_front) <- i;
+      fpos.(q) <- !n_front;
+      incr n_front;
+      cur.(!n_cur) <- i;
+      incr n_cur
+    end
+  done;
+  n_cur := sort_uniq_prefix cur !n_cur;
+  (* Scoring state.  Every gate of the front and of the extended set
+     adds one touch entry to each of its two qubits' lists, packing the
+     other qubit and the side (0 front, 1 extended) as [partner·2 + side];
+     [front_sum]/[ext_sum] are the sets' distance sums.  A candidate
+     (p, q) moves only [p2l p] and [p2l q], so its sums are these plus
+     the distance changes on their two lists. *)
+  let n_ext_max = max 0 (min lookahead m) in
+  let touch_head = Array.make nl (-1) and touched = Array.make nl 0 in
+  let n_touched = ref 0 in
+  let touch_cap = max 1 (n_log + (2 * n_ext_max)) in
+  let touch_entry = Array.make touch_cap 0 and touch_next = Array.make touch_cap 0 in
+  let n_touch = ref 0 in
+  let add_touch l entry =
+    if touch_head.(l) < 0 then begin
+      touched.(!n_touched) <- l;
+      incr n_touched
+    end;
+    touch_entry.(!n_touch) <- entry;
+    touch_next.(!n_touch) <- touch_head.(l);
+    touch_head.(l) <- !n_touch;
+    incr n_touch
+  in
+  let touch_gate i side =
+    add_touch q0.(i) ((q1.(i) lsl 1) lor side);
+    add_touch q1.(i) ((q0.(i) lsl 1) lor side)
+  in
+  let front_sum = ref 0 and ext_sum = ref 0 and n_ext = ref 0 in
+  let rebuild () =
+    for k = 0 to !n_touched - 1 do
+      touch_head.(touched.(k)) <- -1
+    done;
+    n_touched := 0;
+    n_touch := 0;
+    front_sum := 0;
+    for k = 0 to !n_front - 1 do
+      let i = front.(k) in
+      front_sum := !front_sum + gate_distance i;
+      touch_gate i 0
+    done;
+    (* the next [lookahead] pending 2Q gates beyond the front *)
+    ext_sum := 0;
+    n_ext := 0;
+    let i = ref next.(m) in
+    while !i <> m && !n_ext < lookahead do
+      if not (is_ready !i) then begin
+        ext_sum := !ext_sum + gate_distance !i;
+        touch_gate !i 1;
+        incr n_ext
+      end;
+      i := next.(!i)
+    done
+  in
+  (* Add to [d_front]/[d_ext] the distance changes when logical [l] moves
+     from site [src] to [dst] and [other] the opposite way; a gate
+     between the two keeps its distance. *)
+  let d_front = ref 0 and d_ext = ref 0 in
+  let moved l src dst other =
+    let e = ref touch_head.(l) in
+    while !e >= 0 do
+      let x = touch_entry.(!e) in
+      let partner = x lsr 1 in
+      if partner <> other then begin
+        let pm = l2p.(partner) in
+        let d = dist.((dst * n_phys) + pm) - dist.((src * n_phys) + pm) in
+        if x land 1 = 0 then d_front := !d_front + d else d_ext := !d_ext + d
+      end;
+      e := touch_next.(!e)
+    done
+  in
   let front_sites = Array.make (max 1 (2 * n_log)) 0 in
   let cand = Array.make (max 1 (2 * n_log * max_degree topo)) 0 in
-  let ext = Array.make (max 1 (min lookahead m)) 0 in
+  let draws = Array.make (Array.length cand) 0.0 in
   let decay_arr = Array.make n_phys 1.0 in
   let rng = Prng.create seed in
-  let swaps = ref 0 and stall = ref 0 and step = ref 0 in
+  let swaps = ref 0 and stall = ref 0 in
+  (* the sums of the last scored step still hold: its drain emitted
+     nothing, so the front and the extended set are unchanged *)
+  let carried = ref false in
   (* every step ends with a drain, so only the first step starts with one *)
   let drained = ref false in
   while !remaining > 0 do
@@ -262,69 +376,57 @@ let run ~emit ~lookahead ~decay ~seed topo t initial =
     if not !drained then drain ();
     drained := true;
     if !remaining > 0 then begin
-      incr step;
-      (* after a drain with no progress every ready head is a 2Q gate
-         that cannot execute: that is the front layer *)
-      n_front := 0;
-      for k = 0 to !n_snap - 1 do
-        let i = snap.(k) in
-        if is_ready i then begin
-          front.(!n_front) <- i;
-          front_mark.(i) <- !step;
-          incr n_front
-        end
-      done;
+      (* after a drain every ready gate is a 2Q gate that cannot execute:
+         that is the front layer *)
       assert (!n_front > 0);
+      let scored = !stall <= 2 * n_phys in
+      let best_front = ref 0 and best_ext = ref 0 in
       let code =
-        if !stall > 2 * n_phys then begin
-          let i = front.(0) in
-          match closer_step topo l2p.(q0.(i)) l2p.(q1.(i)) with
+        if not scored then begin
+          let i = ref front.(0) in
+          for k = 1 to !n_front - 1 do
+            i := min !i front.(k)
+          done;
+          match closer_step topo l2p.(q0.(!i)) l2p.(q1.(!i)) with
           | Some c -> c
           | None -> assert false (* connected: some neighbor is closer *)
         end
         else begin
+          if not !carried then rebuild ();
           for k = 0 to !n_front - 1 do
             let i = front.(k) in
             front_sites.(2 * k) <- l2p.(q0.(i));
             front_sites.((2 * k) + 1) <- l2p.(q1.(i))
           done;
           let n_cand = candidates topo cand front_sites (2 * !n_front) in
-          (* the next [lookahead] pending 2Q gates beyond the front *)
-          let n_ext = ref 0 and i = ref next.(m) in
-          while !i <> m && !n_ext < lookahead do
-            if front_mark.(!i) <> !step then begin
-              ext.(!n_ext) <- !i;
-              incr n_ext
-            end;
-            i := next.(!i)
-          done;
+          (* one draw per candidate, in ascending candidate order *)
+          Prng.fill_float rng 1.0 draws n_cand;
           let best = ref (-1) and best_score = ref 0.0 in
           for k = 0 to n_cand - 1 do
             let c = cand.(k) in
-            let p = c / n_phys and q = c mod n_phys in
-            swap_sites s p q;
-            let front_cost = ref 0 in
-            for j = 0 to !n_front - 1 do
-              front_cost := !front_cost + gate_distance front.(j)
-            done;
-            let ext_sum = ref 0 in
-            for j = 0 to !n_ext - 1 do
-              ext_sum := !ext_sum + gate_distance ext.(j)
-            done;
-            swap_sites s p q;
+            let p = c / n_phys in
+            let q = c - (p * n_phys) in
+            let lp = p2l.(p) and lq = p2l.(q) in
+            d_front := 0;
+            d_ext := 0;
+            if lp >= 0 then moved lp p q lq;
+            if lq >= 0 then moved lq q p lp;
             let ext_cost =
               if !n_ext = 0 then 0.0
-              else float_of_int !ext_sum /. float_of_int !n_ext
+              else float_of_int (!ext_sum + !d_ext) /. float_of_int !n_ext
             in
             let decay_factor = Float.max decay_arr.(p) decay_arr.(q) in
             let score =
-              decay_factor *. (float_of_int !front_cost +. (0.5 *. ext_cost))
-              +. (1e-9 *. Prng.float rng 1.0)
+              decay_factor
+              *. (float_of_int (!front_sum + !d_front) +. (0.5 *. ext_cost))
+              +. (1e-9 *. draws.(k))
             in
             (* the first minimum wins ties *)
             if !best < 0 || score < !best_score then begin
               best := c;
-              best_score := score
+              best_score := score;
+              best_front := !d_front;
+              best_ext := !d_ext
             end
           done;
           assert (!best >= 0);
@@ -332,22 +434,41 @@ let run ~emit ~lookahead ~decay ~seed topo t initial =
         end
       in
       let p = code / n_phys and q = code mod n_phys in
+      let lp = p2l.(p) and lq = p2l.(q) in
       swap_sites s p q;
       if emit then emitted := Gate.Swap (p, q) :: !emitted;
       incr swaps;
       decay_arr.(p) <- decay_arr.(p) +. decay;
       decay_arr.(q) <- decay_arr.(q) +. decay;
       if !swaps mod (5 * n_phys) = 0 then Array.fill decay_arr 0 n_phys 1.0;
+      (* only the ready gates on the two moved qubits can have become
+         executable *)
+      n_cur := 0;
+      let hp = if lp >= 0 then head_of lp else -1 in
+      if hp >= 0 && is_ready hp then insert cur n_cur hp;
+      let hq = if lq >= 0 then head_of lq else -1 in
+      if hq >= 0 && hq <> hp && is_ready hq then insert cur n_cur hq;
       let before = !remaining in
       drain ();
-      if !remaining < before then stall := 0 else incr stall
+      if !remaining < before then begin
+        stall := 0;
+        carried := false
+      end
+      else begin
+        incr stall;
+        carried := scored;
+        front_sum := !front_sum + !best_front;
+        ext_sum := !ext_sum + !best_ext
+      end
     end
   done;
   (!emitted, layout_of_sites initial s, !swaps)
 
+(* The routed gates are the circuit's gates mapped through a validated
+   layout plus SWAPs on coupling edges, so every qubit is in range. *)
 let result_of ~n_phys initial (emitted, final_layout, num_swaps) =
   {
-    circuit = Circuit.create n_phys (List.rev emitted);
+    circuit = Circuit.of_validated n_phys (List.rev emitted);
     initial_layout = initial;
     final_layout;
     num_swaps;
@@ -370,12 +491,12 @@ let route ?initial ?(lookahead = 20) ?(decay = 0.001) ?(seed = 7) topo circ =
 let route_with_refinement ?initial ?(iterations = 1) ?(lookahead = 20)
     ?(seed = 7) topo circ =
   let n_phys = Topology.num_qubits topo in
+  check_device "Sabre.route_with_refinement" topo (Circuit.num_qubits circ);
   let seed_layout =
     match initial with
     | Some l -> l
     | None -> Placement.of_circuit topo circ
   in
-  check_device "Sabre.route" topo (Circuit.num_qubits circ);
   let fwd = tables circ in
   let decay = 0.001 in
   let route_fwd ~emit layout =
@@ -428,7 +549,8 @@ let route_commuting ?initial topo circ =
   let dist = Topology.distances topo in
   let s = sites_of_layout initial_layout in
   let l2p = s.l2p and p2l = s.p2l in
-  let place g = Gate.map_qubits (Array.get l2p) g in
+  let to_phys q = l2p.(q) in
+  let place g = Gate.map_qubits to_phys g in
   let all = Circuit.gates circ in
   (* 1Q gates commute with everything here: emit them first. *)
   let emitted =
@@ -439,18 +561,13 @@ let route_commuting ?initial topo circ =
   in
   let pending = Array.of_list (List.filter Gate.is_two_qubit all) in
   let np = Array.length pending in
-  let ga = Array.make np 0 and gb = Array.make np 0 in
+  let ga = Array.map Gate.first_qubit pending in
+  let gb = Array.map Gate.second_qubit pending in
   let deg = Array.make n_log 0 in
-  Array.iteri
-    (fun k g ->
-      match Gate.qubits g with
-      | [ a; b ] ->
-        ga.(k) <- a;
-        gb.(k) <- b;
-        deg.(a) <- deg.(a) + 1;
-        deg.(b) <- deg.(b) + 1
-      | _ -> assert false)
-    pending;
+  for k = 0 to np - 1 do
+    deg.(ga.(k)) <- deg.(ga.(k)) + 1;
+    deg.(gb.(k)) <- deg.(gb.(k)) + 1
+  done;
   (* [inc.(l).(0 .. inc_len.(l)-1)]: the pending gates on logical [l] *)
   let inc = Array.map (fun d -> Array.make d 0) deg in
   let inc_len = Array.make n_log 0 in
@@ -472,28 +589,32 @@ let route_commuting ?initial topo circ =
     add gb.(k) k
   done;
   let live = Array.make np true and n_live = ref np and first_live = ref 0 in
-  let gdist k = dist.((l2p.(ga.(k)) * n_phys) + l2p.(gb.(k))) in
-  let inc_sum l =
-    let acc = ref 0 in
-    if l >= 0 then
-      for j = 0 to inc_len.(l) - 1 do
-        acc := !acc + gdist inc.(l).(j)
-      done;
-    !acc
-  in
   (* [ready.(0 .. n-1)]: gates at distance 1 (duplicates allowed) *)
-  let ready = Array.make (max 1 np) 0 in
-  let collect_ready n l =
-    let n = ref n in
-    if l >= 0 then
+  let ready = Array.make (max 1 np) 0 and n_ready = ref 0 in
+  (* [moved ~collect l src dst] adds to [delta] the distance change of
+     the gates on logical [l] when it moves from site [src] to [dst] and
+     the qubit on [dst] moves to [src], and counts in [new_ready] those
+     that end at distance 1 (collecting them into [ready] when
+     [collect]).  A gate between the two moved qubits is visited from
+     both; it keeps its distance. *)
+  let delta = ref 0 and new_ready = ref 0 in
+  let moved ~collect l src dst =
+    if l >= 0 then begin
+      let a = inc.(l) in
       for j = 0 to inc_len.(l) - 1 do
-        let k = inc.(l).(j) in
-        if gdist k = 1 then begin
-          ready.(!n) <- k;
-          incr n
+        let k = a.(j) in
+        let pm = l2p.(if ga.(k) = l then gb.(k) else ga.(k)) in
+        let after = dist.((dst * n_phys) + if pm = dst then src else pm) in
+        delta := !delta + after - dist.((src * n_phys) + pm);
+        if after = 1 then begin
+          incr new_ready;
+          if collect then begin
+            ready.(!n_ready) <- k;
+            incr n_ready
+          end
         end
-      done;
-    !n
+      done
+    end
   in
   let swaps = ref 0 in
   (* ASAP busy layers per physical qubit, to steer SWAPs toward idle
@@ -508,8 +629,8 @@ let route_commuting ?initial topo circ =
   let stall = ref 0 (* SWAPs since a gate was last emitted *) in
   (* Emit the ready gates in pending (program) order; each was at
      distance 1, so the total pending distance drops by their number. *)
-  let emit_ready n =
-    let n = sort_uniq_prefix ready n in
+  let emit_ready () =
+    let n = sort_uniq_prefix ready !n_ready in
     if n > 0 then stall := 0;
     for j = 0 to n - 1 do
       let k = ready.(j) in
@@ -525,20 +646,25 @@ let route_commuting ?initial topo circ =
       incr first_live
     done
   in
-  let n_ready = ref 0 in
   for k = 0 to np - 1 do
-    let d = gdist k in
+    let d = dist.((l2p.(ga.(k)) * n_phys) + l2p.(gb.(k))) in
     total := !total + d;
     if d = 1 then begin
       ready.(!n_ready) <- k;
       incr n_ready
     end
   done;
-  let frontier = Array.make n_phys 0 in
-  let cand = Array.make (max 1 (n_phys * max_degree topo)) 0 in
+  (* The candidate SWAPs are the coupling edges with an endpoint whose
+     logical qubit has pending gates, in ascending [min·n_phys + max]
+     order: [Topology.edges] is sorted with the small endpoint first. *)
+  let edges = Array.of_list (Topology.edges topo) in
+  let pending_at p =
+    let l = p2l.(p) in
+    l >= 0 && inc_len.(l) > 0
+  in
   while !n_live > 0 do
     Phoenix_util.Budget.checkpoint ();
-    emit_ready !n_ready;
+    emit_ready ();
     if !n_live > 0 then begin
       (* One step along a shortest path for the first pending gate: the
          fallback when no SWAP lowers the total, and the only move once
@@ -549,67 +675,53 @@ let route_commuting ?initial topo circ =
       let forced () =
         let k = !first_live in
         match closer_step topo l2p.(ga.(k)) l2p.(gb.(k)) with
-        | Some c -> c
+        | Some c -> (c / n_phys, c mod n_phys)
         | None -> assert false (* connected: some neighbor is closer *)
       in
-      let code =
+      let p, q =
         if !stall > 2 * n_phys then forced ()
         else begin
-          (* the sites of logical qubits with pending gates, ascending *)
-          let n_frontier = ref 0 in
-          for p = 0 to n_phys - 1 do
-            let l = p2l.(p) in
-            if l >= 0 && inc_len.(l) > 0 then begin
-              frontier.(!n_frontier) <- p;
-              incr n_frontier
-            end
-          done;
-          let n_cand = candidates topo cand frontier !n_frontier in
           let best = ref (-1) and best_d = ref 0 and best_newly = ref 0
           and best_busy = ref 0 in
-          for k = 0 to n_cand - 1 do
-            let c = cand.(k) in
-            let p = c / n_phys and q = c mod n_phys in
-            let lp = p2l.(p) and lq = p2l.(q) in
-            let before = inc_sum lp + inc_sum lq in
-            swap_sites s p q;
-            let after = inc_sum lp + inc_sum lq in
-            let newly = -collect_ready (collect_ready 0 lp) lq in
-            swap_sites s p q;
-            let d = !total - before + after and b = max busy.(p) busy.(q) in
-            (* lexicographic (distance, −newly, busy); first minimum wins *)
-            if
-              !best < 0
-              || d < !best_d
-              || d = !best_d
-                 && (newly < !best_newly
-                    || (newly = !best_newly && b < !best_busy))
-            then begin
-              best := c;
-              best_d := d;
-              best_newly := newly;
-              best_busy := b
+          for e = 0 to Array.length edges - 1 do
+            let p, q = edges.(e) in
+            if pending_at p || pending_at q then begin
+              delta := 0;
+              new_ready := 0;
+              moved ~collect:false p2l.(p) p q;
+              moved ~collect:false p2l.(q) q p;
+              let d = !total + !delta and newly = - !new_ready
+              and b = max busy.(p) busy.(q) in
+              (* lexicographic (distance, −newly, busy); first minimum wins *)
+              if
+                !best < 0
+                || d < !best_d
+                || d = !best_d
+                   && (newly < !best_newly
+                      || (newly = !best_newly && b < !best_busy))
+              then begin
+                best := e;
+                best_d := d;
+                best_newly := newly;
+                best_busy := b
+              end
             end
           done;
-          if !best_d < !total then !best else forced ()
+          if !best_d < !total then edges.(!best) else forced ()
         end
       in
-      let p = code / n_phys and q = code mod n_phys in
-      let lp = p2l.(p) and lq = p2l.(q) in
-      let before = inc_sum lp + inc_sum lq in
+      (* only the gates on the two moved qubits can have become ready *)
+      delta := 0;
+      n_ready := 0;
+      moved ~collect:true p2l.(p) p q;
+      moved ~collect:true p2l.(q) q p;
+      total := !total + !delta;
       swap_sites s p q;
-      total := !total - before + inc_sum lp + inc_sum lq;
       emitted := Gate.Swap (p, q) :: !emitted;
       occupy p q;
       incr swaps;
-      incr stall;
-      (* only the gates on the two moved qubits can have become ready *)
-      n_ready := collect_ready (collect_ready 0 lp) lq
+      incr stall
     end
   done;
-  {
-    circuit = Circuit.create n_phys (List.rev !emitted);
-    initial_layout;
-    final_layout = layout_of_sites initial_layout s;
-    num_swaps = !swaps;
-  }
+  result_of ~n_phys initial_layout
+    (!emitted, layout_of_sites initial_layout s, !swaps)

@@ -8,8 +8,8 @@
     {!Phoenix_circuit.Lowering} expands into 3 CNOTs.
 
     Both routers keep their state in flat int arrays, score each
-    candidate SWAP in place, and are deterministic: equal inputs (seed
-    included) give equal results. *)
+    candidate SWAP from the gates on the two logical qubits it moves, and
+    are deterministic: equal inputs (seed included) give equal results. *)
 
 type result = {
   circuit : Phoenix_circuit.Circuit.t;
@@ -46,7 +46,7 @@ val route_with_refinement :
     forward/backward routing passes ([iterations] round trips, default
     1), then route forward with the better of the refined and the seed
     layout (the seed layout on a tie).  Raises [Invalid_argument] as
-    {!route} does. *)
+    {!route} does, before placing the circuit. *)
 
 val route_commuting :
   ?initial:Layout.t ->

@@ -23,6 +23,10 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 
+val fill_float : t -> float -> float array -> int -> unit
+(** [fill_float t bound a n] stores [n] successive [float t bound] draws
+    in [a.(0)] … [a.(n-1)], allocating nothing. *)
+
 val bool : t -> bool
 
 val uniform : t -> float -> float -> float

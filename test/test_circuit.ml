@@ -84,14 +84,6 @@ let test_concat_mismatch () =
              [ Circuit.create 2 [ cnot 0 1 ]; Circuit.empty 2;
                Circuit.create 2 [ h 1; cnot 1 0 ] ])))
 
-let test_interaction_counts () =
-  let c = Circuit.create 3 [ cnot 0 1; cnot 1 0; cnot 1 2 ] in
-  let counts = Circuit.interaction_counts c in
-  Alcotest.(check (option int)) "pair 0-1 normalized" (Some 2)
-    (Hashtbl.find_opt counts (0, 1));
-  Alcotest.(check (option int)) "pair 1-2" (Some 1)
-    (Hashtbl.find_opt counts (1, 2))
-
 let test_used_qubits () =
   let c = Circuit.create 5 [ cnot 1 3 ] in
   Alcotest.(check (list int)) "used" [ 1; 3 ] (Circuit.used_qubits c)
@@ -177,7 +169,6 @@ let () =
           Alcotest.test_case "dagger involution" `Quick test_dagger_involution;
           Alcotest.test_case "map qubits" `Quick test_map_qubits;
           Alcotest.test_case "concat mismatch" `Quick test_concat_mismatch;
-          Alcotest.test_case "interaction counts" `Quick test_interaction_counts;
           Alcotest.test_case "used qubits" `Quick test_used_qubits;
         ] );
       ( "endian",

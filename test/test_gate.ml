@@ -58,7 +58,23 @@ let test_qubits_and_pair () =
   Alcotest.(check (option (pair int int))) "pair normalized" (Some (0, 2))
     (Gate.pair (Gate.Cnot (2, 0)));
   Alcotest.(check (option (pair int int))) "1q no pair" None
-    (Gate.pair (Gate.G1 (Gate.X, 1)))
+    (Gate.pair (Gate.G1 (Gate.X, 1)));
+  (* the allocation-free accessors read [qubits] in order, for every kind *)
+  List.iter
+    (fun g ->
+      let second = Gate.second_qubit g in
+      Alcotest.(check (list int))
+        (Gate.to_string g ^ " first/second")
+        (Gate.qubits g)
+        (Gate.first_qubit g :: (if second >= 0 then [ second ] else [])))
+    [
+      Gate.G1 (Gate.H, 3);
+      Gate.Cnot (2, 0);
+      Gate.Swap (4, 1);
+      Gate.Cliff2 (Clifford2q.make Clifford2q.CYZ 5 2);
+      Gate.Rpp { p0 = Pauli.X; p1 = Pauli.Z; a = 3; b = 1; theta = 0.9 };
+      Gate.Su4 { a = 6; b = 0; parts = [ Gate.Cnot (6, 0) ] };
+    ]
 
 let test_clifford2q_decompose_matches_matrix () =
   List.iter

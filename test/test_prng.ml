@@ -115,6 +115,55 @@ let test_float_draw_allocation () =
     (Printf.sprintf "at most 2 words per draw (%.2f)" words)
     true (words <= 2.0)
 
+(* [fill_float] is [float t bound] draw by draw: batches of 0–17 draws
+   against single reference draws, interleaved with the other entry
+   points on both generators. *)
+let test_fill_float_equals_reference () =
+  let buf = Array.make 17 0.0 in
+  List.iter
+    (fun seed ->
+      let a = Prng.create seed and r = Reference.create seed in
+      let fail i what =
+        Alcotest.failf "seed %d, round %d: %s differs from the reference" seed
+          i what
+      in
+      for i = 0 to 19_999 do
+        let n = i mod 18 in
+        Prng.fill_float a 1.0 buf n;
+        for j = 0 to n - 1 do
+          if
+            Int64.bits_of_float buf.(j)
+            <> Int64.bits_of_float (Reference.float r 1.0)
+          then fail i "fill_float"
+        done;
+        match i mod 4 with
+        | 0 -> if Prng.int a 97 <> Reference.int r 97 then fail i "int"
+        | 1 ->
+          if
+            Int64.bits_of_float (Prng.float a 1.0)
+            <> Int64.bits_of_float (Reference.float r 1.0)
+          then fail i "float"
+        | 2 ->
+          if Prng.next_int64 a <> Reference.next_int64 r then fail i "next_int64"
+        | _ -> if Prng.bool a <> Reference.bool r then fail i "bool"
+      done)
+    reference_seeds
+
+let test_fill_float_allocation () =
+  let g = Prng.create 3 and buf = Array.make 64 0.0 in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Prng.fill_float g 1.0 buf 64
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity buf);
+  (* a word per call or more would read 10,000 *)
+  Alcotest.(check bool)
+    (Printf.sprintf "no allocation per call (%.0f words over %d calls)" words
+       calls)
+    true (words < 100.0)
+
 let () =
   Alcotest.run "prng"
     [
@@ -135,5 +184,9 @@ let () =
             test_streams_equal_reference;
           Alcotest.test_case "float draw allocation" `Quick
             test_float_draw_allocation;
+          Alcotest.test_case "batched draws equal the reference" `Quick
+            test_fill_float_equals_reference;
+          Alcotest.test_case "batched draws allocate nothing" `Quick
+            test_fill_float_allocation;
         ] );
     ]

@@ -11,6 +11,10 @@ let cnot a b = Gate.Cnot (a, b)
 let h q = Gate.G1 (Gate.H, q)
 let rz t q = Gate.G1 (Gate.Rz t, q)
 
+let zz a b =
+  Gate.Rpp
+    { p0 = Phoenix_pauli.Pauli.Z; p1 = Phoenix_pauli.Pauli.Z; a; b; theta = 0.3 }
+
 (* --- layout --- *)
 
 let test_layout_trivial () =
@@ -130,18 +134,11 @@ let test_refinement_not_worse_much () =
   let r = Sabre.route_with_refinement ~iterations:2 topo circ in
   Alcotest.(check bool) "valid" true (respects_topology topo r.Sabre.circuit)
 
-let test_device_too_small () =
-  Alcotest.check_raises "too small"
-    (Invalid_argument
-       "Sabre.route: circuit needs 3 logical qubits but the device has only 2")
-    (fun () ->
-      ignore (Sabre.route (Topology.line 2) (Circuit.create 3 [ cnot 0 2 ])))
-
-(* --- disconnected devices -------------------------------------------- *)
+(* --- devices the routers refuse ---------------------------------------- *)
 
 (* Two components, one ZZ interaction across them: no SWAP sequence can
-   ever make it executable, so both commuting routers must refuse up
-   front instead of searching forever. *)
+   ever make it executable, so every router must refuse up front instead
+   of searching forever. *)
 let split_device = Topology.make 4 [ (0, 1); (2, 3) ]
 
 let disconnected name =
@@ -150,9 +147,25 @@ let disconnected name =
    ^ ": the 4-qubit coupling graph is disconnected — routing cannot reach \
       every qubit")
 
-let zz a b =
-  Gate.Rpp
-    { p0 = Phoenix_pauli.Pauli.Z; p1 = Phoenix_pauli.Pauli.Z; a; b; theta = 0.3 }
+(* Each router checks the device before it places the circuit, and names
+   itself. *)
+let test_device_too_small () =
+  let line2 = Topology.line 2 and circ = Circuit.create 3 [ cnot 0 2 ] in
+  let too_small name =
+    Invalid_argument
+      (name ^ ": circuit needs 3 logical qubits but the device has only 2")
+  in
+  Alcotest.check_raises "route" (too_small "Sabre.route") (fun () ->
+      ignore (Sabre.route line2 circ));
+  Alcotest.check_raises "refinement"
+    (too_small "Sabre.route_with_refinement") (fun () ->
+      ignore (Sabre.route_with_refinement line2 circ));
+  Alcotest.check_raises "commuting" (too_small "Sabre.route_commuting")
+    (fun () -> ignore (Sabre.route_commuting line2 circ));
+  Alcotest.check_raises "refinement on a split device"
+    (disconnected "Sabre.route_with_refinement") (fun () ->
+      ignore
+        (Sabre.route_with_refinement split_device (Circuit.create 4 [ zz 0 2 ])))
 
 let test_commuting_disconnected () =
   Alcotest.check_raises "commuting router"
@@ -197,10 +210,9 @@ let devices =
       Topology.ibm_manhattan ();
     |]
 
-(* A random instance: a device, a register of [2 .. min 12 n_phys]
-   qubits, up to 40 gates of every routed kind (1Q, CNOT, Rpp, Cliff2),
-   a router seed, a lookahead in 1–25 and a seed for a random initial
-   layout. *)
+(* A random instance: a device, a register, gates of every routed kind
+   (1Q, CNOT, Rpp, Cliff2), a router seed, a lookahead in 1–25 and a
+   seed for a random initial layout. *)
 type instance = {
   device : int;
   gates : Gate.t list;
@@ -210,11 +222,13 @@ type instance = {
   layout_seed : int;
 }
 
-let instance_gen =
+(* [device] draws the device index; [register n_phys] the register size;
+   [length] the gate count. *)
+let instance_of ~device ~register ~length =
   let open QCheck2.Gen in
-  let* device = int_range 0 4 in
+  let* device = device in
   let n_phys = Topology.num_qubits (Lazy.force devices).(device) in
-  let* n_log = int_range 2 (min 12 n_phys) in
+  let* n_log = register n_phys in
   let qubit_pair =
     let* a = int_range 0 (n_log - 1) in
     let* d = int_range 1 (n_log - 1) in
@@ -233,11 +247,29 @@ let instance_gen =
         map (fun c -> Gate.Cliff2 c) (Helpers.clifford2q_gen n_log);
       ]
   in
-  let* gates = list_size (int_range 0 40) gate in
+  let* gates = list_size length gate in
   let* seed = int_range 0 10_000 in
   let* lookahead = int_range 1 25 in
   let* layout_seed = int_range 0 10_000 in
   return { device; gates; n_log; seed; lookahead; layout_seed }
+
+(* Every device, a register of [2 .. min 12 n_phys] qubits, up to 40
+   gates. *)
+let instance_gen =
+  QCheck2.Gen.(
+    instance_of ~device:(int_range 0 4)
+      ~register:(fun n_phys -> int_range 2 (min 12 n_phys))
+      ~length:(int_range 0 40))
+
+(* Long circuits on heavy-hex [5;5;5] and Manhattan: 150–400 gates on at
+   least half the device.  They run long stretches of SWAPs that emit
+   nothing, where SABRE carries its scores from step to step, and many
+   reach a decay reset (every 5·n_phys SWAPs). *)
+let long_instance_gen =
+  QCheck2.Gen.(
+    instance_of ~device:(int_range 3 4)
+      ~register:(fun n_phys -> int_range (n_phys / 2) n_phys)
+      ~length:(int_range 150 400))
 
 let print_instance i =
   Printf.sprintf "device %d, %d qubits, seed %d, lookahead %d, layout %d:\n%s"
@@ -251,10 +283,9 @@ let random_layout ~seed ~n_log topo =
   Phoenix_util.Prng.shuffle (Phoenix_util.Prng.create seed) sites;
   Layout.of_l2p ~n_physical:n_phys (Array.sub sites 0 n_log)
 
-let differential ~count name f =
+let differential ?(gen = instance_gen) ~count name f =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name ~print:print_instance instance_gen
-       (fun i ->
+    (QCheck2.Test.make ~count ~name ~print:print_instance gen (fun i ->
          let topo = (Lazy.force devices).(i.device) in
          f i topo (Circuit.create i.n_log i.gates)))
 
@@ -279,6 +310,42 @@ let prop_refinement_matches_reference =
         (Sabre.route_with_refinement ~iterations ~seed ~lookahead topo circ)
         (Reference.route_with_refinement ~iterations ~seed ~lookahead topo
            circ))
+
+(* The long-circuit instances whose forward route reached a decay
+   reset, out of all of them *)
+let long_resets = ref 0 and long_total = ref 0
+
+let count_reset topo (r : Sabre.result) =
+  incr long_total;
+  if r.Sabre.num_swaps >= 5 * Topology.num_qubits topo then incr long_resets
+
+let prop_long_route_matches_reference =
+  differential ~gen:long_instance_gen ~count:30
+    "route = reference on long circuits (random layouts)"
+    (fun i topo circ ->
+      let seed = i.seed and lookahead = i.lookahead in
+      let initial = random_layout ~seed:i.layout_seed ~n_log:i.n_log topo in
+      let r = Sabre.route ~initial ~seed ~lookahead topo circ in
+      count_reset topo r;
+      same r (Reference.route ~initial ~seed ~lookahead topo circ))
+
+let prop_long_refinement_matches_reference =
+  differential ~gen:long_instance_gen ~count:30
+    "route_with_refinement = reference on long circuits (0–2 rounds)"
+    (fun i topo circ ->
+      let iterations = i.seed mod 3 in
+      let seed = i.seed and lookahead = i.lookahead in
+      let r = Sabre.route_with_refinement ~iterations ~seed ~lookahead topo circ in
+      count_reset topo r;
+      same r
+        (Reference.route_with_refinement ~iterations ~seed ~lookahead topo
+           circ))
+
+let test_report_long_resets () =
+  if !long_total > 0 then
+    Printf.printf
+      "long circuits with a decay reset (SWAPs >= 5·n_phys): %d of %d\n%!"
+      !long_resets !long_total
 
 (* Both commuting routers checkpoint once per step.  The list router can
    cycle forever between its fallback step and the greedy step that
@@ -509,6 +576,10 @@ let () =
           prop_route_matches_reference;
           prop_refinement_matches_reference;
           prop_commuting_matches_reference;
+          prop_long_route_matches_reference;
+          prop_long_refinement_matches_reference;
+          Alcotest.test_case "long circuits reaching a decay reset (reported)"
+            `Quick test_report_long_resets;
           Alcotest.test_case "hw-route route-pass inputs" `Slow
             test_hw_route_inputs_match_reference;
           Alcotest.test_case "commuting cycle ends" `Quick
