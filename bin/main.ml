@@ -27,7 +27,6 @@ module Circuit = Phoenix_circuit.Circuit
 module Gate = Phoenix_circuit.Gate
 module Topology = Phoenix_topology.Topology
 module Diag = Phoenix_verify.Diag
-module Structural = Phoenix_verify.Structural
 module Finding = Phoenix_analysis.Finding
 module Registry = Phoenix_analysis.Registry
 module Determinism = Phoenix_analysis.Determinism
@@ -166,11 +165,6 @@ let fault_enum =
     "dangling", Dangling;
   ]
 
-let structural_violations (job : Job.t) circuit =
-  Structural.validate
-    ~isa:(Pass.structural_isa job.Job.options.Compiler.isa)
-    ?topology:(Job.topology job) circuit
-
 (* --verify diagnostics of a compiled run: the report's own plus the
    boundary hook's; an injected fault re-validates the mutated circuit
    on top. *)
@@ -178,7 +172,7 @@ let verify_diagnostics fault (c : compiled) circuit =
   if not c.job.Job.options.Compiler.verify then []
   else
     c.report.Compiler.diagnostics @ c.hook_diags
-    @ if fault = No_fault then [] else structural_violations c.job circuit
+    @ if fault = No_fault then [] else Job.structural c.job circuit
 
 let print_diagnostics diags =
   Printf.printf "verify:    %s\n" (Diag.summary diags);
@@ -438,24 +432,7 @@ let run_template_mode f job ~bind_spec =
   | Some spec ->
     let theta = parse_bindings ~params:(Template.params tmpl) spec in
     let circuit, bind_trace = Template.bind_with_trace tmpl theta in
-    let diagnostics =
-      if not job.Job.options.Compiler.verify then []
-      else
-        report.Compiler.diagnostics
-        @
-        match structural_violations job circuit with
-        | [] ->
-          [
-            Diag.make ~pass:"structural" Diag.Info
-              (if Job.topology job = None then
-                 "ISA alphabet, qubit range verified"
-               else
-                 "ISA alphabet, qubit range and coupling-graph compliance \
-                  verified");
-          ]
-        | violations -> violations
-    in
-    let findings = if f.lint then Job.lint job report circuit else [] in
+    let diagnostics, findings = Job.check_bound ~lint:f.lint job report circuit in
     print_circuit_summary report circuit;
     finish f job ~template:true ~report ~extra_trace:bind_trace ~diagnostics
       ~findings ~hook_findings:[] ~certificate circuit

@@ -45,13 +45,13 @@ let audit_file path =
         ]
       | Some _, Some _ -> []
     in
-    let k = Array.length info.Cache.Persist.support in
+    let k = info.Cache.Persist.width in
     let range =
       let mq = max_gate_qubit info.Cache.Persist.gates in
       if mq >= k then
         [
           Finding.error ~analysis
-            "cache entry %s: gate qubit %d outside the stored support \
+            "cache entry %s: gate qubit %d outside the stored width \
              (%d qubits)"
             file mq k;
         ]

@@ -10,8 +10,8 @@
       from the stored ordered fingerprint
       ({!Phoenix_pauli.Bsf.digest_of_canonical_form}) — a mismatch means
       the entry would replay the wrong circuit;
-    - the stored gates fit the stored support (every gate qubit is a
-      valid rank), so relabelled replay cannot go out of range.
+    - the stored gates fit the stored width (every gate qubit is one of
+      the entry's local qubits), so a replay cannot go out of range.
 
     Corrupt or mismatched entries are [Error] findings; a clean
     directory yields one [Info] certification finding.  The runtime

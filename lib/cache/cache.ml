@@ -30,20 +30,18 @@ let tier_to_string = function Off -> "off" | Mem -> "mem" | Disk -> "disk"
 (* ------------------------------------------------------------------ *)
 
 (* The disk tier's textual address: the MD5 digest of the row-sorted
-   canonical form, and the ordered fingerprint behind the mode prefix. *)
-type text = { digest : string; fingerprint : string }
+   canonical form, the ordered fingerprint behind the mode prefix, and
+   the rows' width (the support size, 0 for identity-only rows). *)
+type text = { digest : string; fingerprint : string; width : int }
 
-(* The memory tier's address: the packed fingerprint alone for
-   relabel-safe keys, the packed fingerprint and the absolute support
-   otherwise, with its hash computed once. *)
-type bucket = { b_hash : int; b_packed : string; b_support : int array }
+(* The memory tier's address: the packed fingerprint, with its hash
+   computed once. *)
+type bucket = { b_hash : int; b_packed : string }
 
 type key = {
   k_bucket : bucket;
   k_exact : bool;
   k_terms : (Pauli_string.t * float) list; (* on the k local qubits *)
-  k_support : int array;
-  k_relabel_safe : bool;
   k_width : int; (* qubits of the local register the entry's gates use *)
   k_slots : int array;
       (* The requester's slot ids in first-use row order — the order the
@@ -115,44 +113,27 @@ let pack ~exact ~ranks k terms union =
   pack_rows b ~words:(Array.make (2 * wpr) 0) ~union ~ranks (8 * header_words) terms;
   Bytes.unsafe_to_string b
 
-(* In the simplify pass [sites] is the group's union support, so every
-   local qubit is in the support and the rows pack as they are.  Other
-   callers (an identity-only group keyed on the whole register) are
-   projected onto their support first, as [Bsf.canonical_form] is. *)
-let key_of_terms ~exact ~sites terms =
-  let k = Array.length sites in
+(* In the simplify pass [k] is the group's union support, so every
+   local qubit is in the support and the rows pack as they are.  An
+   identity-only group packs as zero-qubit rows, as [Bsf.canonical_form]
+   projects it, since its circuit is empty on any register. *)
+let key_of_terms ~exact k terms =
   let ranks, slots = slot_ranks terms in
   let union = Array.make (Bitvec.word_count k) 0 in
   let packed = pack ~exact ~ranks k terms union in
-  let w = Array.fold_left (fun acc x -> acc + Bitvec.popcount_word x) 0 union in
-  let packed, support =
-    if w = k then (packed, Array.copy sites)
-    else
-      let local = Array.of_list (Bitvec.indices (Bitvec.of_words k union 0)) in
-      ( pack ~exact ~ranks w
-          (List.map (fun (p, a) -> (Pauli_string.restrict p local, a)) terms)
-          (Array.make (Bitvec.word_count w) 0),
-        Array.map (Array.get sites) local )
+  let packed =
+    match Array.fold_left (fun acc x -> acc + Bitvec.popcount_word x) 0 union with
+    | w when w = k -> packed
+    | 0 ->
+        pack ~exact ~ranks 0
+          (List.map (fun (p, a) -> (Pauli_string.restrict p [||], a)) terms)
+          (Array.make (Bitvec.word_count 0) 0)
+    | _ -> invalid_arg "Cache.key_of_terms: a local qubit outside the terms' support"
   in
-  (* Replay onto another support is bit-identical only when the core
-     order is: [Pauli_string.compare] reads bit-vector words from word
-     0, so it is stable under relabelling only when every support index
-     lives in the first word. *)
-  let safe = w = 0 || support.(w - 1) < Bitvec.bits_per_word in
-  let pinned = if safe then [||] else support in
   {
-    k_bucket =
-      {
-        b_hash =
-          Array.fold_left (fun h q -> (h * 65599) + q) (Hashtbl.hash packed) pinned
-          land max_int;
-        b_packed = packed;
-        b_support = pinned;
-      };
+    k_bucket = { b_hash = Hashtbl.hash packed; b_packed = packed };
     k_exact = exact;
     k_terms = terms;
-    k_support = support;
-    k_relabel_safe = safe;
     k_width = k;
     k_slots = slots;
     k_text = None;
@@ -162,18 +143,19 @@ let text key =
   match key.k_text with
   | Some t -> t
   | None ->
-      let form = Bsf.canonical_form (Bsf.of_terms key.k_width key.k_terms) in
+      let tableau = Bsf.of_terms key.k_width key.k_terms in
+      let form = Bsf.canonical_form tableau in
       let t =
         {
           digest = Bsf.digest_of_canonical_form form;
           fingerprint = (if key.k_exact then "exact;" else "trot;") ^ form;
+          width = Bitvec.popcount (Bsf.support tableau);
         }
       in
       key.k_text <- Some t;
       t
 
 let digest key = (text key).digest
-let relabel_safe k = k.k_relabel_safe
 
 (* ------------------------------------------------------------------ *)
 (* Slot angles in canonical (rank) form                               *)
@@ -241,16 +223,14 @@ let rec gate_words (g : Gate.t) =
   | Gate.Su4 { parts; _ } ->
       4 + List.fold_left (fun acc g -> acc + gate_words g) 0 parts
 
-(* What an entry holds, in bytes: the packed fingerprint, the absolute
-   support and the gates.  The same count for entries stored here and
-   entries read from disk. *)
+(* What an entry holds, in bytes: the packed fingerprint and the gates.
+   The same count for entries stored here and entries read from disk. *)
 let entry_bytes key gates =
   let string_words =
     1 + ((String.length key.k_bucket.b_packed + bytes_per_word) / bytes_per_word)
   in
   bytes_per_word
-  * (string_words + 1 + Array.length key.k_support
-    + List.fold_left (fun acc g -> acc + gate_words g) 0 gates)
+  * (string_words + List.fold_left (fun acc g -> acc + gate_words g) 0 gates)
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                           *)
@@ -296,17 +276,13 @@ let stats_json s =
 (* In-memory LRU tier                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A hit needs equal fingerprints and equal supports or two safe keys,
-   and safety is a function of the support (a support-pinned key's is
-   never empty), so bucket equality is hit-compatibility: a bucket
-   holds at most one entry, and a lookup probes only that one. *)
+(* A hit needs equal fingerprints and nothing else, so bucket equality
+   is hit-compatibility: a bucket holds at most one entry, and a lookup
+   probes only that one. *)
 module Bucket = Hashtbl.Make (struct
   type t = bucket
 
-  let equal a b =
-    a.b_hash = b.b_hash
-    && String.equal a.b_packed b.b_packed
-    && a.b_support = b.b_support
+  let equal a b = a.b_hash = b.b_hash && String.equal a.b_packed b.b_packed
 
   let hash b = b.b_hash
 end)
@@ -323,7 +299,7 @@ type entry = {
 
 let rec sentinel =
   {
-    e_bucket = { b_hash = 0; b_packed = ""; b_support = [||] };
+    e_bucket = { b_hash = 0; b_packed = "" };
     e_gates = [];
     e_bytes = 0;
     prev = sentinel;
@@ -484,24 +460,14 @@ let dir () =
           | _ -> "_phoenix_cache"))
 
 module Persist = struct
-  let format_version = "phoenix-cache-v1"
+  let format_version = "phoenix-cache-v2"
   let suffix = ".pxc"
 
-  type entry_info = {
-    fingerprint : string;
-    support : int array;
-    relabel_safe : bool;
-    gates : Gate.t list;
-  }
+  type entry_info = { fingerprint : string; width : int; gates : Gate.t list }
 
   (* The marshalled payload.  Separate from [entry_info] so the on-disk
      layout is pinned independently of the reporting record. *)
-  type payload = {
-    p_fingerprint : string;
-    p_support : int array;
-    p_relabel_safe : bool;
-    p_gates : Gate.t list;
-  }
+  type payload = { p_fingerprint : string; p_width : int; p_gates : Gate.t list }
 
   let rec ensure_dir d =
     if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then (
@@ -509,23 +475,12 @@ module Persist = struct
       try Unix.mkdir d 0o755
       with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
 
-  (* One file per (digest, variant): relabel-safe entries share a single
-     variant; support-pinned entries get one per absolute support, so a
-     requester's key always determines its file name. *)
+  (* One file per ordered fingerprint: the digest, then 16 hex digits of
+     the fingerprint's own MD5, which tell apart the row orders of one
+     digest. *)
   let file_basename key =
-    let { digest; fingerprint } = text key in
-    let variant =
-      Digest.to_hex
-        (Digest.string
-           (fingerprint
-           ^
-           if key.k_relabel_safe then "|safe"
-           else
-             "|"
-             ^ String.concat ","
-                 (List.map string_of_int (Array.to_list key.k_support))))
-    in
-    digest ^ "-" ^ String.sub variant 0 16 ^ suffix
+    let { digest; fingerprint; _ } = text key in
+    digest ^ "-" ^ String.sub (Digest.to_hex (Digest.string fingerprint)) 0 16 ^ suffix
 
   let path_of_key key = Filename.concat (dir ()) (file_basename key)
 
@@ -577,8 +532,7 @@ module Persist = struct
                               Ok
                                 {
                                   fingerprint = p.p_fingerprint;
-                                  support = p.p_support;
-                                  relabel_safe = p.p_relabel_safe;
+                                  width = p.p_width;
                                   gates = p.p_gates;
                                 }))))
 
@@ -693,13 +647,10 @@ let warn record fmt =
     fmt
 
 (* An entry read from disk is hit-compatible when its ordered
-   fingerprint (which folds in the exact-mode flag) matches and the
-   replay is provably bit-identical: either the absolute support is the
-   very same, or both sides are single-word relabel-safe. *)
+   fingerprint (which folds in the exact-mode flag) matches: synthesis
+   is a function of the local rows, so the replay is bit-identical. *)
 let compatible key (info : Persist.entry_info) =
   String.equal info.Persist.fingerprint (text key).fingerprint
-  && (info.Persist.support = key.k_support
-     || (info.Persist.relabel_safe && key.k_relabel_safe))
 
 type probe = Skip | Hit of Gate.t list | Try_disk
 
@@ -740,8 +691,7 @@ let lookup ?record ~tier key =
                   (Filename.basename path) msg;
                 None
             | Ok info when not (compatible key info) ->
-                (* Address collision or an entry persisted for an
-                   incompatible support: valid file, but not replayable
+                (* Address collision: valid file, but not replayable
                    here.  Silent miss. *)
                 with_lock (fun () ->
                     incr c_misses;
@@ -786,15 +736,10 @@ let store ?record ~tier key circuit =
             match canonical_gates ~copy:true key circuit with
             | None -> ()
             | Some gates -> (
-                let { fingerprint; _ } = text key in
+                let { fingerprint; width; _ } = text key in
                 let payload =
                   Marshal.to_string
-                    {
-                      Persist.p_fingerprint = fingerprint;
-                      p_support = key.k_support;
-                      p_relabel_safe = key.k_relabel_safe;
-                      p_gates = gates;
-                    }
+                    { Persist.p_fingerprint = fingerprint; p_width = width; p_gates = gates }
                     []
                 in
                 match Persist.write (Persist.path_of_key key) payload with

@@ -5,9 +5,9 @@
     symmetric excitation blocks, and across experiment-harness runs over
     the same presets.  This cache memoizes the synthesized circuit of a
     group keyed by its {e ordered fingerprint}: the mode flag and the
-    group's rows in program order (Pauli letters, signs and angles),
-    projected onto the group's support so the address is invariant under
-    the qubit relabelling used at synthesis time.
+    group's rows in program order (Pauli letters, signs and angles) on
+    the group's local qubits, so the address does not depend on where
+    the support sits in the register.
 
     {b Keys.}  A key holds the fingerprint in two encodings.  The
     {e packed} form is one binary string read straight from the local
@@ -22,43 +22,38 @@
     a compatibility check.
 
     {b Local coordinates.}  The simplify pass relabels each group once
-    onto its support — local qubit [i] is register qubit [sites.(i)],
-    ascending — and keys, looks up, synthesizes and stores on those k
-    qubits; it embeds the circuit into the register afterwards.  So a
-    key costs the group's k qubits and rows, not the register width.
-    Keys built this way equal the register-wide ones byte for byte
-    (digest, fingerprint, absolute support and relabel-safety), and the
-    stored gates are the same rank-coordinate gates, so disk entries
-    keep their names and contents.
+    onto its support — local qubit [i] is the [i]-th register qubit the
+    group touches — and keys, looks up, synthesizes and stores on those
+    k qubits; it embeds the circuit into the register afterwards.  So a
+    key costs the group's k qubits and rows, not the register width,
+    and the stored gates are on the local qubits.
 
     {b Bit-identity.}  The digest is reorder- and relabel-invariant, but
     synthesis is order-sensitive, so a digest match alone is not enough to
     replay a stored circuit.  Every entry therefore also records the
     {e ordered} fingerprint (program-order rows + exact-mode flag) and a
-    hit requires it to match exactly.  Relabelled replay (same fingerprint,
-    different absolute support) is additionally gated on both supports
-    fitting in a single {!Phoenix_util.Bitvec} word, because compressed
-    cores are ranked in the order [Pauli_string.compare] gives the
-    terms' register images, a word-wise comparison that is stable under
-    relabelling only within one word.  Under these two conditions
-    synthesis is equivariant, so a cached replay is bit-identical to a
-    cold synthesis.
+    hit requires it to match exactly.  Synthesis on the support is a
+    function of the local rows alone ([Synthesis.support_circuit] sorts
+    compressed cores on the local strings), so an entry replays
+    onto any support, and a cached replay is bit-identical to a cold
+    synthesis.
 
     {b Tiers.}  [Mem] is an in-process LRU with a byte budget
     ([PHOENIX_CACHE_BUDGET], default 64 MiB), bucketed by packed
-    fingerprint for relabel-safe keys and by packed fingerprint and
-    absolute support otherwise.  Bucket equality is hit-compatibility,
-    so a bucket holds at most one entry and a lookup probes only that
-    one.  An entry holds the synthesized gates as they are (they are
-    immutable and already on the local qubits); only slot angles are
-    rewritten, and only for keys with slots.  Its [bytes] are the heap
-    words it holds — packed fingerprint, support and gates, counted as
-    trees — the same count whichever tier the entry came from.  [Disk]
-    adds a persistent tier under {!dir} ([PHOENIX_CACHE_DIR]) with
-    versioned, checksummed entries of the textual fingerprint, the
-    support and a copy of the gates, marshalled; corrupt or mismatched
-    entries are skipped with a [Warning] diagnostic and recompilation
-    proceeds — never a crash.
+    fingerprint.  Bucket equality is hit-compatibility, so a bucket
+    holds at most one entry and a lookup probes only that one.  An
+    entry holds the synthesized gates as they are (they are immutable
+    and already on the local qubits); only slot angles are rewritten,
+    and only for keys with slots.  Its [bytes] are the heap words it
+    holds — packed fingerprint and gates, counted as trees — the same
+    count whichever tier the entry came from.  [Disk] adds a persistent
+    tier under {!dir} ([PHOENIX_CACHE_DIR]) with versioned, checksummed
+    entries of the textual fingerprint, the rows' width and a copy of
+    the gates, marshalled; corrupt or mismatched entries are skipped
+    with a [Warning] diagnostic and recompilation proceeds — never a
+    crash.  An entry's bytes are a function of its key, so racing
+    writers and compiles on any number of domains write the same
+    files.
 
     {b Concurrency.}  All mutable state sits behind one mutex.  A memory
     lookup reads the health ladder, probes the table and counts its hit
@@ -92,9 +87,8 @@ val reset_health : unit -> unit
 
 type key
 (** Content address of one group's tableau: the packed fingerprint
-    (which folds in the exact-mode flag), the absolute support, and —
-    built on first use by the disk tier — the textual fingerprint and
-    canonical digest.  Symbolic {!Phoenix_pauli.Angle} slot angles
+    (which folds in the exact-mode flag) and — built on first use by the
+    disk tier — the textual fingerprint and canonical digest.  Symbolic {!Phoenix_pauli.Angle} slot angles
     address by their first-use rank within the group (not their IEEE
     bits), so parametric compiles of the same structure hit across
     parameter values and across processes; stored entries carry
@@ -102,25 +96,18 @@ type key
     replay. *)
 
 val key_of_terms :
-  exact:bool ->
-  sites:int array ->
-  (Phoenix_pauli.Pauli_string.t * float) list ->
-  key
-(** [key_of_terms ~exact ~sites terms] addresses a group given on its
-    support: [terms] act on [k = Array.length sites] qubits, local
-    qubit [i] standing for register qubit [sites.(i)] (strictly
-    ascending; the terms' union support, so local qubits are the
-    support ranks the stored gates use).  Packs the rows' words and
-    angle bits into one string; builds no tableau, text or digest.
-    Terms whose union support is smaller than [sites] (an identity-only
-    group keyed on the whole register) are projected onto it first. *)
+  exact:bool -> int -> (Phoenix_pauli.Pauli_string.t * float) list -> key
+(** [key_of_terms ~exact k terms] addresses a group given on its
+    support: [terms] act on its [k] local qubits, every one of which
+    some term touches.  Packs the rows' words and angle bits into one
+    string; builds no tableau, text or digest.  An identity-only group
+    keys as zero-qubit rows whatever [k] is, since its circuit is empty
+    on any register.  Raises [Invalid_argument] when some, but not all,
+    local qubits are idle: a key names no layout for them, so it must
+    never store or replay one. *)
 
 val digest : key -> string
 (** Hex content digest, the disk file prefix (built on first use). *)
-
-val relabel_safe : key -> bool
-(** Whether entries for this key may be replayed onto a different absolute
-    support (all support indices fit in one bit vector word). *)
 
 val lookup :
   ?record:(Phoenix_verify.Diag.t -> unit) ->
@@ -159,8 +146,8 @@ type stats = {
   insertions : int;
   entries : int;  (** resident in-memory entries (gauge, not a counter) *)
   bytes : int;
-      (** heap bytes the resident entries hold: packed fingerprint,
-          support and gates (gauge) *)
+      (** heap bytes the resident entries hold: packed fingerprint and
+          gates (gauge) *)
 }
 
 val stats : unit -> stats
@@ -192,13 +179,17 @@ val dir : unit -> string
 
 module Persist : sig
   val format_version : string
-  (** First line of every cache file; bumped on layout changes. *)
+  (** First line of every cache file; bumped on layout changes, because
+      [Marshal] is not type-safe: a payload of another layout must fail
+      the version line before it is unmarshalled.  An entry file is
+      named by its digest and 16 hex digits of its ordered fingerprint's
+      MD5, so files of an older version are never opened by lookups;
+      [phoenix cache clear] removes them. *)
 
   type entry_info = {
     fingerprint : string;
-    support : int array;  (** absolute support at store time *)
-    relabel_safe : bool;
-    gates : Phoenix_circuit.Gate.t list;  (** canonical (rank) coordinates *)
+    width : int;  (** local qubits of the rows (0 for identity-only rows) *)
+    gates : Phoenix_circuit.Gate.t list;  (** on the local qubits *)
   }
 
   val list_files : ?dir:string -> unit -> string list

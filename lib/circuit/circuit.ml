@@ -71,20 +71,22 @@ let rec cnot_cost g =
 let count_cnot t = List.fold_left (fun acc g -> acc + cnot_cost g) 0 t.gates
 
 (* ASAP scheduling: each gate lands one layer after the latest busy layer
-   among its qubits. *)
+   among its qubits.  Operands are read with [first_qubit] and
+   [second_qubit] (-1 for a 1Q gate), so a call allocates [busy] and
+   nothing per gate. *)
 let depth_generic ~only_2q t =
   let busy = Array.make t.n 0 in
-  let dep = ref 0 in
-  let place g =
-    let qs = Gate.qubits g in
-    let ready = List.fold_left (fun acc q -> max acc busy.(q)) 0 qs in
-    let counts = (not only_2q) || Gate.is_two_qubit g in
-    let layer = if counts then ready + 1 else ready in
-    List.iter (fun q -> busy.(q) <- layer) qs;
-    if layer > !dep then dep := layer
+  let rec place dep = function
+    | [] -> dep
+    | g :: rest ->
+      let a = Gate.first_qubit g and b = Gate.second_qubit g in
+      let ready = if b >= 0 && busy.(b) > busy.(a) then busy.(b) else busy.(a) in
+      let layer = if b < 0 && only_2q then ready else ready + 1 in
+      busy.(a) <- layer;
+      if b >= 0 then busy.(b) <- layer;
+      place (if layer > dep then layer else dep) rest
   in
-  List.iter place t.gates;
-  !dep
+  place 0 t.gates
 
 let depth t = depth_generic ~only_2q:false t
 let depth_2q t = depth_generic ~only_2q:true t

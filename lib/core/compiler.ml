@@ -175,7 +175,7 @@ let simplify_pass ?synthesize () =
           match synthesize with
           | Some f -> f g
           | None ->
-            Synthesis.support_circuit ~exact:options.exact ~memo ~sites terms
+            Synthesis.support_circuit ~exact:options.exact ~memo k terms
         in
         (* Greedy synthesis is the top rung; a budget expiry inside it
            degrades this group to the naive ladder (trusted, bounded
@@ -198,7 +198,7 @@ let simplify_pass ?synthesize () =
             | Ok c -> c
             | Error _ -> degrade_synth ())
           | Cache.Mem | Cache.Disk -> (
-            let key = Cache.key_of_terms ~exact:options.exact ~sites terms in
+            let key = Cache.key_of_terms ~exact:options.exact k terms in
             match Cache.lookup ~record:cache_record ~tier key with
             | Some cached -> cached
             | None -> (

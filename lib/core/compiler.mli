@@ -120,8 +120,8 @@ val passes :
     only), and final verification (when [options.verify]).
 
     By default each group is synthesized on its support
-    ({!Synthesis.support_circuit}, which embeds to
-    {!Synthesis.group_circuit}) and embedded into the register.
+    ({!Synthesis.support_circuit}, a function of the local terms alone)
+    and embedded into the register.
     [synthesize] overrides per-group circuit synthesis with a function
     of the register-wide group; it exists for experimentation and fault
     injection — with [verify = true] a synthesizer that produces a wrong

@@ -64,10 +64,10 @@ and ladder_gadget (p, theta) =
 (* A core of k ≥ 3 commuting rotations on one qubit pair costs 2k CNOTs
    when lowered row by row, but only a bounded Clifford sandwich around
    merged phase rotations when diagonalized first.  The diagonal terms
-   are lowered in the order [Pauli_string.compare] gives their register
-   images, so a group synthesized on its support ([sites]) emits the
-   register-wide gate order. *)
-let compressed_core ?sites n ts =
+   are lowered in [Pauli_string.compare] order of the [n]-qubit strings
+   themselves, so a group synthesized on its support emits a circuit
+   that depends on its local terms alone. *)
+let compressed_core n ts =
   let plain = core_gates n ts in
   let commuting =
     List.for_all
@@ -78,14 +78,9 @@ let compressed_core ?sites n ts =
   if List.length ts < 3 || not commuting then plain
   else begin
     let d = Phoenix_circuit.Diagonalize.run n ts in
-    let compare =
-      match sites with
-      | None -> Pauli_string.compare
-      | Some sites -> Pauli_string.compare_on_sites sites
-    in
     let sorted =
       List.sort
-        (fun (p, _) (q, _) -> compare p q)
+        (fun (p, _) (q, _) -> Pauli_string.compare p q)
         d.Phoenix_circuit.Diagonalize.diagonal
     in
     let undo =
@@ -101,14 +96,14 @@ let compressed_core ?sites n ts =
     if cost diag < cost plain then diag else plain
   end
 
-let cfg_to_circuit ?(compress = true) ?sites n cfg =
+let cfg_to_circuit ?(compress = true) n cfg =
   let gates =
     List.concat_map
       (function
         | Simplify.Cliff c -> [ Gate.Cliff2 c ]
         | Simplify.Rotations rs -> rotation_gates rs
         | Simplify.Core ts ->
-          if compress then compressed_core ?sites n ts else core_gates n ts)
+          if compress then compressed_core n ts else core_gates n ts)
       cfg
   in
   Circuit.create n gates
@@ -116,9 +111,8 @@ let cfg_to_circuit ?(compress = true) ?sites n cfg =
 let group_circuit ?exact ?compress (g : Group.t) =
   cfg_to_circuit ?compress g.Group.n (Simplify.run ?exact g.Group.n g.Group.terms)
 
-let support_circuit ?exact ?memo ~sites terms =
-  let k = Array.length sites in
-  cfg_to_circuit ~sites k (Simplify.run ?exact ?memo k terms)
+let support_circuit ?exact ?memo k terms =
+  cfg_to_circuit k (Simplify.run ?exact ?memo k terms)
 
 (* Fig. 1(a)-style reference synthesis: 1Q basis conjugation into Z,
    a CNOT ladder onto the last support qubit, Rz, and the mirror. *)

@@ -13,37 +13,35 @@ val rotation_gates :
     Raises [Invalid_argument] on weight > 2 strings. *)
 
 val cfg_to_circuit :
-  ?compress:bool ->
-  ?sites:int array ->
-  int ->
-  Simplify.t ->
-  Phoenix_circuit.Circuit.t
+  ?compress:bool -> int -> Simplify.t -> Phoenix_circuit.Circuit.t
 (** Lower one simplified IR group over an [n]-qubit register.
     [compress] (default true) enables core compression: a core of ≥ 3
     commuting rotations is simultaneously diagonalized when that lowers
     its CNOT cost, and its diagonal terms are lowered in
-    {!Phoenix_pauli.Pauli_string.compare} order — of their images at
-    [sites] ({!Phoenix_pauli.Pauli_string.compare_on_sites}) when the
-    [n] qubits stand for the register qubits [sites]. *)
+    {!Phoenix_pauli.Pauli_string.compare} order of their [n]-qubit
+    strings. *)
 
 val group_circuit :
   ?exact:bool -> ?compress:bool -> Group.t -> Phoenix_circuit.Circuit.t
-(** Simplify and lower one IR group on its whole register. *)
+(** Simplify and lower one IR group on its whole register.  Compressed
+    cores are sorted on register strings, so this equals the embedded
+    {!support_circuit} when the group's support lies in one
+    {!Phoenix_util.Bitvec} word (a monotone relabel inside a word keeps
+    [compare] order), but not always when it straddles a word
+    boundary. *)
 
 val support_circuit :
   ?exact:bool ->
   ?memo:Phoenix_pauli.Bsf.Delta.memo ->
-  sites:int array ->
+  int ->
   (Phoenix_pauli.Pauli_string.t * float) list ->
   Phoenix_circuit.Circuit.t
-(** Simplify and lower one IR group relabelled onto its support: the
-    [terms] act on [k = Array.length sites] qubits, local qubit [i]
-    standing for register qubit [sites.(i)] (strictly ascending).  The
-    k-qubit circuit, with each qubit [i] mapped to [sites.(i)], is the
-    {!group_circuit} of the register-wide group: the BSF search is
-    equivariant under an order-preserving relabel, and compressed cores
-    keep the register-wide order.  The cost follows k, not the
-    register.  [memo] is {!Simplify.run}'s. *)
+(** [support_circuit k terms] simplifies and lowers one IR group
+    relabelled onto its support: the [terms] act on its [k] local
+    qubits.  The circuit depends on the local terms alone, not on
+    where the support sits in the register, so a cached entry replays
+    onto any support.  The cost follows k, not the register.  [memo]
+    is {!Simplify.run}'s. *)
 
 val naive_gadget_circuit :
   ?chain:[ `Support_order | `Z_first ] ->

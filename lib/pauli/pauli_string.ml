@@ -117,31 +117,6 @@ let compare a b =
   let c = Bitvec.compare a.x b.x in
   if c <> 0 then c else Bitvec.compare a.z b.z
 
-(* The order [compare] gives the images of two local strings at [sites]:
-   [Bitvec.compare] reads the backing words from word 0 and, within a
-   word, lets the highest differing bit decide.  So the deciding local
-   bit is the last differing one whose site shares the lowest absolute
-   word holding any differing site. *)
-let compare_bits_on_sites sites a b =
-  let k = Array.length sites in
-  let rec scan i decider word =
-    if i = k then decider
-    else if Bitvec.get_unsafe a i = Bitvec.get_unsafe b i then
-      scan (i + 1) decider word
-    else
-      let w = sites.(i) / Bitvec.bits_per_word in
-      if decider < 0 || w = word then scan (i + 1) i w else decider
-  in
-  match scan 0 (-1) (-1) with
-  | -1 -> 0
-  | d -> if Bitvec.get_unsafe a d then 1 else -1
-
-let compare_on_sites sites a b =
-  if num_qubits a <> Array.length sites || num_qubits b <> Array.length sites
-  then invalid_arg "Pauli_string.compare_on_sites: size mismatch";
-  let c = compare_bits_on_sites sites a.x b.x in
-  if c <> 0 then c else compare_bits_on_sites sites a.z b.z
-
 let restrict t sites =
   let k = Array.length sites in
   if k = num_qubits t then t

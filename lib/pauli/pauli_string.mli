@@ -74,15 +74,5 @@ val restrict : t -> int array -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val compare_on_sites : int array -> t -> t -> int
-(** [compare_on_sites sites a b] orders two strings over
-    [k = Array.length sites] qubits as {!compare} orders their images
-    on a register where local qubit [i] sits at [sites.(i)] (strictly
-    ascending): [compare] reads words from the lowest, and the highest
-    differing bit of the first differing word decides, x bits before z
-    bits.  With [sites = [|0; 1; …; k-1|]] it is [compare] (up to the
-    magnitude of a non-zero result).  Raises [Invalid_argument] unless
-    both strings have [k] qubits. *)
-
 val hash : t -> int
 val pp : Format.formatter -> t -> unit

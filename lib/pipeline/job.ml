@@ -5,6 +5,8 @@ module Topology = Phoenix_topology.Topology
 module Circuit_lint = Phoenix_analysis.Circuit_lint
 module Analyses = Phoenix_analysis.Registry
 module Resilience_lint = Phoenix_analysis.Resilience_lint
+module Diag = Phoenix_verify.Diag
+module Structural = Phoenix_verify.Structural
 
 type t = {
   entry : Registry.entry;
@@ -101,3 +103,27 @@ let lint_target ?program job (report : Compiler.report) circuit =
 let lint ?program job report circuit =
   Analyses.run (lint_target ?program job report circuit)
   @ Resilience_lint.conformance report
+
+let structural job circuit =
+  Structural.validate
+    ~isa:(Pass.structural_isa job.options.Compiler.isa)
+    ?topology:(topology job) circuit
+
+let check_bound ~lint:linting job (report : Compiler.report) circuit =
+  let diagnostics =
+    if not job.options.Compiler.verify then []
+    else
+      report.Compiler.diagnostics
+      @
+      match structural job circuit with
+      | [] ->
+        [
+          Diag.make ~pass:"structural" Diag.Info
+            (if topology job = None then "ISA alphabet, qubit range verified"
+             else
+               "ISA alphabet, qubit range and coupling-graph compliance \
+                verified");
+        ]
+      | violations -> violations
+  in
+  (diagnostics, if linting then lint job report circuit else [])

@@ -72,3 +72,21 @@ val lint :
 (** Post-compile lint findings: every registered circuit analysis over
     {!lint_target}, then {!Phoenix_analysis.Resilience_lint.conformance}
     of the report's degradations. *)
+
+val structural :
+  t -> Phoenix_circuit.Circuit.t -> Phoenix_verify.Diag.t list
+(** {!Phoenix_verify.Structural.validate} of [circuit] under the job's
+    ISA and topology: its violations, empty when it conforms. *)
+
+val check_bound :
+  lint:bool ->
+  t ->
+  Phoenix.Compiler.report ->
+  Phoenix_circuit.Circuit.t ->
+  Phoenix_verify.Diag.t list * Phoenix_analysis.Finding.t list
+(** The checks one bound circuit of a template compile gets, which the
+    template itself defers.  Diagnostics, when the job verifies: the
+    template report's, then {!structural} of the bound circuit, or one
+    [structural] [Info] line when it conforms.  Findings, when [lint]:
+    {!lint} of the bound circuit, without a program.  The CLI's
+    [--bind] and the daemon's template binds both call it. *)

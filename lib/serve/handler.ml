@@ -22,8 +22,6 @@ type outcome = {
   trace : Pass.trace;
 }
 
-let ok ?(trace = []) fields = { status = Sok; fields; error = None; trace }
-
 let fail ?(trace = []) status msg =
   { status; fields = []; error = Some msg; trace }
 
@@ -34,6 +32,12 @@ let budget_of_spec ~default_timeout_s spec =
   | Some k, _, _ -> Budget.after_checks k
   | None, Some s, _ | None, None, Some s -> Budget.of_timeout_s s
   | None, None, None -> Budget.none
+
+(* The CLI's exit-code order: verification errors first, then lint. *)
+let checked_status spec diagnostics findings =
+  if spec.verify && Diag.has_errors diagnostics then Sverify_errors
+  else if spec.lint && Finding.has_errors findings then Slint_errors
+  else Sok
 
 let metrics_json c =
   Json.Obj
@@ -62,13 +66,8 @@ let execute_qasm spec text =
         Analyses.run (Circuit_lint.target ~isa:Circuit_lint.Cnot_basis circuit)
       else []
     in
-    let status =
-      if spec.verify && Diag.has_errors diagnostics then Sverify_errors
-      else if spec.lint && Finding.has_errors findings then Slint_errors
-      else Sok
-    in
     {
-      status;
+      status = checked_status spec diagnostics findings;
       fields =
         [
           ("kind", Json.Str "qasm");
@@ -83,6 +82,9 @@ let execute_qasm spec text =
 
 (* --- hamiltonian jobs --------------------------------------------------- *)
 
+(* A template defers verification and lint to its bound circuits, so
+   each bind gets the CLI's [--bind] checks; the frame lists them bind
+   after bind. *)
 let execute_template spec (job : Job.t) =
   match
     Pipelines.compile_template ~options:job.Job.options ~protect:true
@@ -94,19 +96,27 @@ let execute_template spec (job : Job.t) =
     match Template.bind_batch tmpl spec.binds with
     | exception Invalid_argument msg -> bad_request msg
     | bound ->
-      ok ~trace:report.Compiler.trace
-        [
-          ("kind", Json.Str "template");
-          ( "params",
-            Json.Arr
-              (Array.to_list
-                 (Array.map (fun p -> Json.Str p) (Template.params tmpl))) );
-          ( "slots",
-            Json.Num (Float.of_int (Template.slot_count tmpl)) );
-          ("report", report_json report);
-          ( "binds",
-            Json.Arr (List.map (circuit_json ~dump:spec.dump) bound) );
-        ])
+      let checks = List.map (Job.check_bound ~lint:spec.lint job report) bound in
+      let diagnostics = List.concat_map fst checks
+      and findings = List.concat_map snd checks in
+      {
+        status = checked_status spec diagnostics findings;
+        fields =
+          [
+            ("kind", Json.Str "template");
+            ( "params",
+              Json.Arr
+                (Array.to_list
+                   (Array.map (fun p -> Json.Str p) (Template.params tmpl))) );
+            ("slots", Json.Num (Float.of_int (Template.slot_count tmpl)));
+            ("report", report_json report);
+            ("binds", Json.Arr (List.map (circuit_json ~dump:spec.dump) bound));
+            ("diagnostics", Json.Arr (List.map diag_json diagnostics));
+            ("findings", Json.Arr (List.map Finding.to_json findings));
+          ];
+        error = None;
+        trace = report.Compiler.trace;
+      })
 
 let execute_compile spec (job : Job.t) =
   let hook_findings = ref [] and hook_diags = ref [] in
@@ -130,13 +140,8 @@ let execute_compile spec (job : Job.t) =
       @ List.map snd (List.rev !hook_findings)
     else []
   in
-  let status =
-    if spec.verify && Diag.has_errors diagnostics then Sverify_errors
-    else if spec.lint && Finding.has_errors findings then Slint_errors
-    else Sok
-  in
   {
-    status;
+    status = checked_status spec diagnostics findings;
     fields =
       [
         ("kind", Json.Str "compile");

@@ -5,8 +5,9 @@
    golden digests of test_pipeline.ml), for every registered pipeline,
    and for random gadget programs (qcheck).  Plus the addressing
    properties (digest invariant under gadget reordering and monotone
-   relabelling, distinct for sign-flipped tableaux; synthesis
-   equivariance backing relabelled replay), disk-tier fault injection
+   relabelling, distinct for sign-flipped tableaux; synthesis on a
+   group's support independent of where the support sits, which backs
+   replay onto any support), disk-tier fault injection
    (truncated / bit-flipped / version-mismatched entries are skipped
    with a Warning diagnostic and self-heal), and LRU byte-budget
    enforcement under a seeded random workload. *)
@@ -205,10 +206,9 @@ let relabel sel p =
     (Pauli_string.identity 10)
     [ 0; 1; 2; 3 ]
 
-(* Relabelled replay is sound: the digest is relabel-invariant AND
-   synthesis itself is equivariant under monotone support relabelling
-   (within one bit-vector word), so replaying a cached circuit onto a
-   different absolute support reproduces the cold synthesis exactly. *)
+(* The digest is relabel-invariant, and register-wide synthesis is
+   equivariant under a monotone support relabelling within one
+   bit-vector word (there [Pauli_string.compare] keeps its order). *)
 let prop_relabel_equivariance =
   Helpers.qtest ~count:200
     "digest relabel-invariant, synthesis relabel-equivariant"
@@ -242,10 +242,18 @@ let sites_gen k =
   let* start = int_range 0 (List.length sites - k) in
   return (Array.of_list (List.filteri (fun i _ -> i >= start && i < start + k) sites))
 
-(* Groups on k ≤ 4 local qubits, half of them pairwise commuting (Z
-   strings under one basis change per qubit), so compressed cores of
-   three or more rotations are common. *)
-let local_group_gen =
+(* Ascending sites inside one bit-vector word of a 200-qubit register. *)
+let word_sites_gen k =
+  let open QCheck2.Gen in
+  let* w = int_range 0 3 in
+  let lo = 62 * w in
+  let* perm = shuffle_l (List.init (min 199 (lo + 61) - lo + 1) (( + ) lo)) in
+  return (Array.of_list (List.sort compare (List.filteri (fun i _ -> i < k) perm)))
+
+(* Groups on k ≤ 4 local qubits placed at [sites_gen k], half of them
+   pairwise commuting (Z strings under one basis change per qubit), so
+   compressed cores of three or more rotations are common. *)
+let local_group_gen sites_gen =
   let open QCheck2.Gen in
   let* k = int_range 2 4 in
   let* sites = sites_gen k in
@@ -269,25 +277,71 @@ let local_group_gen =
   let* exact = bool in
   return (sites, terms, exact)
 
+let place n sites0 terms =
+  List.map (fun (p, a) -> (Helpers.embed_string n sites0 p, a)) terms
+
 (* The simplify pass keys and synthesizes each group on its support and
-   embeds the circuit; that must be the register-wide synthesis bit for
-   bit, and the key the register-wide tableau's address. *)
+   embeds the circuit.  When the support lies in one word, that is the
+   register-wide synthesis bit for bit, and the key is the register-wide
+   tableau's address. *)
 let prop_support_synthesis_is_register_synthesis =
-  Helpers.qtest ~count:300 "support synthesis = register synthesis across words"
-    local_group_gen
+  Helpers.qtest ~count:300 "support synthesis = register synthesis inside one word"
+    (local_group_gen word_sites_gen)
     (fun (sites0, terms0, exact) ->
       let n = 200 in
-      let register =
-        List.map (fun (p, a) -> (Helpers.embed_string n sites0 p, a)) terms0
-      in
+      let register = place n sites0 terms0 in
       let sites, local = Helpers.on_support n register in
-      let key = Cache.key_of_terms ~exact ~sites local in
-      let full = Bsf.of_terms n register in
+      let k = Array.length sites in
+      let key = Cache.key_of_terms ~exact k local in
       Circuit.equal
-        (Helpers.embed_circuit n sites (Synthesis.support_circuit ~exact ~sites local))
+        (Helpers.embed_circuit n sites (Synthesis.support_circuit ~exact k local))
         (Synthesis.group_circuit ~exact (Group.of_terms n register))
-      && String.equal (Cache.digest key) (Bsf.canonical_digest full)
-      && Cache.relabel_safe key = (sites.(Array.length sites - 1) < 62))
+      && String.equal (Cache.digest key) (Bsf.canonical_digest (Bsf.of_terms n register)))
+
+(* The same local terms placed at two random layouts, often straddling
+   a word boundary: the simplify pass gives each one the same k-qubit
+   circuit, the support synthesis of the local terms, and the same key,
+   so an entry stored by one replays bit-identically onto the other. *)
+let prop_support_position_independent =
+  Helpers.qtest ~count:300 "support synthesis and key independent of position"
+    QCheck2.Gen.(
+      let* sites_a, terms, exact = local_group_gen sites_gen in
+      let* sites_b = sites_gen (Array.length sites_a) in
+      return (sites_a, sites_b, terms, exact))
+    (fun (sites_a, sites_b, terms, exact) ->
+      let n = 200 in
+      let options = { (opts ~exact ()) with Compiler.domains = 1 } in
+      let simplify =
+        List.find
+          (fun p -> p.Phoenix.Pass.name = "simplify")
+          (Compiler.passes ~with_grouping:false options)
+      in
+      let on_layout sites0 =
+        let register = place n sites0 terms in
+        let sites, local = Helpers.on_support n register in
+        let k = Array.length sites in
+        let ctx, _ =
+          Phoenix.Pass.run [ simplify ]
+            (Phoenix.Pass.init ~groups:[ Group.of_terms n register ] options n)
+        in
+        let rank = Array.make n (-1) in
+        Array.iteri (fun i q -> rank.(q) <- i) sites;
+        let circuit =
+          match ctx.Phoenix.Pass.blocks with
+          | [ b ] ->
+            Circuit.create k
+              (List.map (Gate.map_qubits (Array.get rank))
+                 (Circuit.gates b.Phoenix.Order.circuit))
+          | _ -> Alcotest.fail "one group, one block"
+        in
+        let key = Cache.key_of_terms ~exact k local in
+        ( Circuit.equal circuit (Synthesis.support_circuit ~exact k local),
+          List.map Gate.to_string (Circuit.gates circuit),
+          Cache.Testing.packed key,
+          Cache.digest key )
+      in
+      let ((same_a, _, _, _) as a) = on_layout sites_a in
+      same_a && a = on_layout sites_b)
 
 (* --- packed keys against textual fingerprints ------------------------- *)
 
@@ -324,6 +378,9 @@ let group_spec_gen =
   let* exact = bool in
   return (k, exact, rows)
 
+(* Keys accept rows that touch every local qubit, or none; otherwise
+   the columns no row touches are dropped first, as the simplify pass's
+   relabel onto the support drops them. *)
 let materialize (k, exact, rows) =
   let slots = Array.init 4 (fun i -> Phoenix_pauli.Angle.param ~index:i ~scale:1.0) in
   let angle = function
@@ -331,7 +388,16 @@ let materialize (k, exact, rows) =
     | Slot (i, negated) ->
       if negated then Phoenix_pauli.Angle.neg slots.(i) else slots.(i)
   in
-  Cache.key_of_terms ~exact ~sites:(Array.init k Fun.id)
+  let used = Array.make k false in
+  List.iter
+    (fun (ls, _) -> List.iteri (fun q l -> if l <> Pauli.I then used.(q) <- true) ls)
+    rows;
+  let rows =
+    if not (Array.exists Fun.id used) then rows
+    else List.map (fun (ls, a) -> (List.filteri (fun q _ -> used.(q)) ls, a)) rows
+  in
+  Cache.key_of_terms ~exact
+    (List.length (fst (List.hd rows)))
     (List.map (fun (ls, a) -> (Pauli_string.of_list ls, angle a)) rows)
 
 type mutation =
@@ -383,8 +449,8 @@ let mutate (k, exact, rows) = function
 
 (* The memory tier hashes and compares packed keys, the disk tier the
    textual fingerprints: they must agree on every pair.  Rows cross the
-   62-bit word boundary from k = 63; identity-only groups project onto
-   the empty support. *)
+   62-bit word boundary from k = 63; identity-only groups key as
+   zero-qubit rows. *)
 let prop_packed_equals_text =
   Helpers.qtest ~count:1000 "packed key equal iff textual fingerprint equal"
     QCheck2.Gen.(
@@ -435,19 +501,37 @@ let test_packed_cases () =
   let identity n = List.init n (fun _ -> Pauli.I) in
   check "identity-only groups on whole registers" true
     (100, false, [ (identity 100, Const 0.5); (identity 100, Slot (0, false)) ])
-    (30, false, [ (identity 30, Const 0.5); (identity 30, Slot (1, false)) ]);
-  let key = materialize (100, false, [ (identity 100, Const 0.5) ]) in
-  Alcotest.(check bool) "identity-only key is relabel-safe" true
-    (Cache.relabel_safe key)
+    (30, false, [ (identity 30, Const 0.5); (identity 30, Slot (1, false)) ])
 
-(* Disk compatibility: on every group of three wide presets, the k-qubit
-   tableau the cache key is built from has the canonical form of the
-   register-wide one, so keys and file names are unchanged.  The disk
-   files' contents are pinned by test/cache_files; the [bytes] gauge
-   counts what the memory entries hold (packed key, support, gates). *)
+(* A key has no support, so it cannot name a layout whose rows leave
+   some local qubits idle: it must refuse one rather than store or
+   replay it. *)
+let test_idle_local_qubit_raises () =
+  let raises k terms =
+    match Cache.key_of_terms ~exact:false k terms with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "one idle qubit" true
+    (raises 3 [ (Pauli_string.of_string "ZIZ", 0.3) ]);
+  Alcotest.(check bool) "idle qubit past the first word" true
+    (raises 70
+       [ (Pauli_string.of_list (List.init 70 (fun q -> if q = 65 then Pauli.I else Pauli.Z)), 0.3) ]);
+  Alcotest.(check bool) "identity-only rows key" false
+    (raises 3 [ (Pauli_string.of_string "III", 0.3) ]);
+  Alcotest.(check bool) "every qubit touched" false
+    (raises 3 [ (Pauli_string.of_string "ZIX", 0.3); (Pauli_string.of_string "IYI", 0.1) ])
+
+(* On every group of four wide presets, the k-qubit tableau the cache
+   key is built from has the canonical form of the register-wide one, so
+   the digest is the register-wide tableau's.  The disk files' contents
+   are pinned by test/cache_files; the [bytes] gauge counts what the
+   memory entries hold (packed key and gates).  Same-shape groups share
+   one entry wherever their supports sit, so a one-domain compile hits
+   on all but its first group of each shape. *)
 let test_local_canonical_forms () =
   List.iter
-    (fun (spec, entries, bytes) ->
+    (fun (spec, entries, bytes, hits, lookups) ->
       let h =
         match Phoenix_serve.Workload.of_spec spec with
         | Ok h -> h
@@ -460,13 +544,19 @@ let test_local_canonical_forms () =
       in
       Cache.clear_memory ();
       let r =
-        Registry.compile ~options:(opts ~cache:Cache.Mem ()) ~hooks:[ hook ]
-          Registry.phoenix h
+        Registry.compile
+          ~options:{ (opts ~cache:Cache.Mem ()) with Compiler.domains = 1 }
+          ~hooks:[ hook ] Registry.phoenix h
       in
+      let s = r.Compiler.cache_stats in
       Alcotest.(check (pair int int))
         (spec ^ " entries and bytes")
         (entries, bytes)
-        (r.Compiler.cache_stats.Cache.entries, r.Compiler.cache_stats.Cache.bytes);
+        (s.Cache.entries, s.Cache.bytes);
+      Alcotest.(check (pair int int))
+        (spec ^ " hits of lookups")
+        (hits, lookups)
+        (s.Cache.hits, s.Cache.hits + s.Cache.misses);
       Alcotest.(check bool) (spec ^ " has groups") true (!groups <> []);
       List.iteri
         (fun i (g : Group.t) ->
@@ -478,39 +568,34 @@ let test_local_canonical_forms () =
           then Alcotest.failf "%s: group %d canonical forms differ" spec i)
         !groups)
     [
-      ("heisenberg:100", 39, 22464);
-      ("qaoa:Reg3-250", 354, 62304);
-      ("tfim:200", 278, 46704);
+      ("heisenberg:100", 1, 552, 98, 99);
+      ("qaoa:Reg3-250", 1, 152, 374, 375);
+      ("qaoa:Reg3-500", 1, 152, 749, 750);
+      ("tfim:200", 2, 296, 397, 399);
     ]
 
-(* Same-shape groups beyond the first word (one digest, distinct
-   supports, so none can hit another) each get their own memory bucket:
-   a lookup scans at most one entry, however many were stored. *)
-let test_buckets_per_support () =
+(* Same-shape groups on 1,000 supports, in the first word and past it,
+   key the way the simplify pass keys them: one digest and one packed
+   fingerprint, so they share one memory entry, and every key replays
+   it. *)
+let test_one_entry_per_shape () =
   Cache.clear_memory ();
   Cache.reset_stats ();
-  let local = [ (Pauli_string.of_string "ZZ", 0.3) ] in
-  let circuit = Synthesis.support_circuit ~sites:[| 0; 1 |] local in
+  let n = 1100 in
+  let zz = Pauli_string.of_string "ZZ" in
+  let circuit = Synthesis.support_circuit 2 [ (zz, 0.3) ] in
   let keys =
     List.init 1000 (fun i ->
-        Cache.key_of_terms ~exact:false ~sites:[| 62 + i; 63 + i |] local)
+        let sites, local = Helpers.on_support n [ (Helpers.embed_string n [| i; i + 1 + i mod 3 |] zz, 0.3) ] in
+        Cache.key_of_terms ~exact:false (Array.length sites) local)
   in
   List.iter (fun key -> Cache.store ~tier:Cache.Mem key circuit) keys;
   Alcotest.(check int) "one digest" 1
     (List.length (List.sort_uniq String.compare (List.map Cache.digest keys)));
-  Alcotest.(check int) "insertions" 1000 (Cache.stats ()).Cache.insertions;
-  Alcotest.(check int) "largest bucket scanned" 1
-    (List.fold_left (fun m key -> max m (Cache.Testing.bucket_length key)) 0 keys);
-  Alcotest.(check bool) "every key hits its own entry" true
-    (List.for_all (fun key -> Cache.lookup ~tier:Cache.Mem key <> None) keys);
-  (* relabel-safe keys still share one bucket and replay across supports *)
-  Cache.store ~tier:Cache.Mem
-    (Cache.key_of_terms ~exact:false ~sites:[| 0; 1 |] local)
-    circuit;
-  let safe = Cache.key_of_terms ~exact:false ~sites:[| 5; 9 |] local in
-  Alcotest.(check int) "safe bucket" 1 (Cache.Testing.bucket_length safe);
-  Alcotest.(check bool) "safe replay" true
-    (Cache.lookup ~tier:Cache.Mem safe = Some circuit);
+  Alcotest.(check (pair int int)) "insertions and entries" (1, 1)
+    ((Cache.stats ()).Cache.insertions, (Cache.stats ()).Cache.entries);
+  Alcotest.(check bool) "every key replays the entry" true
+    (List.for_all (fun key -> Cache.lookup ~tier:Cache.Mem key = Some circuit) keys);
   Cache.clear_memory ()
 
 (* --- qcheck: cold = warm = re-warm on random gadget programs --------- *)
@@ -636,9 +721,10 @@ let test_lru_budget () =
       |> List.map (fun (p, a) -> (p, a +. (0.001 *. float_of_int i)))
     in
     let sites, local = Helpers.on_support n terms in
-    let key = Cache.key_of_terms ~exact:false ~sites local in
+    let k = Array.length sites in
+    let key = Cache.key_of_terms ~exact:false k local in
     if !first_key = None then first_key := Some key;
-    Cache.store ~tier:Cache.Mem key (Synthesis.support_circuit ~sites local);
+    Cache.store ~tier:Cache.Mem key (Synthesis.support_circuit k local);
     Alcotest.(check bool)
       (Printf.sprintf "bytes within budget after store %d" i)
       true
@@ -656,8 +742,8 @@ let test_lru_budget () =
   Cache.set_budget old_budget;
   Cache.clear_memory ()
 
-(* The [bytes] gauge is the heap an entry holds: its packed key, its
-   support and its gates as a tree.  An unshared copy of the gates (a
+(* The [bytes] gauge is the heap an entry holds: its packed key and its
+   gates as a tree.  An unshared copy of the gates (a
    [No_sharing] marshal round trip) has exactly the tree's words, so
    [Obj.reachable_words] checks the count on every gate kind. *)
 let test_bytes_are_heap_words () =
@@ -676,7 +762,7 @@ let test_bytes_are_heap_words () =
     ]
   in
   let key =
-    Cache.key_of_terms ~exact:false ~sites:[| 3; 70 |]
+    Cache.key_of_terms ~exact:false 2
       [ (Pauli_string.of_string "ZZ", 0.3); (Pauli_string.of_string "XY", 0.2) ]
   in
   Cache.store ~tier:Cache.Mem key (Circuit.create 2 gates);
@@ -684,9 +770,8 @@ let test_bytes_are_heap_words () =
     Marshal.from_string (Marshal.to_string gates [ Marshal.No_sharing ]) 0
   in
   let words v = Obj.reachable_words (Obj.repr v) in
-  Alcotest.(check int) "bytes = heap words of packed key, support and gates"
-    ((Sys.word_size / 8)
-    * (words (Cache.Testing.packed key) + words [| 3; 70 |] + words unshared))
+  Alcotest.(check int) "bytes = heap words of packed key and gates"
+    ((Sys.word_size / 8) * (words (Cache.Testing.packed key) + words unshared))
     (Cache.stats ()).Cache.bytes;
   Cache.clear_memory ()
 
@@ -749,12 +834,15 @@ let () =
           prop_digest_sign_flip_distinct;
           prop_relabel_equivariance;
           prop_support_synthesis_is_register_synthesis;
+          prop_support_position_independent;
           prop_packed_equals_text;
           Alcotest.test_case "packed key cases" `Quick test_packed_cases;
+          Alcotest.test_case "idle local qubits raise" `Quick
+            test_idle_local_qubit_raises;
           Alcotest.test_case "local canonical forms on wide presets" `Quick
             test_local_canonical_forms;
-          Alcotest.test_case "one bucket per support past the first word"
-            `Quick test_buckets_per_support;
+          Alcotest.test_case "one entry per shape on any support" `Quick
+            test_one_entry_per_shape;
         ] );
       ( "faults",
         [

@@ -155,6 +155,78 @@ let prop_layers_partition =
       = Circuit.count_2q c
       && List.length layers = Circuit.depth_2q c)
 
+(* The list implementation [Circuit.depth] replaced, kept as the
+   reference: each gate's qubits as a list, folded. *)
+let depth_reference ~only_2q c =
+  let busy = Array.make (Circuit.num_qubits c) 0 in
+  let dep = ref 0 in
+  let place g =
+    let qs = Gate.qubits g in
+    let ready = List.fold_left (fun acc q -> max acc busy.(q)) 0 qs in
+    let counts = (not only_2q) || Gate.is_two_qubit g in
+    let layer = if counts then ready + 1 else ready in
+    List.iter (fun q -> busy.(q) <- layer) qs;
+    if layer > !dep then dep := layer
+  in
+  List.iter place (Circuit.gates c);
+  !dep
+
+(* Circuits of every gate kind on up to 6 qubits. *)
+let any_gate_circuit_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 2 6 in
+  let q = int_range 0 (n - 1) in
+  let pair =
+    map (fun (a, d) -> (a, (a + 1 + d) mod n)) (pair q (int_range 0 (n - 2)))
+  in
+  let gate =
+    oneof
+      [
+        map (fun q -> Gate.G1 (Gate.H, q)) q;
+        map (fun q -> Gate.G1 (Gate.Rz 0.5, q)) q;
+        map (fun (a, b) -> Gate.Cnot (a, b)) pair;
+        map (fun (a, b) -> Gate.Swap (a, b)) pair;
+        map2
+          (fun (a, b) k -> Gate.Cliff2 (Clifford2q.make k a b))
+          pair (oneofl Clifford2q.all_kinds);
+        map (fun (a, b) -> Gate.Rpp { p0 = Pauli.X; p1 = Pauli.Z; a; b; theta = 0.3 }) pair;
+        map
+          (fun (a, b) -> Gate.Su4 { a; b; parts = [ Gate.Cnot (a, b); Gate.G1 (Gate.H, b) ] })
+          pair;
+      ]
+  in
+  map (Circuit.create n) (list_size (int_range 0 40) gate)
+
+let prop_depth_matches_reference =
+  Helpers.qtest ~count:500 "depth and depth_2q = list reference, every gate kind"
+    any_gate_circuit_gen
+    (fun c ->
+      Circuit.depth c = depth_reference ~only_2q:false c
+      && Circuit.depth_2q c = depth_reference ~only_2q:true c)
+
+(* [Pass.metrics_of] takes the 2Q depth at every pass boundary: on
+   CH2_cmplt_BK's compiled circuit a call allocates the register-sized
+   [busy] array and a constant, nothing per gate. *)
+let test_depth_2q_allocation () =
+  let h =
+    match Phoenix_serve.Workload.of_spec "uccsd:CH2_cmplt_BK" with
+    | Ok h -> h
+    | Error msg -> Alcotest.fail msg
+  in
+  let c =
+    (Phoenix_pipeline.Registry.compile Phoenix_pipeline.Registry.phoenix h)
+      .Phoenix.Compiler.circuit
+  in
+  let depth = Circuit.depth_2q c in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Circuit.depth_2q c));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "a large circuit" true (Circuit.length c > 10_000);
+  Alcotest.(check int) "2Q depth = list reference" (depth_reference ~only_2q:true c) depth;
+  if words > float_of_int (Circuit.num_qubits c + 1 + 16) then
+    Alcotest.failf "depth_2q allocated %.0f words on %d gates over %d qubits" words
+      (Circuit.length c) (Circuit.num_qubits c)
+
 let () =
   Alcotest.run "circuit"
     [
@@ -182,5 +254,8 @@ let () =
             test_interaction_similarity_prefers_same_pairs;
           Alcotest.test_case "distance matrix" `Quick test_distance_matrix;
         ] );
-      ("props", [ prop_depth_le_length; prop_layers_partition ]);
+      ( "props",
+        [ prop_depth_le_length; prop_layers_partition; prop_depth_matches_reference ] );
+      ( "alloc",
+        [ Alcotest.test_case "depth_2q allocates no words per gate" `Quick test_depth_2q_allocation ] );
     ]

@@ -150,44 +150,11 @@ let sites_gen =
   in
   return (n, Array.of_list (if sites = [] then [ n - 1 ] else sites))
 
-(* Two strings on [k] qubits that often agree on most of them, so that
-   equal strings and late first differences are drawn. *)
-let near_pair_gen k =
-  let open QCheck2.Gen in
-  let* a = list_size (return k) Helpers.pauli_gen in
-  let* b =
-    flatten_l
-      (List.map (fun p -> oneof [ return p; return p; Helpers.pauli_gen ]) a)
-  in
-  return (Pauli_string.of_list a, Pauli_string.of_list b)
-
-let sign c = Int.compare c 0
-
-(* The absolute-order comparator is what lets synthesis on a group's
-   support emit the register-wide core order: on local strings it must
-   be [compare] on their embeddings, and plain [compare] on identity
-   sites. *)
-let prop_compare_on_sites =
-  Helpers.qtest ~count:1000 "compare_on_sites = compare of the embeddings"
-    (let open QCheck2.Gen in
-     let* n, sites = sites_gen in
-     let* a, b = near_pair_gen (Array.length sites) in
-     return (n, sites, a, b))
-    (fun (n, sites, a, b) ->
-      let k = Array.length sites in
-      sign (Pauli_string.compare_on_sites sites a b)
-      = sign
-          (Pauli_string.compare
-             (Helpers.embed_string n sites a)
-             (Helpers.embed_string n sites b))
-      && sign (Pauli_string.compare_on_sites (Array.init k Fun.id) a b)
-         = sign (Pauli_string.compare a b))
-
 let prop_restrict_inverts_embed =
   Helpers.qtest ~count:300 "restrict inverts embedding at sites"
     (let open QCheck2.Gen in
      let* n, sites = sites_gen in
-     let* a, _ = near_pair_gen (Array.length sites) in
+     let* a = Helpers.pauli_string_gen (Array.length sites) in
      return (n, sites, a))
     (fun (n, sites, a) ->
       Pauli_string.equal a
@@ -258,5 +225,5 @@ let () =
           prop_self_commutes;
           prop_commutes_per_qubit;
         ] );
-      ("sites", [ prop_compare_on_sites; prop_restrict_inverts_embed ]);
+      ("sites", [ prop_restrict_inverts_embed ]);
     ]

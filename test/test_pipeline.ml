@@ -126,7 +126,7 @@ let test_phoenix_golden_at_scale () =
     (go
        ~target:(Compiler.Hardware (Topology.ibm_manhattan ()))
        "uccsd:H2O_frz_BK");
-  check_report "heisenberg:100" ~md5:"2648d107940d2f01905d4849416413ab"
+  check_report "heisenberg:100" ~md5:"ea2226aa2947c97c4f395f625b1b2f00"
     ~two_q:396 ~depth_2q:396 ~one_q:495 ~swaps:0 ~logical_two_q:396
     (go "heisenberg:100")
 

@@ -738,6 +738,32 @@ let test_lint_findings_shape () =
       | _ -> Alcotest.failf "%s: a lint response carries no findings" name)
     [ ("tfim:4", w "workload" "tfim:4"); ("qasm", w "qasm" qasm_text) ]
 
+(* A template defers verification and lint to its bound circuits, so
+   each bind gets the CLI's --bind checks: a structural line per bind,
+   and an angle-sanity warning for the rotations a zero bind leaves. *)
+let test_template_binds_checked () =
+  let vector v = Json.Arr (List.init 24 (fun _ -> Json.Num v)) in
+  let resp =
+    reference_response
+      [
+        w "workload" "qaoa:Reg3-16"; b "template" true; b "verify" true;
+        b "lint" true; b "dump" false; ("binds", Json.Arr [ vector 1.0; vector 0.0 ]);
+      ]
+  in
+  Alcotest.(check int) "status" 0 (status_of resp);
+  let entries name =
+    match Json.arr (field name resp) with
+    | Some l -> l
+    | None -> Alcotest.failf "a checked template frame carries no %s" name
+  in
+  let count key value name =
+    List.length (List.filter (fun d -> Json.str (field key d) = Some value) (entries name))
+  in
+  Alcotest.(check int) "one structural line per bind" 2
+    (count "pass" "structural" "diagnostics");
+  Alcotest.(check bool) "the zero bind's rotations are linted" true
+    (count "severity" "warning" "findings" > 0)
+
 (* --- self test ---------------------------------------------------------- *)
 
 let test_self_test () =
@@ -756,6 +782,8 @@ let () =
           Alcotest.test_case "id recovery" `Quick test_request_id_recovery;
           Alcotest.test_case "lint findings carry a location" `Quick
             test_lint_findings_shape;
+          Alcotest.test_case "template binds are verified and linted" `Quick
+            test_template_binds_checked;
         ] );
       ( "jobqueue",
         [

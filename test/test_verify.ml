@@ -495,7 +495,7 @@ let test_local_matches_full_on_compiles () =
         (fun i (b : Phoenix.Order.block) ->
           let g = b.Phoenix.Order.group in
           let sites, terms = Helpers.on_support n g.Group.terms in
-          let local = Synthesis.support_circuit ~exact ~sites terms in
+          let local = Synthesis.support_circuit ~exact (Array.length sites) terms in
           if
             not
               (Circuit.equal
@@ -526,8 +526,8 @@ let prop_local_matches_full_on_faults =
           terms
       in
       let cfg = Simplify.run ~exact:true 3 terms in
-      let good = Synthesis.cfg_to_circuit ~sites 3 cfg in
-      let bad = Synthesis.cfg_to_circuit ~sites 3 (flip_one_angle cfg) in
+      let good = Synthesis.cfg_to_circuit 3 cfg in
+      let bad = Synthesis.cfg_to_circuit 3 (flip_one_angle cfg) in
       let stray = Circuit.append good (Gate.G1 (Gate.H, 0)) in
       Checker.check_program ~exact:true 3 terms good = Checker.Proved
       && program_check ~exact:true 3 terms bad <> Ok ()
