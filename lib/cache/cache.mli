@@ -21,22 +21,14 @@
     per key, and only when the disk tier needs a file name, a payload or
     a compatibility check.
 
-    {b Local coordinates.}  The simplify pass relabels each group once
-    onto its support — local qubit [i] is the [i]-th register qubit the
-    group touches — and keys, looks up, synthesizes and stores on those
-    k qubits; it embeds the circuit into the register afterwards.  So a
-    key costs the group's k qubits and rows, not the register width,
-    and the stored gates are on the local qubits.
-
-    {b Bit-identity.}  The digest is reorder- and relabel-invariant, but
-    synthesis is order-sensitive, so a digest match alone is not enough to
-    replay a stored circuit.  Every entry therefore also records the
-    {e ordered} fingerprint (program-order rows + exact-mode flag) and a
-    hit requires it to match exactly.  Synthesis on the support is a
-    function of the local rows alone ([Synthesis.support_circuit] sorts
-    compressed cores on the local strings), so an entry replays
-    onto any support, and a cached replay is bit-identical to a cold
-    synthesis.
+    {b Local coordinates and bit-identity.}  The simplify pass relabels
+    each group once onto its ascending support and keys, looks up,
+    synthesizes and stores on those k qubits, then embeds the circuit.
+    The digest is reorder- and relabel-invariant, but synthesis is
+    order-sensitive, so a hit requires the {e ordered} fingerprint
+    (program-order rows + exact-mode flag) to match exactly.  Synthesis
+    on the support is a function of the local rows alone, so an entry
+    replays onto any support bit-identically to a cold synthesis.
 
     {b Tiers.}  [Mem] is an in-process LRU with a byte budget
     ([PHOENIX_CACHE_BUDGET], default 64 MiB), bucketed by packed
@@ -179,12 +171,10 @@ val dir : unit -> string
 
 module Persist : sig
   val format_version : string
-  (** First line of every cache file; bumped on layout changes, because
-      [Marshal] is not type-safe: a payload of another layout must fail
-      the version line before it is unmarshalled.  An entry file is
-      named by its digest and 16 hex digits of its ordered fingerprint's
-      MD5, so files of an older version are never opened by lookups;
-      [phoenix cache clear] removes them. *)
+  (** First line of every cache file; bumped on layout changes, since
+      [Marshal] is not type-safe.  A file is named by its digest and 16
+      hex digits of its ordered fingerprint's MD5; older versions' files
+      have other names, so lookups never open them. *)
 
   type entry_info = {
     fingerprint : string;
